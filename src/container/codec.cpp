@@ -12,6 +12,7 @@
 #include "deflate/encoder.hpp"
 #include "deflate/inflate.hpp"
 #include "fault/fault.hpp"
+#include "hw/functional.hpp"
 #include "parallel/stripe.hpp"
 
 namespace lzss::container {
@@ -29,24 +30,21 @@ std::vector<std::uint8_t> stored_record(std::span<const std::uint8_t> raw, std::
 
 }  // namespace
 
-BlockEncodeResult encode_block(const hw::HwConfig& cfg, hw::Compressor* reuse,
+BlockEncodeResult encode_block(const hw::HwConfig& cfg, hw::Compressor* model,
                                std::span<const std::uint8_t> raw) {
   BlockEncodeResult out;
   const std::uint32_t crc = checksum::crc32(raw);
   std::vector<std::uint8_t> deflated;
   try {
     std::vector<core::Token> tokens;
-    if (reuse != nullptr) {
-      auto result = reuse->compress(raw);
+    if (model != nullptr) {
+      auto result = model->compress(raw);
       out.census = result.stats;
+      out.census_valid = true;
       tokens = std::move(result.tokens);
     } else {
-      hw::Compressor ad_hoc(cfg);
-      auto result = ad_hoc.compress(raw);
-      out.census = result.stats;
-      tokens = std::move(result.tokens);
+      tokens = hw::compress_tokens(cfg, raw);
     }
-    out.census_valid = true;
     bits::BitWriter w;
     deflate::write_fixed_block(w, tokens, /*final_block=*/true);
     deflated = w.take();

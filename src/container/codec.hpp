@@ -7,7 +7,7 @@
 // (tools, benches, tests) so the container round-trips without a server.
 //
 // Per-block guarantees:
-//  * encode_block never fails: when the model path throws, or Deflate would
+//  * encode_block never fails: when the match path throws, or Deflate would
 //    expand the block, it degrades to a stored record — the container-level
 //    analogue of the service's stored-container fallback.
 //  * decode_block validates the CRC-32 of the raw bytes and inflates with
@@ -44,14 +44,15 @@ struct EncodeReport {
 struct BlockEncodeResult {
   std::vector<std::uint8_t> record;
   bool stored = false;
-  bool census_valid = false;  ///< census only meaningful when the model ran
+  bool census_valid = false;  ///< set only when the cycle model ran
   hw::CycleStats census{};
 };
 
-/// Compresses one raw block into a full LZBC block record. @p reuse is a
-/// caller-owned model instance to recycle (a service worker's engine); pass
-/// null to construct one ad hoc for @p cfg.
-[[nodiscard]] BlockEncodeResult encode_block(const hw::HwConfig& cfg, hw::Compressor* reuse,
+/// Compresses one raw block into a full LZBC block record. The tokens come
+/// from the functional twin for @p cfg (hw/functional.hpp); pass a
+/// caller-owned @p model built for @p cfg to run the cycle model instead and
+/// get its census. Both give the same record.
+[[nodiscard]] BlockEncodeResult encode_block(const hw::HwConfig& cfg, hw::Compressor* model,
                                              std::span<const std::uint8_t> raw);
 
 /// Decodes one parsed block into @p out, which must be exactly raw_len

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 
+#include "deflate/encoder.hpp"
 #include "deflate/fixed_tables.hpp"
 #include "deflate/huffman.hpp"
 
@@ -60,7 +61,8 @@ std::vector<ClcSymbol> rle_code_lengths(std::span<const std::uint8_t> lengths) {
 
 void write_dynamic_block(bits::BitWriter& w, std::span<const core::Token> tokens,
                          bool final_block) {
-  // 1. Symbol frequencies.
+  // 1. Symbol frequencies. The distance check throws before any bit is
+  // written.
   std::vector<std::uint64_t> lit_freq(kNumLitLenSymbols, 0);
   std::vector<std::uint64_t> dist_freq(kNumDistSymbols, 0);
   for (const core::Token& t : tokens) {
@@ -68,7 +70,7 @@ void write_dynamic_block(bits::BitWriter& w, std::span<const core::Token> tokens
       lit_freq[t.literal_byte()]++;
     } else {
       lit_freq[length_code(t.length()).symbol]++;
-      dist_freq[distance_code(t.distance()).symbol]++;
+      dist_freq[checked_distance_code(t.distance()).symbol]++;
     }
   }
   lit_freq[kEndOfBlock] = 1;

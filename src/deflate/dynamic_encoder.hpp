@@ -15,7 +15,9 @@
 
 namespace lzss::deflate {
 
-/// Appends one dynamic-Huffman block (BTYPE=10) containing @p tokens.
+/// Appends one dynamic-Huffman block (BTYPE=10) containing @p tokens. Throws
+/// EncodeError (deflate/encoder.hpp) on a distance beyond 32 KiB, before
+/// writing anything.
 void write_dynamic_block(bits::BitWriter& w, std::span<const core::Token> tokens,
                          bool final_block);
 

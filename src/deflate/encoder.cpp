@@ -1,10 +1,16 @@
 #include "deflate/encoder.hpp"
 
-#include <stdexcept>
-
-#include "deflate/fixed_tables.hpp"
+#include <string>
 
 namespace lzss::deflate {
+
+DistanceCode checked_distance_code(std::uint32_t distance) {
+  if (distance > kMaxDistance)
+    throw EncodeError("deflate: match distance " + std::to_string(distance) +
+                      " exceeds the 32 KiB window");
+  return distance_code(distance);
+}
+
 namespace {
 
 void write_token(bits::BitWriter& w, const CanonicalCode& lit, const CanonicalCode& dist,
@@ -17,7 +23,7 @@ void write_token(bits::BitWriter& w, const CanonicalCode& lit, const CanonicalCo
   const LengthCode lc = length_code(t.length());
   w.put_huffman(lit.code[lc.symbol], lit.bits[lc.symbol]);
   if (lc.extra_bits != 0) w.put_bits(lc.extra_value, lc.extra_bits);
-  const DistanceCode dc = distance_code(t.distance());
+  const DistanceCode dc = checked_distance_code(t.distance());
   w.put_huffman(dist.code[dc.symbol], dist.bits[dc.symbol]);
   if (dc.extra_bits != 0) w.put_bits(dc.extra_value, dc.extra_bits);
 }

@@ -9,15 +9,32 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "common/bitio.hpp"
+#include "deflate/fixed_tables.hpp"
 #include "lzss/token.hpp"
 
 namespace lzss::deflate {
 
+/// Deflate's largest match distance (RFC 1951 section 3.2.5).
+inline constexpr std::uint32_t kMaxDistance = 32768;
+
+/// Thrown by the block writers for a match Deflate cannot carry: a distance
+/// beyond kMaxDistance would be written with its extra bits masked off and
+/// decode to the wrong bytes, so no stream is produced at all.
+class EncodeError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+/// distance_code() for @p distance, or EncodeError when it exceeds
+/// kMaxDistance.
+[[nodiscard]] DistanceCode checked_distance_code(std::uint32_t distance);
+
 /// Appends one fixed-Huffman block (BTYPE=01) containing @p tokens plus the
-/// end-of-block symbol.
+/// end-of-block symbol. Throws EncodeError on a distance beyond kMaxDistance.
 void write_fixed_block(bits::BitWriter& w, std::span<const core::Token> tokens, bool final_block);
 
 /// Appends one stored block (BTYPE=00). @p bytes must be <= 65535 long.

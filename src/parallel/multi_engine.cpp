@@ -9,9 +9,22 @@
 
 #include "common/bitio.hpp"
 #include "deflate/encoder.hpp"
+#include "hw/functional.hpp"
 #include "parallel/stripe.hpp"
 
 namespace lzss::par {
+
+namespace {
+
+/// Stripe @p i of @p data cut into @p engines contiguous, near-equal slices.
+std::span<const std::uint8_t> stripe_of(std::span<const std::uint8_t> data, unsigned engines,
+                                        unsigned i) {
+  const std::size_t stripe = (data.size() + engines - 1) / engines;
+  const std::size_t begin = std::min(static_cast<std::size_t>(i) * stripe, data.size());
+  return data.subspan(begin, std::min(stripe, data.size() - begin));
+}
+
+}  // namespace
 
 MultiEngineReport compress_multi_engine(const hw::HwConfig& config,
                                         std::span<const std::uint8_t> data,
@@ -24,7 +37,6 @@ MultiEngineReport compress_multi_engine(const hw::HwConfig& config,
   // sizes the block container's blocks (parallel/stripe.hpp).
   num_engines = clamp_stripe_count(data.size(), config.dict_size(), num_engines);
 
-  const std::size_t stripe = (data.size() + num_engines - 1) / num_engines;
   struct EngineOutput {
     std::vector<core::Token> tokens;
     hw::CycleStats stats;
@@ -40,10 +52,8 @@ MultiEngineReport compress_multi_engine(const hw::HwConfig& config,
       const unsigned i = next.fetch_add(1);
       if (i >= num_engines) return;
       try {
-        const std::size_t begin = static_cast<std::size_t>(i) * stripe;
-        const std::size_t end = std::min(begin + stripe, data.size());
         hw::Compressor comp(config);
-        auto result = comp.compress(data.subspan(begin, end - begin));
+        auto result = comp.compress(stripe_of(data, num_engines, i));
         outputs[i].tokens = std::move(result.tokens);
         outputs[i].stats = result.stats;
       } catch (...) {
@@ -76,6 +86,19 @@ MultiEngineReport compress_multi_engine(const hw::HwConfig& config,
   report.deflate_stream = w.take();
   report.compressed_bytes = report.deflate_stream.size();
   return report;
+}
+
+std::vector<std::uint8_t> compress_striped(const hw::HwConfig& config,
+                                           std::span<const std::uint8_t> data,
+                                           unsigned num_engines) {
+  if (num_engines == 0) throw std::invalid_argument("compress_striped: zero engines");
+  num_engines = clamp_stripe_count(data.size(), config.dict_size(), num_engines);
+  bits::BitWriter w;
+  for (unsigned i = 0; i < num_engines; ++i) {
+    deflate::write_fixed_block(w, hw::compress_tokens(config, stripe_of(data, num_engines, i)),
+                               /*final_block=*/i + 1 == num_engines);
+  }
+  return w.take();
 }
 
 }  // namespace lzss::par

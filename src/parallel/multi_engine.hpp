@@ -66,4 +66,12 @@ struct MultiEngineReport {
                                                       std::span<const std::uint8_t> data,
                                                       unsigned num_engines);
 
+/// The same stripes and the byte-identical stitched Deflate stream as
+/// compress_multi_engine(...).deflate_stream, with each stripe's tokens from
+/// the functional twin (hw/functional.hpp) on the calling thread and no
+/// cycle census. This serves large hw-backend requests in the service.
+[[nodiscard]] std::vector<std::uint8_t> compress_striped(const hw::HwConfig& config,
+                                                         std::span<const std::uint8_t> data,
+                                                         unsigned num_engines);
+
 }  // namespace lzss::par

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <thread>
 #include <span>
 #include <stdexcept>
@@ -21,6 +22,7 @@
 #include "deflate/inflate.hpp"
 #include "estimator/presets.hpp"
 #include "fault/fault.hpp"
+#include "hw/functional.hpp"
 #include "hw/metrics.hpp"
 #include "lzss/mf_encoder.hpp"
 #include "lzss/raw_container.hpp"
@@ -35,10 +37,15 @@ namespace lzss::server {
 
 namespace {
 
-/// zlib's CINFO field only reaches 2^15; larger dictionaries still produce
-/// distances Deflate can carry (<= 32 KB after max_distance trimming).
+/// Largest dictionary a Deflate-carrying response may use: distances past
+/// 32 KiB do not exist in Deflate, and a 64 KiB dictionary reaches 65024.
+constexpr unsigned kDeflateDictBits = 15;
+
+/// The zlib CINFO field (8..15). process() clamps every zlib and LZBC
+/// request to kDeflateDictBits, so the declared window covers every
+/// distance in the stream.
 unsigned container_window_bits(const hw::HwConfig& cfg) noexcept {
-  return std::clamp(cfg.dict_bits, 8u, 15u);
+  return std::clamp(cfg.dict_bits, 8u, kDeflateDictBits);
 }
 
 /// The software encoder mirrors the hw model's knobs: same window, hash
@@ -558,8 +565,7 @@ ResponseFrame Service::process(RequestFrame& request, hw::Compressor& compressor
 
   // Resolve the preset: 0 = service default, 1..N = estimator preset ladder.
   const std::uint8_t preset_id = preset_of_flags(request.flags);
-  const hw::HwConfig* cfg = &cfg_.hw;
-  hw::HwConfig preset_cfg;
+  hw::HwConfig cfg = cfg_.hw;
   if (preset_id != 0) {
     const auto presets = est::standard_presets();
     if (preset_id > presets.size()) {
@@ -567,18 +573,29 @@ ResponseFrame Service::process(RequestFrame& request, hw::Compressor& compressor
       resp.status = Status::kUnsupported;
       return resp;
     }
-    preset_cfg = presets[preset_id - 1].config;
-    cfg = &preset_cfg;
+    cfg = presets[preset_id - 1].config;
   }
+  // zlib and LZBC carry Deflate, whose window is 32 KiB; only the raw LZS1
+  // container keeps a larger dictionary.
+  const bool raw = (request.flags & kFlagRawContainer) != 0;
+  if (request.opcode == Opcode::kCompressBlocked || !raw)
+    cfg.dict_bits = std::min(cfg.dict_bits, kDeflateDictBits);
+  // The worker's model is built for cfg_.hw; any other geometry runs on an
+  // ad-hoc model.
+  hw::Compressor* engine =
+      preset_id == 0 && cfg.dict_bits == cfg_.hw.dict_bits ? &compressor : nullptr;
 
   if (request.opcode == Opcode::kLogAppend) return do_log_append(request);
   if (request.opcode == Opcode::kLogRead) return do_log_read(request);
   if (request.opcode == Opcode::kScrub) return do_scrub(request);
   if (request.opcode == Opcode::kVerify) return do_verify(request);
   if (request.opcode == Opcode::kDecompress) return do_decompress(request);
-  if (request.opcode == Opcode::kCompressBlocked)
-    return do_compress_blocked(request, *cfg, preset_id == 0 ? &compressor : nullptr);
-  return do_compress(request, *cfg, preset_id == 0 ? &compressor : nullptr);
+  if (request.opcode == Opcode::kCompressBlocked) return do_compress_blocked(request, cfg, engine);
+  return do_compress(request, cfg, engine);
+}
+
+bool Service::census_due() noexcept {
+  return census_seq_.fetch_add(1, std::memory_order_relaxed) % kCensusEvery == 0;
 }
 
 ResponseFrame Service::do_log_append(const RequestFrame& request) {
@@ -863,6 +880,9 @@ ResponseFrame Service::do_compress(const RequestFrame& request, const hw::HwConf
     }
   }
 
+  // hw-backend requests take the functional twin's tokens; a census sample
+  // runs the cycle model instead, for the same bytes plus its cycle census.
+  const bool sampled = !use_sw && census_due();
   hw::CycleStats census;
   try {
     fault::point("server.worker.compress");
@@ -884,16 +904,23 @@ ResponseFrame Service::do_compress(const RequestFrame& request, const hw::HwConf
     } else if (!raw && large && !input.empty()) {
       // Large zlib requests stripe across a bank of engines; the stitched
       // multi-block Deflate stream wraps into one valid zlib container.
-      const auto report = par::compress_multi_engine(cfg, input, cfg_.large_engines);
-      for (const auto& engine : report.engines) census += engine;
-      resp.payload = deflate::zlib_wrap(report.deflate_stream, resp.adler,
-                                        container_window_bits(cfg));
+      std::vector<std::uint8_t> stream;
+      if (sampled) {
+        auto report = par::compress_multi_engine(cfg, input, cfg_.large_engines);
+        for (const auto& engine : report.engines) census += engine;
+        stream = std::move(report.deflate_stream);
+      } else {
+        stream = par::compress_striped(cfg, input, cfg_.large_engines);
+      }
+      resp.payload = deflate::zlib_wrap(stream, resp.adler, container_window_bits(cfg));
     } else {
       // Small requests (and every raw-container request: that container
-      // carries a single token stream) run on one model instance — the
-      // worker's own when the request uses the service default config.
+      // carries a single token stream) run as one stream. A sample runs the
+      // worker's own model when the request uses the service default config.
       std::vector<core::Token> tokens;
-      if (default_compressor != nullptr) {
+      if (!sampled) {
+        tokens = hw::compress_tokens(cfg, input);
+      } else if (default_compressor != nullptr) {
         auto result = default_compressor->compress(input);
         census = result.stats;
         tokens = std::move(result.tokens);
@@ -911,17 +938,17 @@ ResponseFrame Service::do_compress(const RequestFrame& request, const hw::HwConf
       }
     }
   } catch (const std::exception&) {
-    // Graceful degradation: the model path failed, but a stored container
+    // Graceful degradation: the match path failed, but a stored container
     // always round-trips — COMPRESS degrades instead of erroring. No census
     // export: a run that threw has no complete cycle accounting.
     resp.payload = fallback_container(input, resp.adler, raw, cfg);
     fallbacks_c_->add(1);
     return resp;
   }
-  // The model ran to completion: fold its per-FSM-state cycle census (the
-  // paper's fig. 5 categories) into the registry. Software backends have no
-  // cycle model; their census lives in the matchfinder_* counters above.
-  if (!use_sw) hw::export_cycle_stats(*registry_, census);
+  // A sampled model run completed: fold its per-FSM-state cycle census (the
+  // paper's fig. 5 categories) into the registry. The twin and the software
+  // backends have no cycles; the latter count in the matchfinder_* counters.
+  if (sampled) hw::export_cycle_stats(*registry_, census);
 
   // Ratio guard: a payload incompressible past the configured ratio degrades
   // to the stored form when that is actually smaller (GPULZ-style fallback).
@@ -982,6 +1009,9 @@ ResponseFrame Service::do_compress_blocked(const RequestFrame& request, const hw
   const std::size_t blocks = container::block_count_for(input.size(), block_bytes);
   std::vector<std::vector<std::uint8_t>> records(blocks);
   const bool use_worker_engine = default_compressor != nullptr;
+  // A census sample runs every block on the cycle model; otherwise the
+  // blocks take the functional twin's tokens.
+  const bool sampled = census_due();
 
   // The per-block body; runs on the parent worker and on helper workers
   // concurrently (records[i] slots are disjoint). It never throws:
@@ -999,8 +1029,10 @@ ResponseFrame Service::do_compress_blocked(const RequestFrame& request, const hw
     auto result = [&] {
       obs::Span eng(trace_, "engine.encode");
       eng.set_args(static_cast<std::int64_t>(len));
-      return container::encode_block(cfg, use_worker_engine ? engine : nullptr,
-                                     input.subspan(begin, len));
+      std::optional<hw::Compressor> ad_hoc;
+      hw::Compressor* model = nullptr;
+      if (sampled) model = use_worker_engine ? engine : &ad_hoc.emplace(cfg);
+      return container::encode_block(cfg, model, input.subspan(begin, len));
     }();
     if (result.census_valid) hw::export_cycle_stats(*registry_, result.census);
     if (result.stored) block_fallbacks_c_->add(1);

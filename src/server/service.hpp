@@ -8,10 +8,13 @@
 //
 // Dispatch policy: PING and STATS are control-plane and answered inline (they
 // never queue, never see BUSY). COMPRESS and DECOMPRESS are data-plane and go
-// through the queue to a worker. Each worker owns a long-lived hw::Compressor
-// for the service's default configuration; payloads at or above
-// large_threshold take the par::MultiEngine striped path instead, so one big
-// request does not serialize behind a single model instance.
+// through the queue to a worker. The hw backend serves the cycle model's
+// tokens from its untimed functional twin (hw/functional.hpp); payloads at or
+// above large_threshold are cut into the par::MultiEngine stripes, one
+// Deflate block each. The first hw-backend COMPRESS / COMPRESS_BLOCKED and
+// every 64th after it run the cycle model itself — each worker owns a
+// long-lived hw::Compressor for the default configuration — and export its
+// census; the response bytes are the same either way.
 // COMPRESS_BLOCKED splits the payload into an LZBC block container and fans
 // the blocks across the pool as internal sub-jobs on the same bounded queue
 // (container/scheduler.hpp); DECOMPRESS sniffs the LZBC magic and inverts
@@ -41,7 +44,7 @@
 // no stats mutex on the hot path). finish() is the single place a response's
 // status is classified, so per-opcode requests == ok + busy + errors exactly,
 // wherever the response was produced (inline reject, worker, watchdog, or
-// drain rescue). The worker path also exports the hw model's per-FSM-state
+// drain rescue). Census samples also export the hw model's per-FSM-state
 // cycle census (the paper's fig. 5) into the same registry, and a collector
 // mirrors the fault-point trigger table. The STATS opcode renders the whole
 // registry as a machine-readable JSON snapshot.
@@ -80,8 +83,9 @@ class LogStore;
 
 namespace lzss::server {
 
-/// COMPRESS match pipeline policy (docs/MATCHFINDER.md). kHw runs the
-/// cycle-accurate hardware model (the original behavior); the three software
+/// COMPRESS match pipeline policy (docs/MATCHFINDER.md). kHw emits the
+/// cycle-accurate hardware model's tokens (served by its functional twin,
+/// with the model itself on census samples); the three software
 /// backends run the MatchFinderEncoder; kAuto picks per request class by
 /// payload size: small requests take the one-probe greedy finder (lowest
 /// per-request overhead), mid-size requests the hash-chain finder (better
@@ -254,6 +258,10 @@ class Service {
   void worker_loop(Worker* self);
   void watchdog_loop();
   [[nodiscard]] ResponseFrame process(RequestFrame& request, hw::Compressor& compressor);
+  /// True for the first hw-backend COMPRESS / COMPRESS_BLOCKED and every
+  /// kCensusEvery-th after it: those run the cycle model and export its
+  /// census, the rest run the functional twin.
+  [[nodiscard]] bool census_due() noexcept;
   [[nodiscard]] ResponseFrame do_compress(const RequestFrame& request,
                                           const hw::HwConfig& cfg,
                                           hw::Compressor* default_compressor);
@@ -316,6 +324,8 @@ class Service {
   obs::TraceRing* trace_ = nullptr;
   obs::EventLog* events_ = nullptr;
   std::atomic<std::uint64_t> trace_seq_{0};  ///< head-based sampling counter
+  static constexpr std::uint64_t kCensusEvery = 64;
+  std::atomic<std::uint64_t> census_seq_{0};  ///< hw-backend requests seen
   std::array<OpInstruments, kOpcodeCount> opm_{};
   obs::Histogram* queue_wait_us_ = nullptr;   ///< enqueue -> dispatch
   obs::Gauge* queue_depth_g_ = nullptr;       ///< live queue occupancy

@@ -50,6 +50,20 @@ TEST(FixedBlock, TokenBitCosts) {
   EXPECT_EQ(fixed_token_bits(core::Token::match(32768, 258)), 26u);
 }
 
+TEST(FixedBlock, DistanceBeyond32KiBThrowsTyped) {
+  // A 64 KiB dictionary reaches distances Deflate cannot carry; the writers
+  // must refuse them instead of masking the extra bits into a wrong stream.
+  std::vector<core::Token> tokens(40000, core::Token::literal('a'));
+  tokens.push_back(core::Token::match(32769, 3));
+  bits::BitWriter w;
+  EXPECT_THROW(write_fixed_block(w, tokens, true), EncodeError);
+  EXPECT_THROW((void)deflate_dynamic(tokens), EncodeError);
+  tokens.back() = core::Token::match(kMaxDistance, 3);
+  const auto out = inflate_raw(deflate_fixed(tokens));
+  EXPECT_EQ(out, std::vector<std::uint8_t>(40003, 'a'));
+  EXPECT_EQ(inflate_raw(deflate_dynamic(tokens)), out);
+}
+
 TEST(StoredBlock, Roundtrip) {
   const auto payload = wl::make_corpus("random", 1000);
   bits::BitWriter w;

@@ -11,6 +11,7 @@
 #include "deflate/inflate.hpp"
 #include "fault/fault.hpp"
 #include "hw/compressor.hpp"
+#include "hw/functional.hpp"
 #include "lzss/decoder.hpp"
 #include "lzss/mf_encoder.hpp"
 #include "lzss/raw_container.hpp"
@@ -388,6 +389,47 @@ TEST(FuzzRoundtrip, RandomConfigsRandomData) {
         ASSERT_LE(t.distance(), cfg.max_distance()) << cfg.describe();
       }
     }
+  }
+}
+
+// Twin parity under fuzzed configurations: random valid HwConfigs (every
+// generic and run-time knob) and random inputs, a third of them longer than
+// the 2^(dict_bits+G) position space so head entries wrap and get purged.
+TEST(FuzzHwTwin, RandomConfigsMatchTheModel) {
+  rng::Xoshiro256 rng(41);
+  const auto names = wl::corpus_names();
+  for (int trial = 0; trial < 24; ++trial) {
+    hw::HwConfig cfg;
+    cfg.dict_bits = 10 + static_cast<unsigned>(rng.next_below(7));
+    cfg.hash.bits = 6 + static_cast<unsigned>(rng.next_below(13));
+    cfg.hash.kind =
+        rng.next_below(2) == 0 ? core::HashKind::kZlibShift : core::HashKind::kMultiplicative;
+    cfg.generation_bits = static_cast<unsigned>(rng.next_below(9));
+    if (cfg.position_bits() > 24) cfg.generation_bits = 24 - cfg.dict_bits;
+    cfg.head_split = static_cast<unsigned>(rng.next_below(3));
+    cfg.bus_width_bytes = 1u << rng.next_below(3);
+    cfg.lookahead_bytes = 512u << rng.next_below(2);
+    if (cfg.lookahead_bytes >= cfg.dict_size()) cfg.lookahead_bytes = 512;
+    cfg.hash_prefetch = rng.next_below(2) == 0;
+    cfg.relative_next = rng.next_below(2) == 0;
+    cfg.max_chain = 1 + static_cast<std::uint32_t>(rng.next_below(64));
+    cfg.nice_length = 3 + static_cast<std::uint32_t>(rng.next_below(256));
+    cfg.max_insert = static_cast<std::uint32_t>(rng.next_below(40));
+
+    // Every third input runs past the position space, which is kept at most
+    // 2^17 for those trials so the model run stays short.
+    const bool wraps = trial % 3 == 0;
+    if (wraps) cfg.generation_bits = std::min(cfg.generation_bits, 17 - cfg.dict_bits);
+    const std::size_t space = std::size_t{1} << cfg.position_bits();
+    const std::size_t size =
+        wraps ? space + 1 + rng.next_below(space) : rng.next_below(48 * 1024);
+    const auto data =
+        wl::make_corpus(names[rng.next_below(names.size())], size, 700 + trial);
+
+    hw::Compressor model(cfg);
+    const auto expected = model.compress(data).tokens;
+    ASSERT_EQ(hw::compress_tokens(cfg, data), expected)
+        << cfg.describe() << " size=" << size << " trial=" << trial;
   }
 }
 

@@ -18,6 +18,24 @@ TEST(MultiEngine, SingleEngineMatchesPlainCompressor) {
   EXPECT_EQ(deflate::inflate_raw(report.deflate_stream), data);
 }
 
+TEST(MultiEngine, StripedTwinStreamIsByteIdentical) {
+  // The service's large-request path: the same stripes through the
+  // functional twin must stitch into exactly the bank's Deflate stream.
+  for (const char* corpus : {"wiki", "x2e", "mixed"}) {
+    const auto data = wl::make_corpus(corpus, 300 * 1024);
+    for (const unsigned engines : {1u, 3u, 4u, 200u}) {
+      const auto bank = compress_multi_engine(hw::HwConfig::speed_optimized(), data, engines);
+      EXPECT_EQ(compress_striped(hw::HwConfig::speed_optimized(), data, engines),
+                bank.deflate_stream)
+          << corpus << " engines=" << engines;
+    }
+  }
+  EXPECT_EQ(compress_striped(hw::HwConfig::speed_optimized(), {}, 4),
+            compress_multi_engine(hw::HwConfig::speed_optimized(), {}, 4).deflate_stream);
+  EXPECT_THROW((void)compress_striped(hw::HwConfig::speed_optimized(), {}, 0),
+               std::invalid_argument);
+}
+
 TEST(MultiEngine, MultiBlockStreamInflates) {
   const auto data = wl::make_corpus("x2e", 256 * 1024);
   for (const unsigned engines : {2u, 3u, 4u, 7u}) {

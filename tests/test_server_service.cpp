@@ -417,7 +417,8 @@ TEST(ServerContainer, BlockedCompressWithPresetRoundTrips) {
   const auto data = wl::make_corpus("wiki", 96 * 1024);
 
   // Preset 2 = "balanced": workers can't reuse their default-config engine,
-  // so every block encodes on an ad-hoc model for the preset's geometry.
+  // so this first request (a census sample) runs every block on an ad-hoc
+  // model for the preset's geometry.
   const auto packed = client.call(blocked_request(1, data, flags_with_preset(0, 2)));
   ASSERT_EQ(packed.status, Status::kOk);
   EXPECT_EQ(container::block_decompress(packed.payload, data.size()), data);
@@ -829,6 +830,111 @@ TEST(ServerServiceTrace, TracedRequestSetsHistogramExemplar) {
   EXPECT_EQ(s->exemplar_trace_id, req.trace_id);
   const std::string text = snap.to_prometheus();
   EXPECT_NE(text.find("# {trace_id=\"e7e7e7e7e7e7e7e7\"}"), std::string::npos);
+}
+
+// ----------------------------------------- functional twin, census samples --
+
+std::uint64_t census_cycles(const Service& service) {
+  const auto snap = service.metrics().snapshot();
+  const obs::Sample* s = snap.find("hw_cycles_total");
+  return s == nullptr ? 0 : s->value;
+}
+
+TEST(ServerService, RatioPresetCompressRoundTrips) {
+  // Preset 3 ("ratio") has a 64 KiB dictionary; zlib can only carry 32 KiB
+  // distances, so the service clamps the dictionary for zlib responses.
+  Service service(small_config());
+  LoopbackClient client(service);
+  const auto data = wl::make_corpus("wiki", 96 * 1024);
+  for (int i = 0; i < 2; ++i) {  // the census sample, then the twin
+    const auto resp = client.call(compress_request(1, data, flags_with_preset(0, 3)));
+    ASSERT_EQ(resp.status, Status::kOk);
+    EXPECT_LT(resp.payload.size(), data.size() / 2);
+    EXPECT_EQ(deflate::zlib_decompress(resp.payload), data);
+  }
+}
+
+TEST(ServerService, RatioPresetCompressBlockedRoundTrips) {
+  Service service(small_config());
+  LoopbackClient client(service);
+  const auto data = wl::make_corpus("wiki", 96 * 1024);
+  for (int i = 0; i < 2; ++i) {
+    const auto packed = client.call(blocked_request(1, data, flags_with_preset(0, 3)));
+    ASSERT_EQ(packed.status, Status::kOk);
+    const auto view = container::parse(packed.payload, data.size());
+    for (const auto& b : view.blocks) EXPECT_EQ(b.method, container::Method::kDeflate);
+    EXPECT_EQ(container::block_decompress(packed.payload, data.size()), data);
+  }
+}
+
+TEST(ServerService, RatioPresetRawContainerKeepsTheFullDictionary) {
+  // LZS1 carries its own distance width: the 64 KiB dictionary stays.
+  Service service(small_config());
+  LoopbackClient client(service);
+  const auto data = wl::make_corpus("wiki", 96 * 1024);
+  const auto resp =
+      client.call(compress_request(1, data, flags_with_preset(kFlagRawContainer, 3)));
+  ASSERT_EQ(resp.status, Status::kOk);
+  EXPECT_EQ(core::raw_container_unpack(resp.payload), data);
+}
+
+TEST(ServerService, FirstHwCompressExportsTheCensus) {
+  Service service(small_config());
+  LoopbackClient client(service);
+  EXPECT_EQ(census_cycles(service), 0u);
+  ASSERT_EQ(client.call(compress_request(1, wl::make_corpus("wiki", 8 * 1024))).status,
+            Status::kOk);
+  EXPECT_GT(census_cycles(service), 0u);
+}
+
+TEST(ServerService, CensusSamplesOneHwRequestIn64) {
+  Service service(small_config());
+  LoopbackClient client(service);
+  const auto data = wl::make_corpus("x2e", 2 * 1024);
+  std::vector<std::size_t> exported;
+  std::uint64_t before = 0;
+  for (std::size_t i = 0; i < 65; ++i) {
+    // COMPRESS and COMPRESS_BLOCKED share one sample counter; a request
+    // pinned to a software backend is not an hw request and does not count.
+    const auto req = i % 2 == 0 ? compress_request(i, data) : blocked_request(i, data);
+    ASSERT_EQ(client.call(req).status, Status::kOk);
+    ASSERT_EQ(client.call(compress_request(i, data, flags_with_matchfinder(0, 2))).status,
+              Status::kOk);
+    const std::uint64_t now = census_cycles(service);
+    if (now != before) exported.push_back(i);
+    before = now;
+  }
+  EXPECT_EQ(exported, (std::vector<std::size_t>{0, 64}));
+  const auto snap = service.metrics().snapshot();
+  ASSERT_NE(snap.find("hw_bytes_in_total"), nullptr);
+  EXPECT_EQ(snap.find("hw_bytes_in_total")->value, 2 * data.size());
+}
+
+TEST(ServerService, CensusSampleAndTwinResponsesAreByteIdentical) {
+  ServiceConfig cfg = small_config();
+  cfg.large_threshold = 64 * 1024;
+  cfg.block_bytes = 32 * 1024;
+  const auto small = wl::make_corpus("wiki", 24 * 1024);
+  const auto large = wl::make_corpus("mixed", 160 * 1024);
+  const std::pair<const char*, RequestFrame> cases[] = {
+      {"small", compress_request(1, small)},
+      {"large-striped", compress_request(2, large)},
+      {"raw", compress_request(3, small, kFlagRawContainer)},
+      {"preset", compress_request(4, small, flags_with_preset(0, 2))},
+      {"blocked", blocked_request(5, large)},
+  };
+  for (const auto& [name, req] : cases) {
+    Service service(cfg);  // fresh: its first hw request is the census sample
+    LoopbackClient client(service);
+    const auto sampled = client.call(req);
+    const std::uint64_t census = census_cycles(service);
+    const auto twin = client.call(req);
+    ASSERT_EQ(sampled.status, Status::kOk) << name;
+    ASSERT_EQ(twin.status, Status::kOk) << name;
+    EXPECT_GT(census, 0u) << name;
+    EXPECT_EQ(census_cycles(service), census) << name << ": the second request ran the model";
+    EXPECT_EQ(twin.payload, sampled.payload) << name;
+  }
 }
 
 }  // namespace
