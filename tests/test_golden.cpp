@@ -14,6 +14,7 @@
 #include "hw/compressor.hpp"
 #include "hw/functional.hpp"
 #include "lzss/sw_encoder.hpp"
+#include "swmodel/cache_sim.hpp"
 #include "workloads/corpus.hpp"
 
 namespace lzss {
@@ -85,6 +86,108 @@ INSTANTIATE_TEST_SUITE_P(Snapshots, GoldenVectors, ::testing::ValuesIn(kGolden),
                          [](const ::testing::TestParamInfo<Golden>& info) {
                            return std::string(info.param.corpus);
                          });
+
+// zlib_compress output at the lazy and higher fast levels: 64 KiB of each
+// corpus at seed 42, speed_optimized() window and hash, one row per level.
+struct LevelGolden {
+  const char* corpus;
+  int level;
+  std::uint32_t fixed_crc;
+  std::size_t fixed_size;
+  std::uint32_t dynamic_crc;
+  std::size_t dynamic_size;
+};
+
+constexpr LevelGolden kLevelGolden[] = {
+    {"wiki", 3, 0xE53E91D0, 35426, 0x977728F5, 27169},
+    {"wiki", 6, 0x32408397, 32171, 0xEEEEDD8D, 25033},
+    {"wiki", 9, 0x0ECEB354, 32173, 0xAC087F5E, 25034},
+    {"x2e", 3, 0xA3042BBB, 38771, 0x6B40BB1E, 33935},
+    {"x2e", 6, 0xA39C63FA, 36997, 0xC25BFEAC, 32687},
+    {"x2e", 9, 0xA39C63FA, 36997, 0xC25BFEAC, 32687},
+    {"mixed", 3, 0xDC984516, 37240, 0xC02F4460, 35436},
+    {"mixed", 6, 0x5159A604, 37240, 0x9EAF133A, 35430},
+    {"mixed", 9, 0x76648441, 37233, 0xDBAEB0CD, 35420},
+};
+
+void PrintTo(const LevelGolden& g, std::ostream* os) { *os << g.corpus << "_l" << g.level; }
+
+class LevelVectors : public ::testing::TestWithParam<LevelGolden> {};
+
+TEST_P(LevelVectors, ZlibCompressIsFrozen) {
+  const LevelGolden& g = GetParam();
+  const auto data = wl::make_corpus(g.corpus, 64 * 1024, 42);
+  const auto params = core::MatchParams::speed_optimized().with_level(g.level);
+  const auto fixed = deflate::zlib_compress(data, params, deflate::BlockKind::kFixed);
+  EXPECT_EQ(fixed.size(), g.fixed_size);
+  EXPECT_EQ(checksum::crc32(fixed), g.fixed_crc);
+  const auto dynamic = deflate::zlib_compress(data, params, deflate::BlockKind::kDynamic);
+  EXPECT_EQ(dynamic.size(), g.dynamic_size);
+  EXPECT_EQ(checksum::crc32(dynamic), g.dynamic_crc);
+}
+
+INSTANTIATE_TEST_SUITE_P(Snapshots, LevelVectors, ::testing::ValuesIn(kLevelGolden),
+                         [](const ::testing::TestParamInfo<LevelGolden>& info) {
+                           return std::string(info.param.corpus) + "_l" +
+                                  std::to_string(info.param.level);
+                         });
+
+// The software encoder's operation census (the PPC440 model's input) at the
+// fast and the deepest lazy level, same inputs as above.
+struct CensusGolden {
+  const char* corpus;
+  int level;
+  core::EncodeStats stats;
+};
+
+constexpr CensusGolden kCensusGolden[] = {
+    {"wiki", 1, {36024, 36024, 31839, 152708, 6694, 12287, 58842, 0}},
+    {"wiki", 9, {65534, 65534, 165804, 809382, 6677, 9957, 58859, 11706}},
+    {"x2e", 1, {37340, 37340, 35406, 101544, 21136, 7570, 44400, 0}},
+    {"x2e", 9, {65534, 65534, 428500, 2877463, 20971, 6648, 44565, 6380}},
+    {"mixed", 1, {35074, 35074, 2465, 33222, 34824, 239, 30712, 0}},
+    {"mixed", 9, {65534, 65534, 6271, 213154, 34827, 236, 30709, 235}},
+};
+
+void PrintTo(const CensusGolden& g, std::ostream* os) { *os << g.corpus << "_l" << g.level; }
+
+class CensusVectors : public ::testing::TestWithParam<CensusGolden> {};
+
+TEST_P(CensusVectors, EncodeStatsAreFrozen) {
+  const CensusGolden& g = GetParam();
+  const auto data = wl::make_corpus(g.corpus, 64 * 1024, 42);
+  core::SoftwareEncoder enc(core::MatchParams::speed_optimized().with_level(g.level));
+  (void)enc.encode(data);
+  const core::EncodeStats& s = enc.stats();
+  EXPECT_EQ(s.hash_computations, g.stats.hash_computations);
+  EXPECT_EQ(s.insertions, g.stats.insertions);
+  EXPECT_EQ(s.chain_probes, g.stats.chain_probes);
+  EXPECT_EQ(s.compare_bytes, g.stats.compare_bytes);
+  EXPECT_EQ(s.literals, g.stats.literals);
+  EXPECT_EQ(s.matches, g.stats.matches);
+  EXPECT_EQ(s.match_bytes, g.stats.match_bytes);
+  EXPECT_EQ(s.lazy_retries, g.stats.lazy_retries);
+}
+
+INSTANTIATE_TEST_SUITE_P(Snapshots, CensusVectors, ::testing::ValuesIn(kCensusGolden),
+                         [](const ::testing::TestParamInfo<CensusGolden>& info) {
+                           return std::string(info.param.corpus) + "_l" +
+                                  std::to_string(info.param.level);
+                         });
+
+// The trace-driven PPC440 cache model over the encoder's reference stream:
+// 64 KiB of wiki, 4 KiB window, 15-bit hash.
+TEST(CacheTraceVectors, ReferenceStreamIsFrozen) {
+  const auto data = wl::make_corpus("wiki", 64 * 1024, 42);
+  const auto fast = swm::cache_timed_encode(data, 12, 15, 1);
+  EXPECT_EQ(fast.trace.accesses, 202386u);
+  EXPECT_EQ(fast.trace.hits, 195211u);
+  EXPECT_EQ(fast.trace.misses, 7175u);
+  const auto lazy = swm::cache_timed_encode(data, 12, 15, 9);
+  EXPECT_EQ(lazy.trace.accesses, 694013u);
+  EXPECT_EQ(lazy.trace.hits, 685702u);
+  EXPECT_EQ(lazy.trace.misses, 8311u);
+}
 
 }  // namespace
 }  // namespace lzss
