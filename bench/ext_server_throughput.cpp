@@ -24,7 +24,7 @@
 // costs at the wire, as an overhead percentage against the untraced run.
 // An eighth (also in the default artifact, standalone behind
 // `--matchfinder`): ratio and MB/s of each software match-finder backend
-// (hash chain / suffix array / greedy) over every workload corpus, with the
+// (hash chain / greedy) over every workload corpus, with the
 // match-length comparer pinned to scalar vs the best SIMD ISA on this host.
 //
 // Besides the human tables, the default run writes BENCH_server.json
@@ -459,8 +459,7 @@ std::string matchfinder_sweep() {
   std::string json = "[";
   char jbuf[256];
   bool first = true;
-  for (const auto kind : {core::MatchFinderKind::kHashChain, core::MatchFinderKind::kSuffixArray,
-                          core::MatchFinderKind::kGreedy}) {
+  for (const auto kind : {core::MatchFinderKind::kHashChain, core::MatchFinderKind::kGreedy}) {
     core::MatchParams p = core::MatchParams::speed_optimized();
     p.finder = kind;
     for (const auto& name : wl::corpus_names()) {

@@ -7,7 +7,7 @@
 #include "bench_util.hpp"
 
 #include "hw/pipeline.hpp"
-#include "lzss/sw_encoder.hpp"
+#include "lzss/mf_encoder.hpp"
 #include "swmodel/ppc440_model.hpp"
 
 namespace {
@@ -28,7 +28,7 @@ Row run_row(const std::string& corpus, std::size_t bytes) {
 
   // Software baseline: zlib-equivalent encoder priced on the PPC440 model.
   core::MatchParams p = core::MatchParams::speed_optimized();
-  core::SoftwareEncoder sw(p);
+  core::MatchFinderEncoder sw(p);
   (void)sw.encode(data);
   const auto timing = swm::price(sw.stats(), data.size());
 
@@ -72,7 +72,7 @@ BENCHMARK(BM_HwModel)->Unit(benchmark::kMillisecond);
 
 void BM_SwEncoder(benchmark::State& state) {
   const auto& data = bench::cached_corpus("wiki", 256 * 1024);
-  core::SoftwareEncoder enc(core::MatchParams::speed_optimized());
+  core::MatchFinderEncoder enc(core::MatchParams::speed_optimized());
   for (auto _ : state) {
     benchmark::DoNotOptimize(enc.encode(data).size());
   }

@@ -11,7 +11,6 @@
 #include "deflate/container.hpp"
 #include "deflate/inflate.hpp"
 #include "lzss/params.hpp"
-#include "lzss/sw_encoder.hpp"
 #include "workloads/corpus.hpp"
 
 int main() {

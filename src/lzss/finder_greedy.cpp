@@ -4,7 +4,7 @@
 // the probe is a single load, and all verification/extension work is one
 // simd::match_length() call — the design point of the LZ4 accelerator work
 // (arXiv:2409.12433): spend nothing on search, let the wide comparer carry
-// the throughput. Ratio trails the chain/SA backends (a 3-byte match at the
+// the throughput. Ratio trails the hash-chain backend (a 3-byte match at the
 // block tail is invisible to a 4-byte hash, and hash collisions evict the
 // only candidate), which is exactly the trade the bench sweep quantifies.
 #include <algorithm>
@@ -36,25 +36,27 @@ class GreedyFinder final : public MatchFinder {
     ++stats_.seeds;
   }
 
-  [[nodiscard]] MatchCandidate find_longest_match(std::uint64_t pos,
+  std::uint64_t insert(std::uint64_t pos) override {
+    assert(pos + kMinMatch <= in_.size());
+    if (pos + sizeof(std::uint32_t) > in_.size()) return kNoCandidate;  // tail -> literals
+    ++stats_.insertions;
+    std::uint32_t& slot = table_[hash4(read32(pos))];
+    const std::uint32_t cand = slot;
+    slot = static_cast<std::uint32_t>(pos);
+    if (cand == kEmpty || cand >= pos || pos - cand > params_.max_distance()) return kNoCandidate;
+    return cand;
+  }
+
+  [[nodiscard]] MatchCandidate find_longest_match(std::uint64_t pos, std::uint64_t head,
                                                   std::uint32_t best_so_far) override {
-    const std::size_t n = in_.size();
-    assert(pos + kMinMatch <= n);
-    if (pos + sizeof(std::uint32_t) > n) return {};  // 4-byte hash window; tail -> literals
-
-    const std::uint32_t h = hash4(read32(pos));
-    const std::uint32_t cand = table_[h];
-    table_[h] = static_cast<std::uint32_t>(pos);
-    if (cand == kEmpty || cand >= pos || pos - cand > params_.max_distance()) return {};
-
     ++stats_.probes;
     const std::uint32_t max_len =
-        static_cast<std::uint32_t>(std::min<std::uint64_t>(kMaxMatch, n - pos));
+        static_cast<std::uint32_t>(std::min<std::uint64_t>(kMaxMatch, in_.size() - pos));
     const std::uint32_t len = static_cast<std::uint32_t>(
-        simd::match_length(in_.data() + cand, in_.data() + pos, max_len));
+        simd::match_length(in_.data() + head, in_.data() + pos, max_len));
     stats_.compare_bytes += std::min<std::uint32_t>(len + 1, max_len);
     if (len < kMinMatch || len <= best_so_far) return {};
-    return {len, static_cast<std::uint32_t>(pos - cand)};
+    return {len, static_cast<std::uint32_t>(pos - head)};
   }
 
   void advance(std::uint64_t pos, std::uint32_t covered) override {
@@ -65,6 +67,7 @@ class GreedyFinder final : public MatchFinder {
     if (end >= 2) {
       const std::uint64_t k = end - 2;
       if (k > pos && k + sizeof(std::uint32_t) <= in_.size()) {
+        ++stats_.insertions;
         table_[hash4(read32(k))] = static_cast<std::uint32_t>(k);
       }
     }

@@ -55,8 +55,6 @@ std::string MatchParams::describe() const {
 bool parse_finder_name(std::string_view name, MatchFinderKind& out) noexcept {
   if (name == "hashchain") {
     out = MatchFinderKind::kHashChain;
-  } else if (name == "suffixarray") {
-    out = MatchFinderKind::kSuffixArray;
   } else if (name == "greedy") {
     out = MatchFinderKind::kGreedy;
   } else {

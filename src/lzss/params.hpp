@@ -23,15 +23,13 @@ enum class Strategy : std::uint8_t {
 /// Which MatchFinder backend drives the software compressor
 /// (lzss/match_finder.hpp; trade-offs in docs/MATCHFINDER.md).
 enum class MatchFinderKind : std::uint8_t {
-  kHashChain = 0,    ///< zlib-style head/prev chains (the sw_encoder baseline)
-  kSuffixArray = 1,  ///< per-block suffix array + LCP-bounded neighbor search
-  kGreedy = 2,       ///< LZ4-style single-probe wide-hash table
+  kHashChain = 0,  ///< zlib-style head/prev chains (the software baseline)
+  kGreedy = 1,     ///< LZ4-style single-probe wide-hash table
 };
 
 [[nodiscard]] constexpr const char* finder_name(MatchFinderKind kind) noexcept {
   switch (kind) {
     case MatchFinderKind::kHashChain: return "hashchain";
-    case MatchFinderKind::kSuffixArray: return "suffixarray";
     case MatchFinderKind::kGreedy: return "greedy";
   }
   return "?";
@@ -50,7 +48,7 @@ struct MatchParams {
   std::uint32_t max_lazy = 4;      ///< deflate_fast: max_insert_length; slow: lazy threshold
   std::uint32_t nice_length = 8;   ///< stop searching when a match this long is found
   std::uint32_t max_chain = 4;     ///< matching iteration limit (chain walk bound)
-  Strategy strategy = Strategy::kFast;
+  Strategy strategy = Strategy::kFast;  ///< MatchFinderEncoder parse
   MatchFinderKind finder = MatchFinderKind::kHashChain;  ///< MatchFinderEncoder backend
 
   [[nodiscard]] constexpr std::uint32_t window_size() const noexcept {

@@ -1,97 +1,17 @@
-// Software LZSS compressor — the zlib-algorithm-equivalent baseline.
+// The software baseline's historical name.
 //
-// This is the reference the paper compares against ("ZLib running on the
-// PowerPC processor inside the FPGA"). It reproduces zlib's deflate_fast
-// (levels 1-3, greedy) and deflate_slow (levels 4-9, lazy matching) match
-// finders over head/prev hash chains, emitting the same D/L token stream the
-// hardware produces. Besides the tokens it records an operation census
-// (hash computations, chain probes, compared bytes, ...) which drives the
-// PowerPC-440 timing model used for Table I.
+// zlib's deflate_fast/deflate_slow parses, their operation census and the
+// cache-model observer all live in MatchFinderEncoder over the kHashChain
+// backend (lzss/mf_encoder.hpp). This alias exists only because the
+// benchmark harness (perfbench/ledger.cpp), which is maintained separately
+// from the library, still names SoftwareEncoder; new code uses
+// MatchFinderEncoder.
 #pragma once
 
-#include <cstdint>
-#include <span>
-#include <vector>
-
-#include "lzss/params.hpp"
-#include "lzss/token.hpp"
+#include "lzss/mf_encoder.hpp"
 
 namespace lzss::core {
 
-/// Which data structure a traced memory reference touched.
-enum class MemRegion : std::uint8_t {
-  kWindow,  ///< input/window bytes (1-byte elements)
-  kHead,    ///< hash head table (2-byte Pos entries, as in zlib)
-  kPrev,    ///< prev chain table (2-byte Pos entries)
-};
-
-/// Observer for the encoder's memory reference stream; drives the
-/// trace-based PPC440 cache model (swmodel/cache_sim.hpp).
-class AccessObserver {
- public:
-  virtual ~AccessObserver() = default;
-  /// @param index element index within the region (not a byte address).
-  virtual void on_access(MemRegion region, std::uint64_t index) = 0;
-};
-
-/// Operation census of one encode run; inputs to the SW timing model.
-struct EncodeStats {
-  std::uint64_t hash_computations = 0;  ///< 3-byte hash evaluations
-  std::uint64_t insertions = 0;         ///< head/prev chain insertions
-  std::uint64_t chain_probes = 0;       ///< candidate positions visited
-  std::uint64_t compare_bytes = 0;      ///< bytes compared during matching
-  std::uint64_t literals = 0;           ///< literal tokens emitted
-  std::uint64_t matches = 0;            ///< match tokens emitted
-  std::uint64_t match_bytes = 0;        ///< input bytes covered by matches
-  std::uint64_t lazy_retries = 0;       ///< slow path: matches re-evaluated at +1
-
-  [[nodiscard]] std::uint64_t tokens() const noexcept { return literals + matches; }
-};
-
-class SoftwareEncoder {
- public:
-  explicit SoftwareEncoder(MatchParams params);
-
-  /// Compresses @p input into a token stream. Resets statistics first.
-  [[nodiscard]] std::vector<Token> encode(std::span<const std::uint8_t> input);
-
-  [[nodiscard]] const EncodeStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const MatchParams& params() const noexcept { return params_; }
-
-  /// Streams every head/prev/window reference to @p observer during
-  /// encode(); pass nullptr to disable (default — near-zero overhead).
-  void set_access_observer(AccessObserver* observer) noexcept { observer_ = observer; }
-
- private:
-  struct Match {
-    std::uint32_t length = 0;
-    std::uint32_t distance = 0;
-  };
-
-  static constexpr std::uint64_t kNil = ~std::uint64_t{0};
-  // zlib's TOO_FAR: a minimal match this distant is not worth taking.
-  static constexpr std::uint64_t kTooFar = 4096;
-
-  void reset_tables();
-  /// Inserts position @p pos into the chains; returns the previous head.
-  std::uint64_t insert(std::span<const std::uint8_t> in, std::uint64_t pos);
-  /// zlib longest_match: walks the chain from @p head, only accepting
-  /// matches longer than @p best_so_far.
-  Match longest_match(std::span<const std::uint8_t> in, std::uint64_t pos, std::uint64_t head,
-                      std::uint32_t best_so_far);
-
-  void encode_fast(std::span<const std::uint8_t> in, std::vector<Token>& out);
-  void encode_slow(std::span<const std::uint8_t> in, std::vector<Token>& out);
-
-  void trace(MemRegion region, std::uint64_t index) {
-    if (observer_ != nullptr) observer_->on_access(region, index);
-  }
-
-  MatchParams params_;
-  EncodeStats stats_;
-  AccessObserver* observer_ = nullptr;
-  std::vector<std::uint64_t> head_;  // hash -> most recent position, kNil when empty
-  std::vector<std::uint64_t> prev_;  // pos & wmask -> previous position in chain
-};
+using SoftwareEncoder = MatchFinderEncoder;
 
 }  // namespace lzss::core

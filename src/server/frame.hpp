@@ -99,11 +99,14 @@ inline constexpr std::uint16_t kFlagVerifyStore = 0x0002;
 /// trace id prefix (stripped at parse time into the frame's trace_id).
 inline constexpr std::uint16_t kFlagTraced = 0x0004;
 /// COMPRESS match-finder backend selector in flags bits 3..5 (see
-/// docs/MATCHFINDER.md): 0 = the service's configured policy, 1 = the
-/// cycle-accurate hw model, 2 = hashchain, 3 = suffixarray, 4 = greedy.
-/// Unknown selectors answer UNSUPPORTED.
+/// docs/MATCHFINDER.md). Every other selector answers UNSUPPORTED,
+/// including 3, which named the retired suffix-array backend.
 inline constexpr unsigned kFlagMatchFinderShift = 3;
 inline constexpr std::uint16_t kFlagMatchFinderMask = 0x0038;
+inline constexpr std::uint8_t kMatchFinderPolicy = 0;     ///< the service's configured policy
+inline constexpr std::uint8_t kMatchFinderHw = 1;         ///< the cycle-accurate hw model
+inline constexpr std::uint8_t kMatchFinderHashChain = 2;  ///< core::MatchFinderKind::kHashChain
+inline constexpr std::uint8_t kMatchFinderGreedy = 4;     ///< core::MatchFinderKind::kGreedy
 
 [[nodiscard]] constexpr std::uint16_t flags_with_matchfinder(std::uint16_t flags,
                                                              std::uint8_t selector) noexcept {

@@ -93,7 +93,6 @@ const char* match_backend_name(MatchBackend backend) noexcept {
   switch (backend) {
     case MatchBackend::kHw: return "hw";
     case MatchBackend::kHashChain: return "hashchain";
-    case MatchBackend::kSuffixArray: return "suffixarray";
     case MatchBackend::kGreedy: return "greedy";
     case MatchBackend::kAuto: return "auto";
   }
@@ -103,12 +102,14 @@ const char* match_backend_name(MatchBackend backend) noexcept {
 bool parse_match_backend(std::string_view name, MatchBackend& out) noexcept {
   if (name == "hw") {
     out = MatchBackend::kHw;
+  } else if (name == "hashchain") {
+    out = MatchBackend::kHashChain;
+  } else if (name == "greedy") {
+    out = MatchBackend::kGreedy;
   } else if (name == "auto") {
     out = MatchBackend::kAuto;
   } else {
-    core::MatchFinderKind kind;
-    if (!core::parse_finder_name(name, kind)) return false;
-    out = static_cast<MatchBackend>(static_cast<std::uint8_t>(kind) + 1);
+    return false;
   }
   return true;
 }
@@ -847,37 +848,37 @@ ResponseFrame Service::do_compress(const RequestFrame& request, const hw::HwConf
   const bool raw = (request.flags & kFlagRawContainer) != 0;
   const bool large = input.size() >= cfg_.large_threshold;
 
-  // Resolve the match pipeline: flags bits 3..5 pin a backend per request
-  // (1 = hw, 2.. = MatchFinderKind + 2); selector 0 defers to the service
-  // policy, where kAuto classes by payload size (docs/MATCHFINDER.md).
-  const std::uint8_t selector = matchfinder_of_flags(request.flags);
-  if (selector > 4) {
-    resp.status = Status::kUnsupported;
-    return resp;
+  // Resolve the match pipeline: flags bits 3..5 pin a backend per request;
+  // selector 0 defers to the service policy, where kAuto classes by payload
+  // size (docs/MATCHFINDER.md).
+  MatchBackend backend = cfg_.match_backend;
+  switch (matchfinder_of_flags(request.flags)) {
+    case kMatchFinderPolicy: break;
+    case kMatchFinderHw: backend = MatchBackend::kHw; break;
+    case kMatchFinderHashChain: backend = MatchBackend::kHashChain; break;
+    case kMatchFinderGreedy: backend = MatchBackend::kGreedy; break;
+    default:
+      resp.status = Status::kUnsupported;
+      return resp;
   }
   bool use_sw = false;
   core::MatchFinderKind kind = core::MatchFinderKind::kHashChain;
-  if (selector >= 2) {
-    use_sw = true;
-    kind = static_cast<core::MatchFinderKind>(selector - 2);
-  } else if (selector == 0) {
-    switch (cfg_.match_backend) {
-      case MatchBackend::kHw:
-        break;
-      case MatchBackend::kHashChain:
-      case MatchBackend::kSuffixArray:
-      case MatchBackend::kGreedy:
-        use_sw = true;
-        kind = static_cast<core::MatchFinderKind>(
-            static_cast<std::uint8_t>(cfg_.match_backend) - 1);
-        break;
-      case MatchBackend::kAuto:
-        if (large) break;  // large payloads keep the striped hw engines
-        use_sw = true;
-        kind = input.size() < cfg_.small_threshold ? core::MatchFinderKind::kGreedy
-                                                   : core::MatchFinderKind::kHashChain;
-        break;
-    }
+  switch (backend) {
+    case MatchBackend::kHw:
+      break;
+    case MatchBackend::kHashChain:
+      use_sw = true;
+      break;
+    case MatchBackend::kGreedy:
+      use_sw = true;
+      kind = core::MatchFinderKind::kGreedy;
+      break;
+    case MatchBackend::kAuto:
+      if (large) break;  // large payloads keep the striped hw engines
+      use_sw = true;
+      kind = input.size() < cfg_.small_threshold ? core::MatchFinderKind::kGreedy
+                                                 : core::MatchFinderKind::kHashChain;
+      break;
   }
 
   // hw-backend requests take the functional twin's tokens; a census sample

@@ -85,7 +85,7 @@ namespace lzss::server {
 
 /// COMPRESS match pipeline policy (docs/MATCHFINDER.md). kHw emits the
 /// cycle-accurate hardware model's tokens (served by its functional twin,
-/// with the model itself on census samples); the three software
+/// with the model itself on census samples); the two software
 /// backends run the MatchFinderEncoder; kAuto picks per request class by
 /// payload size: small requests take the one-probe greedy finder (lowest
 /// per-request overhead), mid-size requests the hash-chain finder (better
@@ -95,13 +95,12 @@ namespace lzss::server {
 enum class MatchBackend : std::uint8_t {
   kHw = 0,
   kHashChain,
-  kSuffixArray,
   kGreedy,
   kAuto,
 };
 
 [[nodiscard]] const char* match_backend_name(MatchBackend backend) noexcept;
-/// Parses hw|hashchain|suffixarray|greedy|auto; false on unknown names.
+/// Parses hw|hashchain|greedy|auto; false on unknown names.
 [[nodiscard]] bool parse_match_backend(std::string_view name, MatchBackend& out) noexcept;
 
 struct ServiceConfig {
@@ -344,7 +343,7 @@ class Service {
     obs::Counter* probes;
     obs::Counter* compare_bytes;
   };
-  std::array<FinderInstruments, 3> mf_{};
+  std::array<FinderInstruments, 2> mf_{};
 
   // Block-container instruments (docs/CONTAINER.md / docs/OBSERVABILITY.md).
   obs::Counter* blocks_compress_c_ = nullptr;      ///< container_blocks_total{op=...}

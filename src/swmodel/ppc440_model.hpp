@@ -12,7 +12,7 @@
 
 #include <cstdint>
 
-#include "lzss/sw_encoder.hpp"
+#include "lzss/mf_encoder.hpp"
 
 namespace lzss::swm {
 

@@ -10,6 +10,8 @@ trap 'rm -rf "$WORK"' EXIT
 LZSSZIP="$BUILD_DIR/tools/lzsszip"
 ESTIMATE="$BUILD_DIR/tools/lzss_estimate"
 GENRTL="$BUILD_DIR/tools/lzss_genrtl"
+LZSSD="$BUILD_DIR/tools/lzssd"
+CLIENT="$BUILD_DIR/tools/lzss_client"
 
 fail() { echo "FAIL: $1" >&2; exit 1; }
 
@@ -46,6 +48,26 @@ fi
 if "$LZSSZIP" -d "$WORK/input" "$WORK/x" 2> /dev/null; then
   fail "decompressing garbage must fail"
 fi
+# -w takes 9..15: a zlib stream cannot declare a larger window, and the
+# window size is a shift by this many bits.
+for args in "-w 40" "-w 16 -l 9" "-w 8"; do
+  rc=0
+  # shellcheck disable=SC2086
+  "$LZSSZIP" $args "$WORK/input" "$WORK/x" 2> /dev/null || rc=$?
+  [ "$rc" -eq 2 ] || fail "lzsszip $args must print usage and exit 2 (got $rc)"
+done
+"$LZSSZIP" -w 9 -l 9 "$WORK/input" "$WORK/out_w9.zz" > /dev/null
+"$LZSSZIP" -d "$WORK/out_w9.zz" "$WORK/back_w9" > /dev/null
+cmp "$WORK/input" "$WORK/back_w9" || fail "-w 9 roundtrip"
+
+# --- lzssd / lzss_client: retired match-finder names are unknown ----------
+# Both reject the name while parsing arguments, before any socket is opened.
+rc=0
+"$LZSSD" --port 0 --matchfinder suffixarray 2> /dev/null || rc=$?
+[ "$rc" -eq 2 ] || fail "lzssd --matchfinder suffixarray must exit 2 (got $rc)"
+rc=0
+"$CLIENT" --port 1 --matchfinder suffixarray ping 2> /dev/null || rc=$?
+[ "$rc" -eq 2 ] || fail "lzss_client --matchfinder suffixarray must exit 2 (got $rc)"
 
 # --- lzss_estimate ---------------------------------------------------------
 "$ESTIMATE" --corpus wiki --mb 1 | grep -q "cycles/byte" || fail "estimate report"

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "swmodel/ppc440_model.hpp"
-#include "lzss/sw_encoder.hpp"
+#include "lzss/mf_encoder.hpp"
 #include "workloads/corpus.hpp"
 
 namespace lzss::swm {
@@ -78,7 +78,7 @@ TEST(CacheTimedEncode, AgreesWithFlatModelOnText) {
   const auto traced = cache_timed_encode(data, 12, 15, 1);
 
   core::MatchParams p = core::MatchParams::speed_optimized();
-  core::SoftwareEncoder enc(p);
+  core::MatchFinderEncoder enc(p);
   (void)enc.encode(data);
   const auto flat = price(enc.stats(), n);
 
@@ -120,10 +120,10 @@ TEST(AccessObserver, DisabledByDefaultAndDetachable) {
     void on_access(core::MemRegion, std::uint64_t) override { ++n; }
   };
   const auto data = wl::make_corpus("wiki", 32 * 1024);
-  core::SoftwareEncoder a(core::MatchParams::speed_optimized());
+  core::MatchFinderEncoder a(core::MatchParams::speed_optimized());
   const auto plain = a.encode(data);
   Counter counter;
-  core::SoftwareEncoder b(core::MatchParams::speed_optimized());
+  core::MatchFinderEncoder b(core::MatchParams::speed_optimized());
   b.set_access_observer(&counter);
   const auto observed = b.encode(data);
   EXPECT_EQ(plain, observed);

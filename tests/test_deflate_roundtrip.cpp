@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 #include "common/checksum.hpp"
@@ -7,7 +8,7 @@
 #include "deflate/dynamic_encoder.hpp"
 #include "deflate/encoder.hpp"
 #include "deflate/inflate.hpp"
-#include "lzss/sw_encoder.hpp"
+#include "lzss/mf_encoder.hpp"
 #include "workloads/corpus.hpp"
 
 namespace lzss::deflate {
@@ -33,7 +34,7 @@ TEST(FixedBlock, LiteralsAndMatches) {
 }
 
 TEST(FixedBlock, SizePredictionIsExact) {
-  core::SoftwareEncoder enc(core::MatchParams::speed_optimized());
+  core::MatchFinderEncoder enc(core::MatchParams::speed_optimized());
   const auto data = wl::make_corpus("wiki", 50000);
   const auto tokens = enc.encode(data);
   const auto stream = deflate_fixed(tokens);
@@ -94,7 +95,7 @@ TEST(MultiBlock, MixedBlockTypesConcatenate) {
 }
 
 TEST(DynamicBlock, RoundtripOnText) {
-  core::SoftwareEncoder enc(core::MatchParams::speed_optimized());
+  core::MatchFinderEncoder enc(core::MatchParams::speed_optimized());
   const auto data = wl::make_corpus("wiki", 80000);
   const auto tokens = enc.encode(data);
   const auto stream = deflate_dynamic(tokens);
@@ -104,7 +105,7 @@ TEST(DynamicBlock, RoundtripOnText) {
 TEST(DynamicBlock, BeatsFixedOnSkewedData) {
   // CAN logs have a very skewed byte distribution; the dynamic table must
   // produce a smaller stream than the fixed one.
-  core::SoftwareEncoder enc(core::MatchParams::speed_optimized());
+  core::MatchFinderEncoder enc(core::MatchParams::speed_optimized());
   const auto data = wl::make_corpus("x2e", 200000);
   const auto tokens = enc.encode(data);
   EXPECT_LT(deflate_dynamic(tokens).size(), deflate_fixed(tokens).size());
@@ -128,6 +129,32 @@ TEST(ZlibContainer, RoundtripWithChecksum) {
   core::MatchParams p;
   const auto z = zlib_compress(data, p.with_level(1));
   EXPECT_EQ(zlib_decompress(z), data);
+}
+
+TEST(ZlibContainer, EmptyInputRoundTrips) {
+  for (const int level : {1, 9}) {
+    for (const BlockKind kind : {BlockKind::kFixed, BlockKind::kDynamic}) {
+      const auto z = zlib_compress({}, core::MatchParams{}.with_level(level), kind);
+      EXPECT_TRUE(zlib_decompress(z).empty()) << "level " << level;
+    }
+  }
+}
+
+TEST(ZlibContainer, FarDistancesRoundTrip) {
+  // Random bytes repeated once: every match reaches back 30 KiB, near the
+  // top of Deflate's 32 KiB window.
+  const auto half = wl::make_corpus("random", 30 * 1024);
+  std::vector<std::uint8_t> data = half;
+  data.insert(data.end(), half.begin(), half.end());
+  core::MatchParams p;
+  p.window_bits = 15;
+  p = p.with_level(9);
+  core::MatchFinderEncoder enc(p);
+  const auto tokens = enc.encode(data);
+  EXPECT_TRUE(std::any_of(tokens.begin(), tokens.end(), [&](const core::Token& t) {
+    return !t.is_literal() && t.distance() == half.size();
+  }));
+  EXPECT_EQ(zlib_decompress(zlib_compress(data, p)), data);
 }
 
 TEST(ZlibContainer, HeaderFields) {

@@ -11,9 +11,10 @@
 #include "common/checksum.hpp"
 #include "deflate/container.hpp"
 #include "deflate/encoder.hpp"
+#include "estimator/evaluate.hpp"
 #include "hw/compressor.hpp"
 #include "hw/functional.hpp"
-#include "lzss/sw_encoder.hpp"
+#include "lzss/mf_encoder.hpp"
 #include "swmodel/cache_sim.hpp"
 #include "workloads/corpus.hpp"
 
@@ -132,6 +133,32 @@ INSTANTIATE_TEST_SUITE_P(Snapshots, LevelVectors, ::testing::ValuesIn(kLevelGold
                                   std::to_string(info.param.level);
                          });
 
+// zlib's default setting, level 6 with a 32 KiB window and a dynamic block,
+// as a third-party sender would produce it. Unlike the 4 KiB rows above,
+// the window reaches past 4096 bytes, where the lazy parse's TOO_FAR rule
+// applies.
+TEST(ZlibDefaultVectors, Level6Window15IsFrozen) {
+  struct Row {
+    const char* corpus;
+    std::uint32_t crc;
+    std::size_t size;
+  };
+  constexpr Row kRows[] = {
+      {"wiki", 0xDDDED5E3, 21957},
+      {"x2e", 0xF3931F49, 32297},
+      {"mixed", 0xB5260D46, 35549},
+  };
+  core::MatchParams params;
+  params.window_bits = 15;
+  params = params.with_level(6);
+  for (const Row& row : kRows) {
+    const auto data = wl::make_corpus(row.corpus, 64 * 1024, 42);
+    const auto z = deflate::zlib_compress(data, params, deflate::BlockKind::kDynamic);
+    EXPECT_EQ(z.size(), row.size) << row.corpus;
+    EXPECT_EQ(checksum::crc32(z), row.crc) << row.corpus;
+  }
+}
+
 // The software encoder's operation census (the PPC440 model's input) at the
 // fast and the deepest lazy level, same inputs as above.
 struct CensusGolden {
@@ -156,7 +183,7 @@ class CensusVectors : public ::testing::TestWithParam<CensusGolden> {};
 TEST_P(CensusVectors, EncodeStatsAreFrozen) {
   const CensusGolden& g = GetParam();
   const auto data = wl::make_corpus(g.corpus, 64 * 1024, 42);
-  core::SoftwareEncoder enc(core::MatchParams::speed_optimized().with_level(g.level));
+  core::MatchFinderEncoder enc(core::MatchParams::speed_optimized().with_level(g.level));
   (void)enc.encode(data);
   const core::EncodeStats& s = enc.stats();
   EXPECT_EQ(s.hash_computations, g.stats.hash_computations);
@@ -174,6 +201,26 @@ INSTANTIATE_TEST_SUITE_P(Snapshots, CensusVectors, ::testing::ValuesIn(kCensusGo
                            return std::string(info.param.corpus) + "_l" +
                                   std::to_string(info.param.level);
                          });
+
+// The estimator's software evaluation runs the same parser, so a lazy level
+// reports the lazy golden parse, not a greedy one under a "lazy" label.
+TEST(SoftwareEvaluationVectors, Level9ReportsTheLazyParse) {
+  for (const CensusGolden& census : kCensusGolden) {
+    if (census.level != 9) continue;
+    const LevelGolden* zlib = nullptr;
+    for (const LevelGolden& g : kLevelGolden) {
+      if (std::string_view(g.corpus) == census.corpus && g.level == 9) zlib = &g;
+    }
+    ASSERT_NE(zlib, nullptr) << census.corpus;
+    const auto data = wl::make_corpus(census.corpus, 64 * 1024, 42);
+    const auto ev =
+        est::evaluate_software(core::MatchParams::speed_optimized().with_level(9), data);
+    EXPECT_EQ(ev.tokens, census.stats.tokens()) << census.corpus;
+    EXPECT_EQ(ev.finder.probes, census.stats.chain_probes) << census.corpus;
+    // The zlib image adds a 2-byte header and the 4-byte Adler-32.
+    EXPECT_EQ(ev.compressed_bytes + 6, zlib->fixed_size) << census.corpus;
+  }
+}
 
 // The trace-driven PPC440 cache model over the encoder's reference stream:
 // 64 KiB of wiki, 4 KiB window, 15-bit hash.

@@ -4,7 +4,7 @@
 
 #include "deflate/encoder.hpp"
 #include "deflate/inflate.hpp"
-#include "lzss/sw_encoder.hpp"
+#include "lzss/mf_encoder.hpp"
 #include "workloads/corpus.hpp"
 
 namespace lzss::hw {
@@ -54,7 +54,7 @@ TEST(HuffmanStage, EmptyStreamIsValidDeflate) {
 }
 
 TEST(HuffmanStage, MatchesOfflineEncoderBitExactly) {
-  core::SoftwareEncoder enc(core::MatchParams::speed_optimized());
+  core::MatchFinderEncoder enc(core::MatchParams::speed_optimized());
   const auto data = wl::make_corpus("wiki", 50000);
   const auto tokens = enc.encode(data);
   const auto offline = deflate::deflate_fixed(tokens);
@@ -63,7 +63,7 @@ TEST(HuffmanStage, MatchesOfflineEncoderBitExactly) {
 }
 
 TEST(HuffmanStage, OutputInflatesToOriginal) {
-  core::SoftwareEncoder enc(core::MatchParams::speed_optimized());
+  core::MatchFinderEncoder enc(core::MatchParams::speed_optimized());
   const auto data = wl::make_corpus("x2e", 30000);
   const auto tokens = enc.encode(data);
   EXPECT_EQ(deflate::inflate_raw(run_stage(tokens)), data);
@@ -98,7 +98,7 @@ TEST(HuffmanStage, CountsTokensAndBits) {
 }
 
 TEST(HuffmanStage, BackpressurePropagatesWithoutLoss) {
-  core::SoftwareEncoder enc(core::MatchParams::speed_optimized());
+  core::MatchFinderEncoder enc(core::MatchParams::speed_optimized());
   const auto data = wl::make_corpus("wiki", 20000);
   const auto tokens = enc.encode(data);
 

@@ -7,7 +7,7 @@
 #include "hw/huffman_decode_stage.hpp"
 #include "hw/pipeline.hpp"
 #include "lzss/decoder.hpp"
-#include "lzss/sw_encoder.hpp"
+#include "lzss/mf_encoder.hpp"
 #include "workloads/corpus.hpp"
 
 namespace lzss::hw {
@@ -160,7 +160,7 @@ std::vector<core::Token> run_decode_stage(const std::vector<std::uint8_t>& strea
 }
 
 TEST(HuffmanDecodeStage, InvertsTheEncoder) {
-  core::SoftwareEncoder enc(core::MatchParams::speed_optimized());
+  core::MatchFinderEncoder enc(core::MatchParams::speed_optimized());
   const auto data = wl::make_corpus("wiki", 20000);
   const auto tokens = enc.encode(data);
   const auto stream = deflate::deflate_fixed(tokens);

@@ -11,7 +11,7 @@
 #include "hw/compressor.hpp"
 #include "hw/pipeline.hpp"
 #include "lzss/decoder.hpp"
-#include "lzss/sw_encoder.hpp"
+#include "lzss/mf_encoder.hpp"
 #include "swmodel/ppc440_model.hpp"
 #include "workloads/corpus.hpp"
 
@@ -36,7 +36,7 @@ TEST(Integration, HwAndSwCompressComparably) {
   const auto hw_size = deflate::fixed_block_bits(hw_res.tokens) / 8;
 
   core::MatchParams p = core::MatchParams::speed_optimized();
-  core::SoftwareEncoder sw(p);
+  core::MatchFinderEncoder sw(p);
   const auto sw_tokens = sw.encode(data);
   const auto sw_size = deflate::fixed_block_bits(sw_tokens) / 8;
 
@@ -54,7 +54,7 @@ TEST(Integration, HardwareSpeedupOverSoftwareBaseline) {
   const double hw_mbps = comp.compress(data).stats.mb_per_s(100.0);
 
   core::MatchParams p = core::MatchParams::speed_optimized();
-  core::SoftwareEncoder sw(p);
+  core::MatchFinderEncoder sw(p);
   (void)sw.encode(data);
   const double sw_mbps = swm::price(sw.stats(), data.size()).mb_per_s;
 
@@ -101,7 +101,7 @@ TEST(Integration, SwAndHwAgreeOnIncompressibleData) {
   const auto data = wl::make_corpus("random", 64 * 1024);
   hw::Compressor comp(hw::HwConfig::speed_optimized());
   const auto hw_tokens = comp.compress(data).tokens;
-  core::SoftwareEncoder sw(core::MatchParams::speed_optimized());
+  core::MatchFinderEncoder sw(core::MatchParams::speed_optimized());
   const auto sw_tokens = sw.encode(data);
   // Virtually everything is literals on both paths.
   auto literal_fraction = [](const std::vector<core::Token>& ts) {

@@ -1,7 +1,7 @@
 // MatchFinder backend suite: SIMD comparer correctness (incl. buffer-edge
-// over-read fixtures for the sanitize job), the hashchain==SoftwareEncoder
-// token-parity invariant that pins the refactor, and round-trip equivalence
-// of every backend on every workload corpus through both decoders.
+// over-read fixtures for the sanitize job) and round-trip equivalence of
+// every backend under both parses on every workload corpus through both
+// decoders. The hash-chain token streams are pinned by tests/test_golden.cpp.
 #include "lzss/match_finder.hpp"
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include "lzss/decoder.hpp"
 #include "lzss/mf_encoder.hpp"
 #include "lzss/simd_compare.hpp"
-#include "lzss/sw_encoder.hpp"
 #include "workloads/corpus.hpp"
 
 namespace lzss::core {
@@ -105,72 +104,36 @@ TEST(SimdCompare, NoOverReadAtAllocationEdge) {
 }
 
 // ---------------------------------------------------------------------------
-// The refactor's pinning invariant: MatchFinderEncoder over the hashchain
-// backend reproduces SoftwareEncoder's fast-strategy token stream exactly —
-// same probes, same tie-breaks, same insert policy.
-// ---------------------------------------------------------------------------
-
-TEST(HashChainParity, TokensIdenticalToSoftwareEncoderOnAllCorpora) {
-  for (const int level : {1, 2, 3}) {  // the fast-strategy levels
-    MatchParams params = MatchParams::speed_optimized().with_level(level);
-    for (const auto& name : wl::corpus_names()) {
-      const auto data = wl::make_corpus(name, 24 * 1024, 99);
-      SoftwareEncoder reference(params);
-      const auto expected = reference.encode(data);
-
-      params.finder = MatchFinderKind::kHashChain;
-      MatchFinderEncoder refactored(params);
-      const auto actual = refactored.encode(data);
-      ASSERT_EQ(actual.size(), expected.size()) << name << " level=" << level;
-      for (std::size_t i = 0; i < actual.size(); ++i) {
-        ASSERT_EQ(actual[i], expected[i]) << name << " level=" << level << " token=" << i;
-      }
-    }
-  }
-}
-
-TEST(HashChainParity, HoldsUnderEveryComparerIsa) {
-  IsaGuard guard;
-  MatchParams params = MatchParams::speed_optimized();
-  const auto data = wl::make_corpus("mixed", 16 * 1024, 3);
-  SoftwareEncoder reference(params);
-  const auto expected = reference.encode(data);
-  for (const auto isa : available_isas()) {
-    simd::force_isa(isa);
-    MatchFinderEncoder enc(params);
-    EXPECT_EQ(enc.encode(data), expected) << simd::isa_name(isa);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Backend equivalence: every backend round-trips byte-identically through
-// the reference decoder AND the cycle-accurate hw decompressor, on every
-// workload corpus.
+// Backend equivalence: every backend, under the greedy (level 1) and the
+// lazy (level 6) parse, round-trips byte-identically through the reference
+// decoder AND the cycle-accurate hw decompressor, on every workload corpus.
 // ---------------------------------------------------------------------------
 
 constexpr MatchFinderKind kAllKinds[] = {MatchFinderKind::kHashChain,
-                                         MatchFinderKind::kSuffixArray,
                                          MatchFinderKind::kGreedy};
+constexpr int kParseLevels[] = {1, 6};
 
 TEST(BackendEquivalence, RoundTripsOnAllCorpora) {
-  MatchParams base = MatchParams::speed_optimized();
   hw::DecompressorConfig dc;
-  dc.window_bits = base.window_bits;
+  dc.window_bits = MatchParams::speed_optimized().window_bits;
   for (const auto kind : kAllKinds) {
-    MatchParams params = base;
-    params.finder = kind;
-    MatchFinderEncoder enc(params);
-    for (const auto& name : wl::corpus_names()) {
-      const auto data = wl::make_corpus(name, 32 * 1024, 1234);
-      const auto tokens = enc.encode(data);
+    for (const int level : kParseLevels) {
+      MatchParams params = MatchParams::speed_optimized().with_level(level);
+      params.finder = kind;
+      MatchFinderEncoder enc(params);
+      for (const auto& name : wl::corpus_names()) {
+        const auto data = wl::make_corpus(name, 32 * 1024, 1234);
+        const auto tokens = enc.encode(data);
 
-      // Reference decoder, with the window bound enforced.
-      const auto decoded = decode_tokens(tokens, params.window_size());
-      ASSERT_EQ(decoded, data) << finder_name(kind) << " on " << name;
+        // Reference decoder, with the window bound enforced.
+        const auto decoded = decode_tokens(tokens, params.window_size());
+        ASSERT_EQ(decoded, data) << finder_name(kind) << " level=" << level << " on " << name;
 
-      // Cycle-accurate hw decompressor.
-      hw::Decompressor dec(dc);
-      ASSERT_EQ(dec.decompress(tokens).data, data) << finder_name(kind) << " on " << name;
+        // Cycle-accurate hw decompressor.
+        hw::Decompressor dec(dc);
+        ASSERT_EQ(dec.decompress(tokens).data, data)
+            << finder_name(kind) << " level=" << level << " on " << name;
+      }
     }
   }
 }
@@ -206,20 +169,22 @@ TEST(BackendEquivalence, AdversarialFixtures) {
   }
 
   for (const auto kind : kAllKinds) {
-    MatchParams params = base;
-    params.finder = kind;
-    MatchFinderEncoder enc(params);
-    for (std::size_t i = 0; i < fixtures.size(); ++i) {
-      const auto& data = fixtures[i];
-      const auto tokens = enc.encode(data);
-      for (const auto& t : tokens) {
-        if (t.is_literal()) continue;
-        EXPECT_GE(t.length(), kMinMatch);
-        EXPECT_LE(t.length(), kMaxMatch);
-        EXPECT_LE(t.distance(), params.max_distance());
+    for (const int level : kParseLevels) {
+      MatchParams params = base.with_level(level);
+      params.finder = kind;
+      MatchFinderEncoder enc(params);
+      for (std::size_t i = 0; i < fixtures.size(); ++i) {
+        const auto& data = fixtures[i];
+        const auto tokens = enc.encode(data);
+        for (const auto& t : tokens) {
+          if (t.is_literal()) continue;
+          EXPECT_GE(t.length(), kMinMatch);
+          EXPECT_LE(t.length(), kMaxMatch);
+          EXPECT_LE(t.distance(), params.max_distance());
+        }
+        EXPECT_EQ(decode_tokens(tokens, params.window_size()), data)
+            << finder_name(kind) << " level=" << level << " fixture=" << i;
       }
-      EXPECT_EQ(decode_tokens(tokens, params.window_size()), data)
-          << finder_name(kind) << " fixture=" << i;
     }
   }
 }

@@ -132,6 +132,55 @@ TEST(ServerService, UnknownPresetAnswersUnsupported) {
   EXPECT_EQ(resp.status, Status::kUnsupported);
 }
 
+// Selector 3 named the retired suffix-array backend; it must stay an error
+// rather than fall through to a neighbouring backend.
+TEST(ServerService, UnassignedMatchFinderSelectorsAnswerUnsupported) {
+  Service service(small_config());
+  LoopbackClient client(service);
+  const auto data = wl::make_corpus("wiki", 4 * 1024);
+  for (const std::uint8_t selector : {3, 5, 6, 7}) {
+    const auto resp = client.call(compress_request(1, data, flags_with_matchfinder(0, selector)));
+    EXPECT_EQ(resp.status, Status::kUnsupported) << "selector " << int{selector};
+  }
+  const auto snap = service.metrics().snapshot();
+  for (const char* backend : {"hashchain", "greedy"}) {
+    const obs::Sample* s = snap.find("matchfinder_requests_total", backend);
+    ASSERT_NE(s, nullptr) << backend;
+    EXPECT_EQ(s->value, 0u) << backend;
+  }
+}
+
+TEST(ServerService, MatchFinderSelectorsPickTheirBackends) {
+  Service service(small_config());
+  LoopbackClient client(service);
+  const auto data = wl::make_corpus("wiki", 16 * 1024);
+  const std::pair<std::uint8_t, const char*> cases[] = {{kMatchFinderHashChain, "hashchain"},
+                                                         {kMatchFinderGreedy, "greedy"}};
+  ASSERT_EQ(kMatchFinderHashChain, 2u);
+  ASSERT_EQ(kMatchFinderGreedy, 4u);
+  for (const auto& [selector, backend] : cases) {
+    const auto resp = client.call(compress_request(1, data, flags_with_matchfinder(0, selector)));
+    ASSERT_EQ(resp.status, Status::kOk) << backend;
+    EXPECT_EQ(deflate::zlib_decompress(resp.payload), data) << backend;
+    const auto snap = service.metrics().snapshot();
+    const obs::Sample* s = snap.find("matchfinder_requests_total", backend);
+    ASSERT_NE(s, nullptr) << backend;
+    EXPECT_EQ(s->value, 1u) << backend;
+  }
+}
+
+TEST(ServerService, MatchBackendNamesRoundTrip) {
+  for (const auto backend :
+       {MatchBackend::kHw, MatchBackend::kHashChain, MatchBackend::kGreedy, MatchBackend::kAuto}) {
+    MatchBackend parsed{};
+    ASSERT_TRUE(parse_match_backend(match_backend_name(backend), parsed));
+    EXPECT_EQ(parsed, backend);
+  }
+  MatchBackend unused = MatchBackend::kHw;
+  EXPECT_FALSE(parse_match_backend("suffixarray", unused));
+  EXPECT_EQ(unused, MatchBackend::kHw);
+}
+
 TEST(ServerService, NamedPresetCompresses) {
   Service service(small_config());
   LoopbackClient client(service);

@@ -1,4 +1,7 @@
-#include "lzss/sw_encoder.hpp"
+// Parse properties of the software baseline: MatchFinderEncoder over the
+// hash chain, at the fast and lazy levels. The suite keeps the baseline's
+// name, SoftwareEncoder.
+#include "lzss/mf_encoder.hpp"
 
 #include <gtest/gtest.h>
 
@@ -18,13 +21,13 @@ std::span<const std::uint8_t> bytes(std::string_view s) {
 }
 
 TEST(SoftwareEncoder, EmptyInput) {
-  SoftwareEncoder enc(MatchParams::speed_optimized());
+  MatchFinderEncoder enc(MatchParams::speed_optimized());
   EXPECT_TRUE(enc.encode({}).empty());
   EXPECT_EQ(enc.stats().tokens(), 0u);
 }
 
 TEST(SoftwareEncoder, TinyInputsAreLiterals) {
-  SoftwareEncoder enc(MatchParams::speed_optimized());
+  MatchFinderEncoder enc(MatchParams::speed_optimized());
   for (const std::string s : {"a", "ab", "abc"}) {
     const auto tokens = enc.encode(bytes(s));
     EXPECT_EQ(tokens.size(), s.size()) << s;
@@ -33,7 +36,7 @@ TEST(SoftwareEncoder, TinyInputsAreLiterals) {
 }
 
 TEST(SoftwareEncoder, SnowySnowFindsThePaperMatch) {
-  SoftwareEncoder enc(MatchParams::speed_optimized());
+  MatchFinderEncoder enc(MatchParams::speed_optimized());
   const auto tokens = enc.encode(bytes("snowy snow"));
   // 6 literals for "snowy " then one copy of "snow" from distance 6.
   ASSERT_EQ(tokens.size(), 7u);
@@ -42,7 +45,7 @@ TEST(SoftwareEncoder, SnowySnowFindsThePaperMatch) {
 }
 
 TEST(SoftwareEncoder, RepeatedByteUsesOverlappingMatch) {
-  SoftwareEncoder enc(MatchParams::speed_optimized());
+  MatchFinderEncoder enc(MatchParams::speed_optimized());
   const std::vector<std::uint8_t> data(300, 'x');
   const auto tokens = enc.encode(data);
   ASSERT_GE(tokens.size(), 2u);
@@ -53,7 +56,7 @@ TEST(SoftwareEncoder, RepeatedByteUsesOverlappingMatch) {
 }
 
 TEST(SoftwareEncoder, StatsAccountForEveryByte) {
-  SoftwareEncoder enc(MatchParams::speed_optimized());
+  MatchFinderEncoder enc(MatchParams::speed_optimized());
   const auto data = wl::make_corpus("wiki", 100000);
   const auto tokens = enc.encode(data);
   const auto& st = enc.stats();
@@ -66,7 +69,7 @@ TEST(SoftwareEncoder, StatsAccountForEveryByte) {
 TEST(SoftwareEncoder, DistancesRespectTheWindow) {
   MatchParams p = MatchParams::speed_optimized();
   p.window_bits = 10;
-  SoftwareEncoder enc(p);
+  MatchFinderEncoder enc(p);
   const auto data = wl::make_corpus("wiki", 64 * 1024);
   const auto tokens = enc.encode(data);
   for (const auto& t : tokens) {
@@ -112,7 +115,7 @@ TEST(SoftwareEncoder, HwParityOnAdversarialInputs) {
   for (const auto& strategy : {Strategy::kFast, Strategy::kSlow}) {
     MatchParams p = sw_params;
     p.strategy = strategy;
-    SoftwareEncoder sw(p);
+    MatchFinderEncoder sw(p);
     hw::Compressor hw_model(hw_cfg);
     for (std::size_t i = 0; i < fixtures.size(); ++i) {
       const auto& data = fixtures[i];
@@ -146,8 +149,8 @@ TEST(SoftwareEncoder, LazyMatchingImprovesOnGreedy) {
   // level 1 (greedy, shallow).
   const auto data = wl::make_corpus("wiki", 200000);
   MatchParams base;
-  SoftwareEncoder greedy(base.with_level(1));
-  SoftwareEncoder lazy(base.with_level(9));
+  MatchFinderEncoder greedy(base.with_level(1));
+  MatchFinderEncoder lazy(base.with_level(9));
   const auto t1 = greedy.encode(data);
   const auto t9 = lazy.encode(data);
   EXPECT_LT(t9.size(), t1.size());
@@ -161,7 +164,7 @@ TEST(SoftwareEncoder, DeeperChainsNeverHurtCompression) {
   for (const std::uint32_t chain : {1u, 4u, 32u, 256u}) {
     p.max_chain = chain;
     p.nice_length = kMaxMatch;  // isolate the chain-depth effect
-    SoftwareEncoder enc(p);
+    MatchFinderEncoder enc(p);
     const auto tokens = enc.encode(data);
     EXPECT_LE(tokens.size(), prev_tokens) << "chain=" << chain;
     prev_tokens = tokens.size();
@@ -180,7 +183,7 @@ TEST(SoftwareEncoder, TooFarMinimalMatchesRejectedInSlowMode) {
 
   MatchParams p;
   p.window_bits = 13;  // window 8192 covers distance 6003
-  SoftwareEncoder enc(p.with_level(9));
+  MatchFinderEncoder enc(p.with_level(9));
   const auto tokens = enc.encode(data);
   for (const auto& t : tokens) {
     if (!t.is_literal() && t.length() == kMinMatch) {
@@ -201,7 +204,7 @@ TEST_P(SwRoundtrip, DecodesToInput) {
   const auto data = wl::make_corpus(corpus, 96 * 1024);
   MatchParams p;
   p.window_bits = 12;
-  SoftwareEncoder enc(p.with_level(level));
+  MatchFinderEncoder enc(p.with_level(level));
   const auto tokens = enc.encode(data);
   ASSERT_TRUE(tokens_reproduce(tokens, data, p.window_size()));
   EXPECT_EQ(enc.stats().literals + enc.stats().match_bytes, data.size());
@@ -224,7 +227,7 @@ TEST_P(SwWindows, RoundtripAndWindowRespected) {
   const auto data = wl::make_corpus("wiki", 128 * 1024);
   MatchParams p;
   p.window_bits = wbits;
-  SoftwareEncoder enc(p.with_level(1));
+  MatchFinderEncoder enc(p.with_level(1));
   const auto tokens = enc.encode(data);
   EXPECT_TRUE(tokens_reproduce(tokens, data, p.window_size()));
 }

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "lzss/sw_encoder.hpp"
+#include "lzss/mf_encoder.hpp"
 #include "workloads/corpus.hpp"
 
 namespace lzss::swm {
@@ -12,7 +12,7 @@ core::EncodeStats stats_for(const std::string& corpus, int level, std::size_t by
   core::MatchParams p;
   p.window_bits = 12;
   p.hash.bits = 15;
-  core::SoftwareEncoder enc(p.with_level(level));
+  core::MatchFinderEncoder enc(p.with_level(level));
   const auto data = wl::make_corpus(corpus, bytes);
   (void)enc.encode(data);
   return enc.stats();

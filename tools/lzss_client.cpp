@@ -50,7 +50,6 @@
 #include "common/checksum.hpp"
 #include "container/codec.hpp"
 #include "deflate/inflate.hpp"
-#include "lzss/params.hpp"
 #include "lzss/raw_container.hpp"
 #include "server/frame.hpp"
 #include "server/retry.hpp"
@@ -74,7 +73,7 @@ void write_file(const std::string& path, const std::vector<std::uint8_t>& data) 
 int usage() {
   std::fprintf(stderr,
                "usage: lzss_client [--host h] [--port p] [--raw] [--preset id] [-o out]\n"
-               "                   [--matchfinder hw|hashchain|suffixarray|greedy]\n"
+               "                   [--matchfinder hw|hashchain|greedy]\n"
                "                   [--no-verify] [--retries n] [--retry-base-ms m] [--trace]\n"
                "                   compress|compress-blocked|decompress|ping|stats [file]\n"
                "                   | log-append <file> | log-read <seq> | scrub [seg-id]\n"
@@ -112,11 +111,12 @@ int main(int argc, char** argv) {
       retry_base_ms = static_cast<unsigned>(std::atoi(v));
     } else if (arg == "--matchfinder" && (v = next()) != nullptr) {
       const std::string_view name = v;
-      core::MatchFinderKind kind;
       if (name == "hw") {
-        matchfinder = 1;
-      } else if (core::parse_finder_name(name, kind)) {
-        matchfinder = static_cast<unsigned>(kind) + 2;
+        matchfinder = server::kMatchFinderHw;
+      } else if (name == "hashchain") {
+        matchfinder = server::kMatchFinderHashChain;
+      } else if (name == "greedy") {
+        matchfinder = server::kMatchFinderGreedy;
       } else {
         return usage();
       }

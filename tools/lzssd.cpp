@@ -110,7 +110,7 @@ void handle_dump_signal(int) { g_dump_requested.store(true); }
 int usage() {
   std::fprintf(stderr,
                "usage: lzssd [--port p] [--engines n] [--queue-depth d] [--preset name]\n"
-               "             [--matchfinder hw|hashchain|suffixarray|greedy|auto]\n"
+               "             [--matchfinder hw|hashchain|greedy|auto]\n"
                "             [--small-threshold-kb k]\n"
                "             [--large-engines n] [--threshold-kb k] [--block-kb k]\n"
                "             [--request-timeout-ms t] [--hung-worker-ms t]\n"

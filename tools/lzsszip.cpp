@@ -23,7 +23,7 @@
 #include "deflate/inflate.hpp"
 #include "hw/compressor.hpp"
 #include "logger/archive.hpp"
-#include "lzss/sw_encoder.hpp"
+#include "lzss/mf_encoder.hpp"
 
 namespace {
 
@@ -91,7 +91,8 @@ int main(int argc, char** argv) {
       files.push_back(arg);
     }
   }
-  if (files.size() != 2 || level < 1 || level > 9 || block_kb == 0 ||
+  if (files.size() != 2 || level < 1 || level > 9 || window_bits < 9 || window_bits > 15 ||
+      block_kb == 0 ||
       (format != "zlib" && format != "gzip" && format != "archive"))
     return usage();
 
@@ -151,7 +152,7 @@ int main(int argc, char** argv) {
     } else {
       core::MatchParams p;
       p.window_bits = window_bits;
-      core::SoftwareEncoder enc(p.with_level(level));
+      core::MatchFinderEncoder enc(p.with_level(level));
       tokens = enc.encode(input);
     }
     if (huffman == "fixed") kind = deflate::BlockKind::kFixed;
