@@ -14,6 +14,7 @@
 #include "estimator/evaluate.hpp"
 #include "hw/compressor.hpp"
 #include "hw/functional.hpp"
+#include "logger/archive.hpp"
 #include "lzss/mf_encoder.hpp"
 #include "swmodel/cache_sim.hpp"
 #include "workloads/corpus.hpp"
@@ -234,6 +235,128 @@ TEST(CacheTraceVectors, ReferenceStreamIsFrozen) {
   EXPECT_EQ(lazy.trace.accesses, 694013u);
   EXPECT_EQ(lazy.trace.hits, 685702u);
   EXPECT_EQ(lazy.trace.misses, 8311u);
+}
+
+
+// The seekable archive's per-block Deflate streams: 1 MiB of each corpus,
+// 32 KiB window, dynamic Huffman on the software path and the speed preset's
+// fixed Huffman on the hw path. Each entry is one block's raw Deflate stream
+// (no zlib header or Adler-32): {size, CRC-32}. archive_bytes is the archive
+// size these blocks were first pinned in (30 bytes per block plus 20).
+struct ArchiveBlock {
+  std::size_t size;
+  std::uint32_t crc;
+};
+
+struct ArchiveGolden {
+  const char* corpus;
+  int level;
+  unsigned block_kb;
+  bool hw;
+  std::size_t archive_bytes;
+  std::vector<ArchiveBlock> blocks;
+};
+
+const ArchiveGolden kArchiveGolden[] = {
+    {"x2e", 1, 64, false, 546405,
+     {{34110, 0x9F82B596}, {34262, 0xD97A70BB}, {34203, 0x8E72ECB3}, {34023, 0x029B8E01},
+      {34237, 0xDC75D2C8}, {34057, 0x9D9AF03B}, {34129, 0x7D6D99CD}, {34410, 0x08FFAAE3},
+      {33959, 0x70E16BEF}, {34011, 0x6C1715DC}, {34064, 0x9B003315}, {34045, 0x15FB04FE},
+      {34164, 0x26326AED}, {34163, 0x4CAF0454}, {34011, 0x24BD64D4}, {34057, 0x2D6EF3D0}}},
+    {"x2e", 1, 256, false, 542389,
+     {{135709, 0xD2B9B1F3}, {135887, 0x71357121}, {135124, 0x168BC46E}, {135529, 0xA8D85977}}},
+    {"x2e", 6, 64, false, 520547,
+     {{32447, 0x67914195}, {32611, 0x0A9CC75E}, {32618, 0x9B8A266F}, {32460, 0x8C6779C1},
+      {32570, 0x38180DD0}, {32410, 0xB3526287}, {32422, 0x3F4A9D15}, {32793, 0x41517683},
+      {32367, 0xDA9352A0}, {32431, 0xEEC4DFD9}, {32437, 0xC4DE0A49}, {32459, 0x1F1FD361},
+      {32518, 0x80D74FB4}, {32521, 0x2DA0B969}, {32467, 0xEA7BDB98}, {32516, 0x0C8FC1E1}}},
+    {"x2e", 6, 256, false, 518371,
+     {{129695, 0xE6B69C63}, {129723, 0x1F535DFA}, {129248, 0x66BFC3DA}, {129565, 0xCF0BC126}}},
+    {"wiki", 1, 64, false, 438299,
+     {{27257, 0x5265259C}, {27407, 0x43CFF338}, {27359, 0x7D4A772F}, {27365, 0xAD104201},
+      {27391, 0x612D09E6}, {27326, 0x77EDE163}, {27489, 0xA453A8F5}, {27208, 0xBE849F68},
+      {27420, 0xD966E819}, {27262, 0x927AC18D}, {27273, 0x4DC28702}, {27397, 0xF7B9A032},
+      {27230, 0x03EDB520}, {27543, 0xA1C463C1}, {27526, 0x1D08D74F}, {27346, 0x93EFCE45}}},
+    {"wiki", 1, 256, false, 429154,
+     {{107352, 0x2572F70A}, {107136, 0x752CC886}, {107254, 0x8858E32C}, {107272, 0xB89B8AB9}}},
+    {"wiki", 6, 64, false, 351674,
+     {{21949, 0x277B9912}, {21999, 0x4F670A26}, {22051, 0x507F10BD}, {22038, 0xEFDBFEF7},
+      {21993, 0x2FD17AAE}, {21908, 0xCCFCD0E8}, {22078, 0x01902A9B}, {21770, 0x94E90814},
+      {21997, 0x1C26AE07}, {21838, 0x033F55DA}, {21885, 0xB814C9E9}, {21948, 0xF280A77E},
+      {21755, 0xA94F7B5F}, {22098, 0xE83B3EF5}, {21987, 0x0321891C}, {21880, 0xC0F83F44}}},
+    {"wiki", 6, 256, false, 333507,
+     {{83591, 0x1AF74BA7}, {83222, 0x1A395F23}, {83287, 0xE869CBF8}, {83267, 0x915C07F2}}},
+    {"netlog", 1, 64, false, 428812,
+     {{21352, 0x16FC9792}, {26700, 0xFD48C71D}, {28243, 0xBD0AE608}, {30035, 0x01569933},
+      {28065, 0x9F48691D}, {27452, 0xF76D2547}, {30370, 0xA6A12BB5}, {26838, 0x2DBBCD3E},
+      {26624, 0x51EC6667}, {29589, 0x1CD64894}, {25944, 0xFCF6E268}, {25764, 0xC24C7C52},
+      {25734, 0x81BA9ACF}, {24976, 0x153BE565}, {25758, 0x063FAFB0}, {24868, 0x31E526DB}}},
+    {"netlog", 1, 256, false, 420613,
+     {{104072, 0x4C0C44B1}, {111339, 0x10F716EF}, {105890, 0xC04E8E65}, {99172, 0x9BF60A09}}},
+    {"netlog", 6, 64, false, 412566,
+     {{20307, 0x27B07F85}, {25445, 0xA590D567}, {27067, 0xD9389212}, {28762, 0x62A5847B},
+      {27145, 0xD4B8E7AB}, {26645, 0x6C1CE48E}, {29470, 0x6D2F5642}, {25990, 0x900A887C},
+      {25454, 0x84E10A27}, {28498, 0xE1A15895}, {24994, 0x44FA1CB0}, {24918, 0xD10C11D3},
+      {24837, 0xCBEF99D1}, {23718, 0x8E9D976F}, {24862, 0x1198A65A}, {23954, 0x9548DAF8}}},
+    {"netlog", 6, 256, false, 400303,
+     {{98606, 0xAA3AEE19}, {106269, 0x1B200457}, {100898, 0x8E281E3C}, {94390, 0x954E4696}}},
+    {"x2e", 1, 64, true, 632575,
+     {{39464, 0x5E769733}, {39512, 0x1204F2E2}, {39558, 0x40809BDC}, {39297, 0xABFA258E},
+      {39673, 0x5593F67E}, {39518, 0x6BE82E5F}, {39580, 0x27A5C5EB}, {39719, 0x71DABAD7},
+      {39384, 0x905DCF8F}, {39278, 0xED46626B}, {39488, 0xEA4D0F0E}, {39441, 0x4274BE56},
+      {39584, 0xD85FBE46}, {39650, 0x9B5C9149}, {39389, 0xF63BC177}, {39540, 0xC8A19CD8}}},
+    {"x2e", 1, 256, true, 631432,
+     {{157643, 0xFD6F0B94}, {158290, 0x46FFC00E}, {157398, 0x9F977714}, {157961, 0x8EDE774E}}},
+    {"wiki", 1, 64, true, 613921,
+     {{38300, 0xE33373BB}, {38408, 0xB0032AF8}, {38298, 0x0CBA1BE5}, {38500, 0xBABFC91F},
+      {38399, 0xA4E5AAD8}, {38199, 0x8AE04B52}, {38335, 0x7939B9B5}, {38124, 0xB384E0A5},
+      {38510, 0x8FDBEBCC}, {38313, 0xCF979EAF}, {38326, 0x8C23F2ED}, {38403, 0x9F63342E},
+      {38147, 0xD04D2623}, {38474, 0x99981B2F}, {38395, 0xEC673C6F}, {38290, 0x7924F4E0}}},
+    {"wiki", 1, 256, true, 611137,
+     {{152884, 0x881B541F}, {152473, 0x524F6B08}, {152963, 0xBF08568A}, {152677, 0xB3AB62C9}}},
+    {"netlog", 1, 64, true, 538625,
+     {{26980, 0x00DCAE7E}, {33542, 0xF2535E0B}, {35037, 0x699F5FA0}, {36328, 0xC0189467},
+      {34503, 0x629C92B4}, {35165, 0x1087E954}, {38160, 0x15DFB986}, {33950, 0x83853446},
+      {34103, 0x9C448BA8}, {35595, 0x13A199B5}, {32533, 0x9DF13D3F}, {33385, 0x49DAF8C4},
+      {32690, 0xBDEF7624}, {31455, 0xA4EEED33}, {32839, 0x379C9A0C}, {31860, 0x37B3D247}}},
+    {"netlog", 1, 256, true, 534787,
+     {{130981, 0x076F56BA}, {141269, 0xD1F3FF2D}, {134840, 0xA586A79A}, {127557, 0x1C444BE8}}},
+};
+
+std::uint64_t get_le64(std::span<const std::uint8_t> in, std::size_t at) {
+  std::uint64_t v = 0;
+  for (int s = 0; s < 8; ++s) v |= static_cast<std::uint64_t>(in[at + s]) << (8 * s);
+  return v;
+}
+
+TEST(ContainerArchiveVectors, BlockStreamsAreFrozen) {
+  for (const ArchiveGolden& g : kArchiveGolden) {
+    SCOPED_TRACE(std::string(g.corpus) + " level " + std::to_string(g.level) + " " +
+                 std::to_string(g.block_kb) + " KiB" + (g.hw ? " hw" : " sw"));
+    const auto data = wl::make_corpus(g.corpus, 1 << 20);
+    logger::ArchiveOptions opt;
+    core::MatchParams params;
+    params.window_bits = 15;
+    opt.params = params.with_level(g.level);
+    opt.block_bytes = g.block_kb * 1024;
+    opt.use_hw_model = g.hw;
+    logger::ArchiveWriter writer(opt);
+    writer.append(data);
+    const auto archive = writer.finish();
+    EXPECT_EQ(archive.size(), g.archive_bytes);
+
+    // Walk the trailer's index: {offset, size, raw size} per zlib block.
+    const std::size_t entries = get_le64(archive, archive.size() - 20);
+    ASSERT_EQ(entries, g.blocks.size());
+    std::size_t at = archive.size() - 20 - entries * 24;
+    for (std::size_t i = 0; i < entries; ++i, at += 24) {
+      const std::size_t offset = get_le64(archive, at);
+      const std::size_t size = get_le64(archive, at + 8);
+      const auto stream = std::span(archive).subspan(offset + 2, size - 6);
+      EXPECT_EQ(stream.size(), g.blocks[i].size) << "block " << i;
+      EXPECT_EQ(checksum::crc32(stream), g.blocks[i].crc) << "block " << i;
+    }
+  }
 }
 
 }  // namespace
