@@ -100,6 +100,12 @@ SuperframeView parse(std::span<const std::uint8_t> bytes, std::size_t max_raw_to
     fail(ContainerError::Kind::kBadLength,
          "block_count inconsistent with raw_total / block_size");
 
+  // Every block carries at least its record header, so the bytes present
+  // bound the count too; checked before the reserve, because raw_total alone
+  // still admits one block per byte of a 64 MiB cap.
+  if (block_count > (bytes.size() - kSuperframeHeaderSize) / kBlockHeaderSize)
+    fail(ContainerError::Kind::kTruncated,
+         "block_count " + std::to_string(block_count) + " exceeds the bytes present");
   view.blocks.reserve(block_count);
   std::size_t off = kSuperframeHeaderSize;
   std::uint64_t raw_sum = 0;

@@ -118,6 +118,15 @@ TEST(ContainerFormat, ParseRejectsEveryHeaderMutation) {
   EXPECT_NO_THROW((void)parse(packed, data.size()));
 }
 
+TEST(ContainerFormat, HostileBlockCountIsTruncatedBeforeAllocating) {
+  // A 24-byte header whose count agrees with raw_total / block_size but
+  // promises 2^32 - 1 records: rejected from the bytes present, before the
+  // blocks vector is sized from the count.
+  std::vector<std::uint8_t> header;
+  append_superframe_header(header, 1, 0xFFFFFFFFu, 0xFFFFFFFFu);
+  EXPECT_EQ(parse_kind(header, static_cast<std::size_t>(-1)), ContainerError::Kind::kTruncated);
+}
+
 // ----------------------------------------------------------------- codec --
 
 TEST(ContainerCodec, RoundTripsAcrossSizes) {

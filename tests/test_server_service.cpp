@@ -548,6 +548,19 @@ TEST(ServerContainer, RawTotalBeyondPayloadCapAnswersTooLarge) {
   EXPECT_TRUE(resp.payload.empty());
 }
 
+TEST(ServerService, HostileBlockCountAnswersCorrupt) {
+  // A bare header that claims one block per byte of the full payload cap:
+  // parse answers from the bytes present instead of reserving 64 Mi records.
+  Service service(small_config());
+  LoopbackClient client(service);
+  std::vector<std::uint8_t> header;
+  container::append_superframe_header(header, 1, static_cast<std::uint32_t>(kMaxPayload),
+                                      kMaxPayload);
+  const auto resp = client.call(decompress_request(1, std::move(header)));
+  EXPECT_EQ(resp.status, Status::kCorrupt);
+  EXPECT_TRUE(resp.payload.empty());
+}
+
 TEST(ServerContainer, RawFlagOnBlockedCompressAnswersBadRequest) {
   Service service(small_config());
   LoopbackClient client(service);
