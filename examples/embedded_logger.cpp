@@ -11,10 +11,10 @@
 #include <vector>
 
 #include "common/checksum.hpp"
+#include "container/codec.hpp"
 #include "deflate/container.hpp"
 #include "deflate/inflate.hpp"
 #include "hw/pipeline.hpp"
-#include "logger/archive.hpp"
 #include "workloads/can_gen.hpp"
 
 int main() {
@@ -61,23 +61,21 @@ int main() {
               total_in / 1e6 / seconds);
   std::printf("storage bandwidth saved: %.1f%%\n", 100.0 * (1.0 - double(total_out) / total_in));
 
-  // On the host side, the same traffic lands in a *seekable* archive: the
-  // analysis tooling can pull out the frames around one timestamp without
-  // inflating the gigabytes before it.
-  logger::ArchiveOptions aopt;
-  aopt.block_bytes = kBlock;
-  logger::ArchiveWriter writer(aopt);
-  writer.append(traffic);
-  const auto archive = writer.finish();
-  logger::ArchiveReader reader(archive);
+  // On the host side, the same traffic lands in a *seekable* LZBC archive:
+  // the analysis tooling can pull out the frames around one timestamp
+  // without inflating the gigabytes before it. read_range decodes only the
+  // one block this probe falls in.
+  container::BlockCodecConfig archive_config;
+  archive_config.block_bytes = kBlock;
+  archive_config.tokens = core::MatchParams::speed_optimized();
+  const auto archive = container::block_compress(traffic, archive_config);
+  const container::SuperframeView view = container::parse(archive, traffic.size());
   const std::uint64_t probe_offset = 5 * kBlock + 12345;
-  const auto slice = reader.read(probe_offset, 2000);
+  const auto slice = container::read_range(view, probe_offset, 2000);
   const bool slice_ok =
       std::equal(slice.begin(), slice.end(), traffic.begin() + static_cast<long>(probe_offset));
-  std::printf("\narchive: %zu blocks, %.2f MB; random 2 KB read at offset %llu touched %zu "
-              "block(s) — %s\n",
-              reader.block_count(), archive.size() / 1e6,
-              static_cast<unsigned long long>(probe_offset), reader.last_blocks_touched(),
-              slice_ok ? "verified" : "MISMATCH");
+  std::printf("\narchive: %zu blocks, %.2f MB; random 2 KB read at offset %llu — %s\n",
+              view.blocks.size(), archive.size() / 1e6,
+              static_cast<unsigned long long>(probe_offset), slice_ok ? "verified" : "MISMATCH");
   return slice_ok ? 0 : 1;
 }

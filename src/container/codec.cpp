@@ -5,14 +5,16 @@
 #include <cstring>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
-#include "common/bitio.hpp"
 #include "common/checksum.hpp"
+#include "deflate/dynamic_encoder.hpp"
 #include "deflate/encoder.hpp"
 #include "deflate/inflate.hpp"
 #include "fault/fault.hpp"
 #include "hw/functional.hpp"
+#include "lzss/mf_encoder.hpp"
 #include "parallel/stripe.hpp"
 
 namespace lzss::container {
@@ -28,26 +30,16 @@ std::vector<std::uint8_t> stored_record(std::span<const std::uint8_t> raw, std::
   return record;
 }
 
-}  // namespace
-
-BlockEncodeResult encode_block(const hw::HwConfig& cfg, hw::Compressor* model,
-                               std::span<const std::uint8_t> raw) {
+/// The record builder both token sources share: CRC-32 of the raw bytes,
+/// the stored fallback and the header. @p deflate returns the block's
+/// Deflate stream and may fill in the census.
+template <typename Deflate>
+BlockEncodeResult make_record(std::span<const std::uint8_t> raw, Deflate deflate) {
   BlockEncodeResult out;
   const std::uint32_t crc = checksum::crc32(raw);
   std::vector<std::uint8_t> deflated;
   try {
-    std::vector<core::Token> tokens;
-    if (model != nullptr) {
-      auto result = model->compress(raw);
-      out.census = result.stats;
-      out.census_valid = true;
-      tokens = std::move(result.tokens);
-    } else {
-      tokens = hw::compress_tokens(cfg, raw);
-    }
-    bits::BitWriter w;
-    deflate::write_fixed_block(w, tokens, /*final_block=*/true);
-    deflated = w.take();
+    deflated = deflate(out);
   } catch (const std::exception&) {
     // Degradation, not error: a stored record always round-trips, so one
     // failing block never fails the whole container.
@@ -68,6 +60,37 @@ BlockEncodeResult encode_block(const hw::HwConfig& cfg, hw::Compressor* model,
                       static_cast<std::uint32_t>(deflated.size()));
   out.record.insert(out.record.end(), deflated.begin(), deflated.end());
   return out;
+}
+
+std::size_t dict_size(const hw::HwConfig& cfg) { return cfg.dict_size(); }
+std::size_t dict_size(const core::MatchParams& params) { return params.window_size(); }
+
+BlockEncodeResult encode(const hw::HwConfig& cfg, std::span<const std::uint8_t> raw) {
+  return encode_block(cfg, nullptr, raw);
+}
+BlockEncodeResult encode(const core::MatchParams& params, std::span<const std::uint8_t> raw) {
+  return encode_block(params, raw);
+}
+
+}  // namespace
+
+BlockEncodeResult encode_block(const hw::HwConfig& cfg, hw::Compressor* model,
+                               std::span<const std::uint8_t> raw) {
+  return make_record(raw, [&](BlockEncodeResult& out) {
+    if (model == nullptr) return deflate::deflate_fixed(hw::compress_tokens(cfg, raw));
+    auto result = model->compress(raw);
+    out.census = result.stats;
+    out.census_valid = true;
+    return deflate::deflate_fixed(result.tokens);
+  });
+}
+
+BlockEncodeResult encode_block(const core::MatchParams& params,
+                               std::span<const std::uint8_t> raw) {
+  return make_record(raw, [&](BlockEncodeResult&) {
+    core::MatchFinderEncoder encoder(params);
+    return deflate::deflate_dynamic(encoder.encode(raw));
+  });
 }
 
 void decode_block(const BlockView& block, std::span<std::uint8_t> out) {
@@ -100,8 +123,11 @@ void decode_block(const BlockView& block, std::span<std::uint8_t> out) {
 std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> input,
                                          const BlockCodecConfig& config,
                                          EncodeReport* report) {
-  const std::size_t block_bytes =
-      par::clamp_block_bytes(config.block_bytes, config.hw.dict_size());
+  const std::size_t block_bytes = par::clamp_block_bytes(
+      config.block_bytes, std::visit([](const auto& source) { return dict_size(source); },
+                                     config.tokens));
+  if (block_bytes > kMaxBlockSize)
+    throw std::invalid_argument("block_compress: block size beyond kMaxBlockSize");
   const std::size_t blocks = block_count_for(input.size(), block_bytes);
   std::vector<std::vector<std::uint8_t>> records(blocks);
   std::atomic<std::size_t> stored_blocks{0};
@@ -118,7 +144,9 @@ std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> input,
       try {
         const std::size_t begin = i * block_bytes;
         const std::size_t len = std::min(block_bytes, input.size() - begin);
-        auto result = encode_block(config.hw, nullptr, input.subspan(begin, len));
+        auto result = std::visit(
+            [&](const auto& source) { return encode(source, input.subspan(begin, len)); },
+            config.tokens);
         if (result.stored) stored_blocks.fetch_add(1);
         records[i] = std::move(result.record);
       } catch (...) {
@@ -203,6 +231,26 @@ std::vector<std::uint8_t> block_decompress(std::span<const std::uint8_t> bytes,
   if (report != nullptr) {
     report->blocks = view.blocks.size();
     report->stored_blocks = stored_blocks;
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> read_range(const SuperframeView& view, std::uint64_t offset,
+                                     std::size_t length) {
+  if (offset > view.raw_total || length > view.raw_total - offset)
+    throw std::out_of_range("LZBC: read beyond raw_total");
+  std::vector<std::uint8_t> out(length);
+  if (length == 0) return out;  // also an empty container, whose block_size is 0
+  std::vector<std::uint8_t> block;
+  std::size_t done = 0;
+  for (std::size_t i = offset / view.block_size; done < length; ++i) {
+    const BlockView& b = view.blocks[i];
+    block.resize(b.raw_len);
+    decode_block(b, block);
+    const std::size_t skip = static_cast<std::size_t>(offset + done - b.raw_offset);
+    const std::size_t take = std::min<std::size_t>(length - done, b.raw_len - skip);
+    std::memcpy(out.data() + done, block.data() + skip, take);
+    done += take;
   }
   return out;
 }

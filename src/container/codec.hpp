@@ -1,10 +1,18 @@
-// BlockCodec: split → compress-per-block → reassemble, and the symmetric
-// parallel decode.
+// BlockCodec: split → compress-per-block → reassemble, the symmetric
+// parallel decode, and seeking reads.
 //
 // The per-block primitives (encode_block / decode_block) are what the
 // service's fan-out path runs on worker threads; block_compress /
 // block_decompress wrap them with a local thread pool for standalone use
 // (tools, benches, tests) so the container round-trips without a server.
+// read_range decodes only the blocks a byte range overlaps, which makes the
+// container the seekable file archive too (lzsszip -f archive).
+//
+// Two token sources feed one record builder:
+//  * hw::HwConfig — the cycle model's tokens (its functional twin, or the
+//    model itself for a census), fixed Huffman: what COMPRESS_BLOCKED serves.
+//  * core::MatchParams — MatchFinderEncoder tokens, dynamic Huffman: the
+//    file archive's ratio.
 //
 // Per-block guarantees:
 //  * encode_block never fails: when the match path throws, or Deflate would
@@ -19,19 +27,25 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "container/format.hpp"
 #include "hw/compressor.hpp"
 #include "hw/config.hpp"
 #include "hw/cycle_stats.hpp"
+#include "lzss/params.hpp"
 
 namespace lzss::container {
+
+/// Where a block's tokens come from; the alternative also picks the Huffman
+/// kind (hw: fixed, software: dynamic).
+using TokenSource = std::variant<hw::HwConfig, core::MatchParams>;
 
 struct BlockCodecConfig {
   std::size_t block_bytes = 256 * 1024;  ///< split size before the dict clamp
   unsigned threads = 0;                  ///< 0 = hardware concurrency
-  hw::HwConfig hw = hw::HwConfig::speed_optimized();
+  TokenSource tokens = hw::HwConfig::speed_optimized();
 };
 
 struct EncodeReport {
@@ -55,6 +69,11 @@ struct BlockEncodeResult {
 [[nodiscard]] BlockEncodeResult encode_block(const hw::HwConfig& cfg, hw::Compressor* model,
                                              std::span<const std::uint8_t> raw);
 
+/// Compresses one raw block into a full LZBC block record from
+/// MatchFinderEncoder tokens under @p params, packed with dynamic Huffman.
+[[nodiscard]] BlockEncodeResult encode_block(const core::MatchParams& params,
+                                             std::span<const std::uint8_t> raw);
+
 /// Decodes one parsed block into @p out, which must be exactly raw_len
 /// bytes (the caller carves it out of the preallocated output at
 /// block.raw_offset — disjoint slices, so blocks decode concurrently).
@@ -63,8 +82,9 @@ struct BlockEncodeResult {
 void decode_block(const BlockView& block, std::span<std::uint8_t> out);
 
 /// Splits, compresses each block on a local thread pool, reassembles in
-/// order. The block size is clamped up to the dictionary size (the stripe
-/// clamp; the report carries the effective value).
+/// order. The block size is clamped up to the token source's dictionary
+/// (the stripe clamp; the report carries the effective value); beyond
+/// kMaxBlockSize it throws std::invalid_argument.
 [[nodiscard]] std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> input,
                                                        const BlockCodecConfig& config,
                                                        EncodeReport* report = nullptr);
@@ -79,5 +99,12 @@ struct DecodeReport {
 [[nodiscard]] std::vector<std::uint8_t> block_decompress(std::span<const std::uint8_t> bytes,
                                                          std::size_t max_output,
                                                          DecodeReport* report = nullptr);
+
+/// Reads @p length raw bytes from uncompressed @p offset of a parsed
+/// container, decoding only the blocks the range overlaps: the fixed split
+/// puts the first one at offset / block_size. Throws std::out_of_range for a
+/// range past raw_total; a damaged block throws as decode_block does.
+[[nodiscard]] std::vector<std::uint8_t> read_range(const SuperframeView& view,
+                                                   std::uint64_t offset, std::size_t length);
 
 }  // namespace lzss::container

@@ -40,6 +40,22 @@ cmp "$WORK/input" "$WORK/back3" || fail "hw roundtrip"
   || fail "archive compress"
 "$LZSSZIP" -d "$WORK/out.lzsa" "$WORK/back4" | grep -q archive || fail "archive detect"
 cmp "$WORK/input" "$WORK/back4" || fail "archive roundtrip"
+"$LZSSZIP" --hw -f archive -b 64 "$WORK/input" "$WORK/out_hw.lzbc" | grep -q archive \
+  || fail "hw archive compress"
+"$LZSSZIP" -d "$WORK/out_hw.lzbc" "$WORK/back5" | grep -q archive || fail "hw archive detect"
+cmp "$WORK/input" "$WORK/back5" || fail "hw archive roundtrip"
+# A damaged archive fails with a message: a truncated file, and a bare
+# header claiming one block per byte of 64 MiB, which must not size the
+# output buffer.
+head -c 100 "$WORK/out.lzsa" > "$WORK/truncated.lzbc"
+printf 'LZBC\001\000\000\000\001\000\000\000\000\000\000\004\000\000\000\004\000\000\000\000' \
+  > "$WORK/hostile.lzbc"
+for f in truncated.lzbc hostile.lzbc; do
+  rc=0
+  "$LZSSZIP" -d "$WORK/$f" "$WORK/x" 2> "$WORK/err" || rc=$?
+  [ "$rc" -eq 1 ] && grep -q "^error:" "$WORK/err" \
+    || fail "lzsszip -d $f must exit 1 with error: (got $rc)"
+done
 
 # --- lzsszip: bad usage exits nonzero -------------------------------------
 if "$LZSSZIP" -l 99 "$WORK/input" "$WORK/x" 2> /dev/null; then

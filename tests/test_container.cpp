@@ -9,6 +9,7 @@
 #include "container/codec.hpp"
 #include "container/format.hpp"
 #include "container/scheduler.hpp"
+#include "deflate/container.hpp"
 #include "parallel/stripe.hpp"
 #include "workloads/corpus.hpp"
 
@@ -151,7 +152,7 @@ TEST(ContainerCodec, BlockSizeClampedUpToDictionary) {
   const auto data = wl::make_corpus("wiki", 32 * 1024);
   EncodeReport report;
   const auto packed = block_compress(data, cfg, &report);
-  EXPECT_EQ(report.effective_block_bytes, cfg.hw.dict_size());
+  EXPECT_EQ(report.effective_block_bytes, std::get<hw::HwConfig>(cfg.tokens).dict_size());
   EXPECT_EQ(block_decompress(packed, data.size()), data);
 }
 
@@ -207,6 +208,105 @@ TEST(ContainerCodec, EncodeBlockNeverThrowsOnPathologicalInput) {
                                    (static_cast<std::uint32_t>(result.record[3]) << 24);
     EXPECT_EQ(result.record.size(), kBlockHeaderSize + comp_len);
   }
+}
+
+// ----------------------------------------------------- seekable archive --
+
+// The file archive's configuration: software tokens, dynamic Huffman.
+BlockCodecConfig archive_blocks(std::size_t block_bytes) {
+  BlockCodecConfig cfg = small_blocks(block_bytes);
+  cfg.tokens = core::MatchParams::speed_optimized();
+  return cfg;
+}
+
+TEST(ContainerArchive, EmptyArchive) {
+  const auto packed = block_compress({}, archive_blocks(64 * 1024));
+  const auto view = parse(packed, 0);
+  EXPECT_EQ(view.raw_total, 0u);
+  EXPECT_TRUE(view.blocks.empty());
+  EXPECT_TRUE(read_range(view, 0, 0).empty());
+  EXPECT_THROW((void)read_range(view, 0, 1), std::out_of_range);
+}
+
+TEST(ContainerArchive, FullRoundtrip) {
+  const auto data = wl::make_corpus("x2e", 300 * 1024);
+  const auto packed = block_compress(data, archive_blocks(64 * 1024));
+  const auto view = parse(packed, data.size());
+  EXPECT_EQ(view.raw_total, data.size());
+  EXPECT_EQ(view.blocks.size(), 5u);  // ceil(300/64)
+  EXPECT_EQ(read_range(view, 0, data.size()), data);
+  EXPECT_EQ(block_decompress(packed, data.size()), data);
+}
+
+TEST(ContainerArchive, RandomAccessReadsAreCorrect) {
+  const auto data = wl::make_corpus("wiki", 512 * 1024);
+  const auto packed = block_compress(data, archive_blocks(64 * 1024));
+  const auto view = parse(packed, data.size());
+  for (const auto& [off, len] : {std::pair<std::size_t, std::size_t>{0, 100},
+                                {64 * 1024 - 50, 100},   // straddles a block boundary
+                                {200'000, 150'000},      // spans multiple blocks
+                                {512 * 1024 - 1, 1},     // last byte
+                                {123'457, 0}}) {
+    const auto got = read_range(view, off, len);
+    ASSERT_EQ(got.size(), len);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), data.begin() + static_cast<long>(off)))
+        << off << "+" << len;
+  }
+}
+
+TEST(ContainerArchive, ReadsAreLocalNotLinear) {
+  // A read decodes only the blocks it overlaps: with block k's CRC broken,
+  // reads elsewhere still succeed and any read that touches k fails typed.
+  const auto data = wl::make_corpus("x2e", 8 * 64 * 1024);
+  auto packed = block_compress(data, archive_blocks(64 * 1024));
+  constexpr std::size_t k = 5;
+  {
+    const auto view = parse(packed, data.size());
+    const auto* crc_addr = view.blocks[k].comp.data() - 4;  // crc32 precedes payload
+    packed[static_cast<std::size_t>(crc_addr - packed.data())] ^= 0x01;
+  }
+  const auto view = parse(packed, data.size());
+  const std::size_t block = 64 * 1024;
+
+  const auto tail = read_range(view, data.size() - 20, 10);  // last block
+  EXPECT_TRUE(std::equal(tail.begin(), tail.end(), data.end() - 20));
+  const auto boundary = read_range(view, block - 5, 10);  // blocks 0 and 1
+  EXPECT_TRUE(std::equal(boundary.begin(), boundary.end(), data.begin() + block - 5));
+
+  for (const auto& [off, len] : {std::pair<std::size_t, std::size_t>{k * block + 100, 10},
+                                {k * block - 5, 10},           // straddles into k
+                                {(k + 1) * block - 5, 10}}) {  // straddles out of k
+    try {
+      (void)read_range(view, off, len);
+      ADD_FAILURE() << "read touching the damaged block succeeded: " << off << "+" << len;
+    } catch (const ContainerError& e) {
+      EXPECT_EQ(e.kind(), ContainerError::Kind::kCrcMismatch);
+    }
+  }
+}
+
+TEST(ContainerArchive, OutOfRangeReadsRejected) {
+  const auto data = wl::make_corpus("wiki", 10 * 1024);
+  const auto packed = block_compress(data, archive_blocks(64 * 1024));
+  const auto view = parse(packed, data.size());
+  EXPECT_THROW((void)read_range(view, data.size(), 1), std::out_of_range);
+  EXPECT_THROW((void)read_range(view, 0, data.size() + 1), std::out_of_range);
+  EXPECT_THROW((void)read_range(view, std::uint64_t{1} << 63, 1), std::out_of_range);
+  EXPECT_TRUE(read_range(view, data.size(), 0).empty());
+}
+
+TEST(ContainerArchive, SeekabilityCostsMeasurableRatio) {
+  // Smaller blocks mean more dictionary resets and record headers, so a
+  // small-block archive is larger than one zlib stream of the same parse.
+  // Pin the direction and a sane bound.
+  const auto data = wl::make_corpus("wiki", 512 * 1024);
+  const auto params = core::MatchParams::speed_optimized();
+  const auto one_stream = deflate::zlib_compress(data, params, deflate::BlockKind::kDynamic);
+  const auto fine = block_compress(data, archive_blocks(16 * 1024));
+  const auto coarse = block_compress(data, archive_blocks(256 * 1024));
+  EXPECT_GT(fine.size(), coarse.size());
+  EXPECT_GT(coarse.size(), one_stream.size());
+  EXPECT_LT(fine.size(), one_stream.size() * 5 / 4);  // within 25 %
 }
 
 // ------------------------------------------------------------- scheduler --

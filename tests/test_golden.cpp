@@ -9,12 +9,12 @@
 #include <gtest/gtest.h>
 
 #include "common/checksum.hpp"
+#include "container/codec.hpp"
 #include "deflate/container.hpp"
 #include "deflate/encoder.hpp"
 #include "estimator/evaluate.hpp"
 #include "hw/compressor.hpp"
 #include "hw/functional.hpp"
-#include "logger/archive.hpp"
 #include "lzss/mf_encoder.hpp"
 #include "swmodel/cache_sim.hpp"
 #include "workloads/corpus.hpp"
@@ -237,12 +237,14 @@ TEST(CacheTraceVectors, ReferenceStreamIsFrozen) {
   EXPECT_EQ(lazy.trace.misses, 8311u);
 }
 
-
 // The seekable archive's per-block Deflate streams: 1 MiB of each corpus,
-// 32 KiB window, dynamic Huffman on the software path and the speed preset's
-// fixed Huffman on the hw path. Each entry is one block's raw Deflate stream
-// (no zlib header or Adler-32): {size, CRC-32}. archive_bytes is the archive
-// size these blocks were first pinned in (30 bytes per block plus 20).
+// 32 KiB window, dynamic Huffman on the software token source and the speed
+// preset's fixed Huffman on the hw one. Each entry is one LZBC record's
+// payload, a raw Deflate stream: {size, CRC-32}. These were generated from
+// the block-indexed LZSA archive the container replaced (whose blocks were
+// zlib streams around the same Deflate bytes); archive_bytes is that
+// archive's size, 30 bytes per block plus 20 around the streams, which LZBC's
+// 16 per block plus 24 must not exceed.
 struct ArchiveBlock {
   std::size_t size;
   std::uint32_t crc;
@@ -323,38 +325,30 @@ const ArchiveGolden kArchiveGolden[] = {
      {{130981, 0x076F56BA}, {141269, 0xD1F3FF2D}, {134840, 0xA586A79A}, {127557, 0x1C444BE8}}},
 };
 
-std::uint64_t get_le64(std::span<const std::uint8_t> in, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int s = 0; s < 8; ++s) v |= static_cast<std::uint64_t>(in[at + s]) << (8 * s);
-  return v;
-}
-
 TEST(ContainerArchiveVectors, BlockStreamsAreFrozen) {
   for (const ArchiveGolden& g : kArchiveGolden) {
     SCOPED_TRACE(std::string(g.corpus) + " level " + std::to_string(g.level) + " " +
                  std::to_string(g.block_kb) + " KiB" + (g.hw ? " hw" : " sw"));
     const auto data = wl::make_corpus(g.corpus, 1 << 20);
-    logger::ArchiveOptions opt;
+    container::BlockCodecConfig config;
+    config.block_bytes = g.block_kb * 1024;
     core::MatchParams params;
     params.window_bits = 15;
-    opt.params = params.with_level(g.level);
-    opt.block_bytes = g.block_kb * 1024;
-    opt.use_hw_model = g.hw;
-    logger::ArchiveWriter writer(opt);
-    writer.append(data);
-    const auto archive = writer.finish();
-    EXPECT_EQ(archive.size(), g.archive_bytes);
+    if (g.hw) {
+      config.tokens = hw::HwConfig::speed_optimized().with_level(g.level);
+    } else {
+      config.tokens = params.with_level(g.level);
+    }
+    const auto archive = container::block_compress(data, config);
+    EXPECT_LE(archive.size(), g.archive_bytes);
 
-    // Walk the trailer's index: {offset, size, raw size} per zlib block.
-    const std::size_t entries = get_le64(archive, archive.size() - 20);
-    ASSERT_EQ(entries, g.blocks.size());
-    std::size_t at = archive.size() - 20 - entries * 24;
-    for (std::size_t i = 0; i < entries; ++i, at += 24) {
-      const std::size_t offset = get_le64(archive, at);
-      const std::size_t size = get_le64(archive, at + 8);
-      const auto stream = std::span(archive).subspan(offset + 2, size - 6);
-      EXPECT_EQ(stream.size(), g.blocks[i].size) << "block " << i;
-      EXPECT_EQ(checksum::crc32(stream), g.blocks[i].crc) << "block " << i;
+    const auto view = container::parse(archive, data.size());
+    ASSERT_EQ(view.blocks.size(), g.blocks.size());
+    for (std::size_t i = 0; i < view.blocks.size(); ++i) {
+      const container::BlockView& block = view.blocks[i];
+      EXPECT_EQ(block.method, container::Method::kDeflate) << "block " << i;
+      EXPECT_EQ(block.comp.size(), g.blocks[i].size) << "block " << i;
+      EXPECT_EQ(checksum::crc32(block.comp), g.blocks[i].crc) << "block " << i;
     }
   }
 }

@@ -4,25 +4,26 @@
 //     -d             decompress (container auto-detected: zlib/gzip/archive)
 //     -l <1..9>      compression level (default 1, the hardware's setting)
 //     -f zlib|gzip|archive   container format (default zlib); "archive" is
-//                    the seekable block-indexed LZSA format
-//     -b <kb>        archive block size in KiB (default 256)
+//                    the seekable LZBC block container (docs/CONTAINER.md)
+//     -b <kb>        archive block size in KiB (default 256; raised to the
+//                    window size if smaller)
 //     -w <9..15>     window bits for the software path (default 15)
 //     -y fixed|dyn   Huffman table kind (default dyn for sw, fixed for --hw)
 //     --hw           compress with the cycle-accurate hardware model
 //                    (4 KB window, fixed Huffman) and report cycle stats
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/checksum.hpp"
+#include "container/codec.hpp"
 #include "deflate/container.hpp"
 #include "deflate/dynamic_encoder.hpp"
 #include "deflate/encoder.hpp"
 #include "deflate/inflate.hpp"
 #include "hw/compressor.hpp"
-#include "logger/archive.hpp"
 #include "lzss/mf_encoder.hpp"
 
 namespace {
@@ -102,13 +103,12 @@ int main(int argc, char** argv) {
     if (decompress) {
       // Auto-detect the container by magic.
       const bool is_gzip = input.size() >= 2 && input[0] == 0x1F && input[1] == 0x8B;
-      const bool is_archive =
-          input.size() >= 4 && std::memcmp(input.data() + input.size() - 4, "LZSA", 4) == 0;
       std::vector<std::uint8_t> out;
       const char* kind;
-      if (is_archive) {
-        logger::ArchiveReader reader(input);
-        out = reader.read(0, static_cast<std::size_t>(reader.uncompressed_size()));
+      if (container::looks_like_container(input)) {
+        // Capped by what the file's size could legitimately inflate to, so
+        // a claimed raw_total cannot size the output buffer.
+        out = container::block_decompress(input, deflate::max_inflate_expansion(input.size()));
         kind = "archive";
       } else if (is_gzip) {
         out = deflate::gzip_decompress(input);
@@ -123,19 +123,21 @@ int main(int argc, char** argv) {
     }
 
     if (format == "archive") {
-      logger::ArchiveOptions aopt;
-      core::MatchParams ap;
-      ap.window_bits = window_bits;
-      aopt.params = ap.with_level(level);
-      aopt.block_bytes = block_kb * 1024;
-      aopt.use_hw_model = use_hw;
-      logger::ArchiveWriter writer(aopt);
-      writer.append(input);
-      const auto out = writer.finish();
+      container::BlockCodecConfig config;
+      config.block_bytes = block_kb * 1024;
+      if (use_hw) {
+        config.tokens = hw::HwConfig::speed_optimized().with_level(level);
+      } else {
+        core::MatchParams p;
+        p.window_bits = window_bits;
+        config.tokens = p.with_level(level);
+      }
+      container::EncodeReport report;
+      const auto out = container::block_compress(input, config, &report);
       write_file(files[1], out);
       std::printf("%zu -> %zu bytes (ratio %.3f, archive, %zu KiB blocks)\n", input.size(),
                   out.size(), input.empty() ? 0.0 : double(input.size()) / double(out.size()),
-                  block_kb);
+                  report.effective_block_bytes / 1024);
       return 0;
     }
 
