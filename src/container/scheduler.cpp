@@ -82,7 +82,7 @@ struct ClaimGuard {
 }  // namespace
 
 FanoutReport run_fanout(std::size_t blocks, std::size_t max_helpers, const BlockWork& work,
-                        const HelperEnqueue& enqueue, hw::Compressor* inline_engine) {
+                        const HelperEnqueue& enqueue) {
   FanoutReport report;
   report.blocks = blocks;
   if (blocks == 0) return report;
@@ -105,12 +105,12 @@ FanoutReport run_fanout(std::size_t blocks, std::size_t max_helpers, const Block
     // Value copies on purpose: the helper may run (or sit queued) after
     // run_fanout returned; `fan` keeps the claim pool alive and `work` is
     // only invoked while quiesce() guarantees its referents are alive.
-    const bool accepted = enqueue([fan, helper_blocks, work](hw::Compressor& engine) {
+    const bool accepted = enqueue([fan, helper_blocks, work] {
       for (;;) {
         const auto index = fan->claim();
         if (!index) return;
         ClaimGuard guard{fan.get(), *index};
-        work(*index, &engine);
+        work(*index);
         // Count before complete(): the parent reads this counter as soon as
         // the last completion is visible, and complete()'s mutex release is
         // what publishes the increment to it.
@@ -128,7 +128,7 @@ FanoutReport run_fanout(std::size_t blocks, std::size_t max_helpers, const Block
   for (;;) {
     while (const auto index = fan->claim()) {
       ClaimGuard guard{fan.get(), *index};
-      work(*index, inline_engine);
+      work(*index);
       guard.complete();
       ++report.inline_blocks;
     }

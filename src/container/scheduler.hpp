@@ -29,8 +29,6 @@
 #include <optional>
 #include <vector>
 
-#include "hw/compressor.hpp"
-
 namespace lzss::container {
 
 /// The claim pool + completion latch shared by the parent and its helpers.
@@ -64,14 +62,13 @@ class Fanout {
   std::vector<std::size_t> retry_;
 };
 
-/// Per-block work. @p engine is the executing worker's model instance
-/// (null when the caller could not supply one); implementations must not
-/// throw — failures are recorded out-of-band (see Service::do_*_blocked).
-using BlockWork = std::function<void(std::size_t index, hw::Compressor* engine)>;
+/// Per-block work; implementations must not throw — failures are recorded
+/// out-of-band (see Service::do_*_blocked).
+using BlockWork = std::function<void(std::size_t index)>;
 
 /// Hands a helper task to the pool; returns false when the queue refuses
-/// (full / stopping). The task runs at most once, with the worker's engine.
-using HelperEnqueue = std::function<bool(std::function<void(hw::Compressor&)>)>;
+/// (full / stopping). The task runs at most once.
+using HelperEnqueue = std::function<bool(std::function<void()>)>;
 
 struct FanoutReport {
   std::size_t blocks = 0;
@@ -82,12 +79,11 @@ struct FanoutReport {
   std::uint64_t reassembly_wait_us = 0;  ///< parent idle, waiting on helpers
 };
 
-/// Runs work(i, engine) for every block index in [0, blocks). Enqueues up
-/// to max_helpers helper tasks, then claims blocks on the calling thread
-/// until all complete. Visits fault point "container.reassemble.delay"
-/// before the inline claim loop.
+/// Runs work(i) for every block index in [0, blocks). Enqueues up to
+/// max_helpers helper tasks, then claims blocks on the calling thread until
+/// all complete. Visits fault point "container.reassemble.delay" before the
+/// inline claim loop.
 [[nodiscard]] FanoutReport run_fanout(std::size_t blocks, std::size_t max_helpers,
-                                      const BlockWork& work, const HelperEnqueue& enqueue,
-                                      hw::Compressor* inline_engine);
+                                      const BlockWork& work, const HelperEnqueue& enqueue);
 
 }  // namespace lzss::container

@@ -22,6 +22,7 @@
 #include "deflate/inflate.hpp"
 #include "estimator/presets.hpp"
 #include "fault/fault.hpp"
+#include "hw/compressor.hpp"
 #include "hw/functional.hpp"
 #include "hw/metrics.hpp"
 #include "lzss/mf_encoder.hpp"
@@ -355,9 +356,6 @@ bool Service::expired(const Job& job, std::chrono::steady_clock::time_point now)
 }
 
 void Service::worker_loop(Worker* self) {
-  // Each worker owns one long-lived model instance for the default config;
-  // compress() resets all architectural state per request.
-  hw::Compressor compressor(cfg_.hw);
   for (;;) {
     JobPtr job;
     {
@@ -408,12 +406,12 @@ void Service::worker_loop(Worker* self) {
         fault::point("server.worker.pre_compress");
         if (internal) {
           // Container sub-job: drains block claims from a parent request's
-          // fan-out on this worker's engine. No response — the parent
-          // assembles and answers; a throw here just hands the claimed
-          // block back (ClaimGuard) for the parent to re-run.
-          job->block_work(compressor);
+          // fan-out. No response — the parent assembles and answers; a
+          // throw here just hands the claimed block back (ClaimGuard) for
+          // the parent to re-run.
+          job->block_work();
         } else {
-          resp = process(job->request, compressor);
+          resp = process(job->request);
         }
       } catch (const fault::WorkerKill&) {
         killed = true;
@@ -557,7 +555,7 @@ void Service::deliver(const JobPtr& job, ResponseFrame&& response) {
          job->done);
 }
 
-ResponseFrame Service::process(RequestFrame& request, hw::Compressor& compressor) {
+ResponseFrame Service::process(RequestFrame& request) {
   if (request.payload.size() > cfg_.max_payload) {
     ResponseFrame resp;
     resp.status = Status::kTooLarge;
@@ -581,18 +579,14 @@ ResponseFrame Service::process(RequestFrame& request, hw::Compressor& compressor
   const bool raw = (request.flags & kFlagRawContainer) != 0;
   if (request.opcode == Opcode::kCompressBlocked || !raw)
     cfg.dict_bits = std::min(cfg.dict_bits, kDeflateDictBits);
-  // The worker's model is built for cfg_.hw; any other geometry runs on an
-  // ad-hoc model.
-  hw::Compressor* engine =
-      preset_id == 0 && cfg.dict_bits == cfg_.hw.dict_bits ? &compressor : nullptr;
 
   if (request.opcode == Opcode::kLogAppend) return do_log_append(request);
   if (request.opcode == Opcode::kLogRead) return do_log_read(request);
   if (request.opcode == Opcode::kScrub) return do_scrub(request);
   if (request.opcode == Opcode::kVerify) return do_verify(request);
   if (request.opcode == Opcode::kDecompress) return do_decompress(request);
-  if (request.opcode == Opcode::kCompressBlocked) return do_compress_blocked(request, cfg, engine);
-  return do_compress(request, cfg, engine);
+  if (request.opcode == Opcode::kCompressBlocked) return do_compress_blocked(request, cfg);
+  return do_compress(request, cfg);
 }
 
 bool Service::census_due() noexcept {
@@ -839,8 +833,7 @@ ResponseFrame Service::do_verify(const RequestFrame& request) {
   return resp;
 }
 
-ResponseFrame Service::do_compress(const RequestFrame& request, const hw::HwConfig& cfg,
-                                   hw::Compressor* default_compressor) {
+ResponseFrame Service::do_compress(const RequestFrame& request, const hw::HwConfig& cfg) {
   const std::span<const std::uint8_t> input(request.payload);
   ResponseFrame resp;
   resp.adler = checksum::adler32(input);
@@ -916,18 +909,14 @@ ResponseFrame Service::do_compress(const RequestFrame& request, const hw::HwConf
       resp.payload = deflate::zlib_wrap(stream, resp.adler, container_window_bits(cfg));
     } else {
       // Small requests (and every raw-container request: that container
-      // carries a single token stream) run as one stream. A sample runs the
-      // worker's own model when the request uses the service default config.
+      // carries a single token stream) run as one stream. A sample builds
+      // the model for this request's configuration.
       std::vector<core::Token> tokens;
       if (!sampled) {
         tokens = hw::compress_tokens(cfg, input);
-      } else if (default_compressor != nullptr) {
-        auto result = default_compressor->compress(input);
-        census = result.stats;
-        tokens = std::move(result.tokens);
       } else {
-        hw::Compressor ad_hoc(cfg);
-        auto result = ad_hoc.compress(input);
+        hw::Compressor model(cfg);
+        auto result = model.compress(input);
         census = result.stats;
         tokens = std::move(result.tokens);
       }
@@ -994,8 +983,7 @@ ResponseFrame Service::do_decompress(const RequestFrame& request) {
   return resp;
 }
 
-ResponseFrame Service::do_compress_blocked(const RequestFrame& request, const hw::HwConfig& cfg,
-                                           hw::Compressor* default_compressor) {
+ResponseFrame Service::do_compress_blocked(const RequestFrame& request, const hw::HwConfig& cfg) {
   const std::span<const std::uint8_t> input(request.payload);
   ResponseFrame resp;
   resp.adler = checksum::adler32(input);
@@ -1009,9 +997,8 @@ ResponseFrame Service::do_compress_blocked(const RequestFrame& request, const hw
   const std::size_t block_bytes = par::clamp_block_bytes(cfg_.block_bytes, cfg.dict_size());
   const std::size_t blocks = container::block_count_for(input.size(), block_bytes);
   std::vector<std::vector<std::uint8_t>> records(blocks);
-  const bool use_worker_engine = default_compressor != nullptr;
-  // A census sample runs every block on the cycle model; otherwise the
-  // blocks take the functional twin's tokens.
+  // A census sample runs every block on the cycle model, built per block;
+  // otherwise the blocks take the functional twin's tokens.
   const bool sampled = census_due();
 
   // The per-block body; runs on the parent worker and on helper workers
@@ -1021,7 +1008,7 @@ ResponseFrame Service::do_compress_blocked(const RequestFrame& request, const hw
   // captured here (under the opcode span) and re-installed on whichever
   // thread runs the block, so helper-side spans join the request tree.
   const obs::TraceContext fanout_ctx = obs::current_trace();
-  const container::BlockWork work = [&](std::size_t i, hw::Compressor* engine) {
+  const container::BlockWork work = [&](std::size_t i) {
     const auto t0 = std::chrono::steady_clock::now();
     const obs::TraceScope trace_scope(fanout_ctx);
     obs::Span span(trace_, "container_block");
@@ -1030,10 +1017,9 @@ ResponseFrame Service::do_compress_blocked(const RequestFrame& request, const hw
     auto result = [&] {
       obs::Span eng(trace_, "engine.encode");
       eng.set_args(static_cast<std::int64_t>(len));
-      std::optional<hw::Compressor> ad_hoc;
-      hw::Compressor* model = nullptr;
-      if (sampled) model = use_worker_engine ? engine : &ad_hoc.emplace(cfg);
-      return container::encode_block(cfg, model, input.subspan(begin, len));
+      std::optional<hw::Compressor> model;
+      if (sampled) model.emplace(cfg);
+      return container::encode_block(cfg, model ? &*model : nullptr, input.subspan(begin, len));
     }();
     if (result.census_valid) hw::export_cycle_stats(*registry_, result.census);
     if (result.stored) block_fallbacks_c_->add(1);
@@ -1054,10 +1040,7 @@ ResponseFrame Service::do_compress_blocked(const RequestFrame& request, const hw
   } waiter(reassembly_waiters_g_);
   const container::FanoutReport rep = container::run_fanout(
       blocks, cfg_.workers > 0 ? cfg_.workers - 1 : 0, work,
-      [this](std::function<void(hw::Compressor&)> task) {
-        return try_enqueue_helper(std::move(task));
-      },
-      default_compressor);
+      [this](std::function<void()> task) { return try_enqueue_helper(std::move(task)); });
   helper_blocks_c_->add(rep.helper_blocks);
   helper_rejects_c_->add(rep.helpers_rejected);
   reassembly_wait_us_->record(rep.reassembly_wait_us);
@@ -1088,7 +1071,7 @@ ResponseFrame Service::do_decompress_blocked(const RequestFrame& request) {
   std::atomic<bool> block_failed{false};
 
   const obs::TraceContext fanout_ctx = obs::current_trace();
-  const container::BlockWork work = [&](std::size_t i, hw::Compressor*) {
+  const container::BlockWork work = [&](std::size_t i) {
     if (block_failed.load(std::memory_order_relaxed)) return;  // request already lost
     const auto t0 = std::chrono::steady_clock::now();
     const obs::TraceScope trace_scope(fanout_ctx);
@@ -1124,10 +1107,7 @@ ResponseFrame Service::do_decompress_blocked(const RequestFrame& request) {
   } waiter(reassembly_waiters_g_);
   const container::FanoutReport rep = container::run_fanout(
       view.blocks.size(), cfg_.workers > 0 ? cfg_.workers - 1 : 0, work,
-      [this](std::function<void(hw::Compressor&)> task) {
-        return try_enqueue_helper(std::move(task));
-      },
-      nullptr);
+      [this](std::function<void()> task) { return try_enqueue_helper(std::move(task)); });
   helper_blocks_c_->add(rep.helper_blocks);
   helper_rejects_c_->add(rep.helpers_rejected);
   reassembly_wait_us_->record(rep.reassembly_wait_us);
@@ -1141,7 +1121,7 @@ ResponseFrame Service::do_decompress_blocked(const RequestFrame& request) {
   return resp;
 }
 
-bool Service::try_enqueue_helper(std::function<void(hw::Compressor&)> work) {
+bool Service::try_enqueue_helper(std::function<void()> work) {
   const auto t0 = std::chrono::steady_clock::now();
   {
     std::unique_lock<std::mutex> lock(queue_mutex_);

@@ -12,9 +12,9 @@
 // tokens from its untimed functional twin (hw/functional.hpp); payloads at or
 // above large_threshold are cut into the par::MultiEngine stripes, one
 // Deflate block each. The first hw-backend COMPRESS / COMPRESS_BLOCKED and
-// every 64th after it run the cycle model itself — each worker owns a
-// long-lived hw::Compressor for the default configuration — and export its
-// census; the response bytes are the same either way.
+// every 64th after it run the cycle model itself — a hw::Compressor built
+// for that request's configuration (one per block for COMPRESS_BLOCKED) —
+// and export its census; the response bytes are the same either way.
 // COMPRESS_BLOCKED splits the payload into an LZBC block container and fans
 // the blocks across the pool as internal sub-jobs on the same bounded queue
 // (container/scheduler.hpp); DECOMPRESS sniffs the LZBC magic and inverts
@@ -64,7 +64,6 @@
 #include <thread>
 #include <vector>
 
-#include "hw/compressor.hpp"
 #include "hw/config.hpp"
 #include "obs/trace.hpp"
 #include "server/frame.hpp"
@@ -230,14 +229,13 @@ class Service {
   /// One in-flight request. Shared between the owning worker and the
   /// watchdog; whoever wins the answered flag delivers the response.
   /// When `block_work` is set the job is an internal container sub-job: it
-  /// runs a slice of another request's block fan-out on this worker's
-  /// engine and produces no response of its own (the parent request
-  /// assembles and answers). It still rides the same bounded queue, so
+  /// runs a slice of another request's block fan-out and produces no
+  /// response of its own (the parent request assembles and answers). It still rides the same bounded queue, so
   /// BUSY, deadline reaping and watchdog rescue apply per block.
   struct Job {
     RequestFrame request;
     Completion done;
-    std::function<void(hw::Compressor&)> block_work;
+    std::function<void()> block_work;
     std::chrono::steady_clock::time_point enqueued_at;
     RequestTrace trace;
     std::atomic<bool> answered{false};
@@ -256,22 +254,20 @@ class Service {
 
   void worker_loop(Worker* self);
   void watchdog_loop();
-  [[nodiscard]] ResponseFrame process(RequestFrame& request, hw::Compressor& compressor);
+  [[nodiscard]] ResponseFrame process(RequestFrame& request);
   /// True for the first hw-backend COMPRESS / COMPRESS_BLOCKED and every
   /// kCensusEvery-th after it: those run the cycle model and export its
   /// census, the rest run the functional twin.
   [[nodiscard]] bool census_due() noexcept;
   [[nodiscard]] ResponseFrame do_compress(const RequestFrame& request,
-                                          const hw::HwConfig& cfg,
-                                          hw::Compressor* default_compressor);
+                                          const hw::HwConfig& cfg);
   [[nodiscard]] ResponseFrame do_decompress(const RequestFrame& request);
   [[nodiscard]] ResponseFrame do_compress_blocked(const RequestFrame& request,
-                                                  const hw::HwConfig& cfg,
-                                                  hw::Compressor* default_compressor);
+                                                  const hw::HwConfig& cfg);
   [[nodiscard]] ResponseFrame do_decompress_blocked(const RequestFrame& request);
   /// Offers a container sub-job to the bounded queue; false = queue full or
   /// stopping (the parent runs the blocks itself — BUSY per block).
-  [[nodiscard]] bool try_enqueue_helper(std::function<void(hw::Compressor&)> work);
+  [[nodiscard]] bool try_enqueue_helper(std::function<void()> work);
   [[nodiscard]] ResponseFrame do_log_append(const RequestFrame& request);
   [[nodiscard]] ResponseFrame do_log_read(const RequestFrame& request);
   [[nodiscard]] ResponseFrame do_scrub(const RequestFrame& request);

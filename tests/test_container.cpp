@@ -352,8 +352,8 @@ TEST(ContainerFanout, RunFanoutInlineOnlyWhenPoolRefuses) {
   // finishes every block on its own thread — the no-deadlock guarantee.
   std::atomic<std::size_t> ran{0};
   const auto report = run_fanout(
-      8, 4, [&](std::size_t, hw::Compressor*) { ran.fetch_add(1); },
-      [](std::function<void(hw::Compressor&)>) { return false; }, nullptr);
+      8, 4, [&](std::size_t) { ran.fetch_add(1); },
+      [](std::function<void()>) { return false; });
   EXPECT_EQ(ran.load(), 8u);
   EXPECT_EQ(report.inline_blocks, 8u);
   EXPECT_EQ(report.helper_blocks, 0u);
@@ -361,24 +361,20 @@ TEST(ContainerFanout, RunFanoutInlineOnlyWhenPoolRefuses) {
 }
 
 TEST(ContainerFanout, RunFanoutSplitsWorkWithRealHelpers) {
-  // Accepted helpers run on real threads with their own engine, exactly as
-  // pool workers would; every block runs exactly once.
+  // Accepted helpers run on real threads, exactly as pool workers would;
+  // every block runs exactly once.
   std::vector<std::thread> helpers;
   std::vector<std::atomic<int>> runs(64);
   const auto report = run_fanout(
       64, 3,
-      [&](std::size_t i, hw::Compressor*) {
+      [&](std::size_t i) {
         runs[i].fetch_add(1);
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       },
-      [&](std::function<void(hw::Compressor&)> task) {
-        helpers.emplace_back([task = std::move(task)] {
-          hw::Compressor engine(hw::HwConfig::speed_optimized());
-          task(engine);
-        });
+      [&](std::function<void()> task) {
+        helpers.emplace_back(std::move(task));
         return true;
-      },
-      nullptr);
+      });
   for (auto& t : helpers) t.join();
   for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
   EXPECT_EQ(report.helpers_enqueued, 3u);
@@ -388,8 +384,8 @@ TEST(ContainerFanout, RunFanoutSplitsWorkWithRealHelpers) {
 
 TEST(ContainerFanout, ZeroBlocksIsANoOp) {
   const auto report = run_fanout(
-      0, 4, [](std::size_t, hw::Compressor*) { FAIL() << "no blocks to run"; },
-      [](std::function<void(hw::Compressor&)>) { return true; }, nullptr);
+      0, 4, [](std::size_t) { FAIL() << "no blocks to run"; },
+      [](std::function<void()>) { return true; });
   EXPECT_EQ(report.blocks, 0u);
   EXPECT_EQ(report.helpers_enqueued, 0u);
 }
