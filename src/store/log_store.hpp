@@ -1,9 +1,9 @@
 // Crash-safe, append-only compressed log store.
 //
 // The paper's target workload is real-time compression of embedded logging
-// streams; src/logger/ gave that stream a seekable *in-memory* shape
-// (independently compressed blocks + an index, after Kreft & Navarro). This
-// subsystem is the durable half: the same per-record zlib containers, but
+// streams; the LZBC container (src/container/) gives that stream a seekable
+// *in-memory* shape (independently compressed blocks, after Kreft &
+// Navarro). This subsystem is the durable half: per-record zlib containers
 // persisted to segment files with a checksummed framing so that a crash —
 // of the process or of the disk under it — loses at most the records that
 // were never fsynced, and never the ability to read what came before.
