@@ -62,16 +62,6 @@ BlockEncodeResult make_record(std::span<const std::uint8_t> raw, Deflate deflate
   return out;
 }
 
-std::size_t dict_size(const hw::HwConfig& cfg) { return cfg.dict_size(); }
-std::size_t dict_size(const core::MatchParams& params) { return params.window_size(); }
-
-BlockEncodeResult encode(const hw::HwConfig& cfg, std::span<const std::uint8_t> raw) {
-  return encode_block(cfg, nullptr, raw);
-}
-BlockEncodeResult encode(const core::MatchParams& params, std::span<const std::uint8_t> raw) {
-  return encode_block(params, raw);
-}
-
 }  // namespace
 
 BlockEncodeResult encode_block(const hw::HwConfig& cfg, hw::Compressor* model,
@@ -123,11 +113,14 @@ void decode_block(const BlockView& block, std::span<std::uint8_t> out) {
 std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> input,
                                          const BlockCodecConfig& config,
                                          EncodeReport* report) {
-  const std::size_t block_bytes = par::clamp_block_bytes(
-      config.block_bytes, std::visit([](const auto& source) { return dict_size(source); },
-                                     config.tokens));
-  if (block_bytes > kMaxBlockSize)
-    throw std::invalid_argument("block_compress: block size beyond kMaxBlockSize");
+  // The hw source takes the stripe clamp; a software archive keeps the
+  // requested size, which is its seek granularity.
+  const auto* hw_source = std::get_if<hw::HwConfig>(&config.tokens);
+  const std::size_t block_bytes =
+      hw_source != nullptr ? par::clamp_block_bytes(config.block_bytes, hw_source->dict_size())
+                           : config.block_bytes;
+  if (block_bytes == 0 || block_bytes > kMaxBlockSize)
+    throw std::invalid_argument("block_compress: block size outside (0, kMaxBlockSize]");
   const std::size_t blocks = block_count_for(input.size(), block_bytes);
   std::vector<std::vector<std::uint8_t>> records(blocks);
   std::atomic<std::size_t> stored_blocks{0};
@@ -144,9 +137,10 @@ std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> input,
       try {
         const std::size_t begin = i * block_bytes;
         const std::size_t len = std::min(block_bytes, input.size() - begin);
-        auto result = std::visit(
-            [&](const auto& source) { return encode(source, input.subspan(begin, len)); },
-            config.tokens);
+        const auto raw = input.subspan(begin, len);
+        auto result = hw_source != nullptr
+                          ? encode_block(*hw_source, nullptr, raw)
+                          : encode_block(std::get<core::MatchParams>(config.tokens), raw);
         if (result.stored) stored_blocks.fetch_add(1);
         records[i] = std::move(result.record);
       } catch (...) {

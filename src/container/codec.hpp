@@ -82,9 +82,9 @@ struct BlockEncodeResult {
 void decode_block(const BlockView& block, std::span<std::uint8_t> out);
 
 /// Splits, compresses each block on a local thread pool, reassembles in
-/// order. The block size is clamped up to the token source's dictionary
-/// (the stripe clamp; the report carries the effective value); beyond
-/// kMaxBlockSize it throws std::invalid_argument.
+/// order. With the hw source the block size is clamped up to the dictionary
+/// (the stripe clamp; the report carries the effective value). A block size
+/// of 0 or beyond kMaxBlockSize throws std::invalid_argument.
 [[nodiscard]] std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> input,
                                                        const BlockCodecConfig& config,
                                                        EncodeReport* report = nullptr);

@@ -156,6 +156,31 @@ TEST(ContainerCodec, BlockSizeClampedUpToDictionary) {
   EXPECT_EQ(block_decompress(packed, data.size()), data);
 }
 
+TEST(ContainerCodec, SoftwareSourceKeepsTheRequestedBlockSize) {
+  // An archive's block size is its seek granularity: no clamp to the window.
+  auto cfg = small_blocks(16 * 1024);
+  core::MatchParams params;
+  params.window_bits = 15;
+  cfg.tokens = params;
+  const auto data = wl::make_corpus("wiki", 40 * 1024);
+  EncodeReport report;
+  const auto packed = block_compress(data, cfg, &report);
+  EXPECT_EQ(report.effective_block_bytes, 16u * 1024);
+  EXPECT_EQ(report.blocks, 3u);
+  EXPECT_EQ(block_decompress(packed, data.size()), data);
+}
+
+TEST(ContainerCodec, BlockSizeOutsideTheFormatIsRejected) {
+  // The header cannot carry these: 0 would split nothing, and parse rejects
+  // a block_size beyond kMaxBlockSize.
+  auto cfg = small_blocks(0);
+  cfg.tokens = core::MatchParams::speed_optimized();
+  const auto data = wl::make_corpus("wiki", 4096);
+  EXPECT_THROW((void)block_compress(data, cfg), std::invalid_argument);
+  cfg.block_bytes = std::size_t{kMaxBlockSize} + 1;
+  EXPECT_THROW((void)block_compress(data, cfg), std::invalid_argument);
+}
+
 TEST(ContainerCodec, IncompressibleBlocksAreStored) {
   // Random bytes don't deflate; every block must degrade to a stored record
   // and the container must stay within header overhead of the input.

@@ -5,8 +5,7 @@
 //     -l <1..9>      compression level (default 1, the hardware's setting)
 //     -f zlib|gzip|archive   container format (default zlib); "archive" is
 //                    the seekable LZBC block container (docs/CONTAINER.md)
-//     -b <kb>        archive block size in KiB (default 256; raised to the
-//                    window size if smaller)
+//     -b <kb>        archive block size in KiB (default 256)
 //     -w <9..15>     window bits for the software path (default 15)
 //     -y fixed|dyn   Huffman table kind (default dyn for sw, fixed for --hw)
 //     --hw           compress with the cycle-accurate hardware model
