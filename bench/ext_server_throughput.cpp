@@ -2,30 +2,24 @@
 //
 // N loadgen threads drive the full wire path (frame encode → session parse →
 // bounded queue → worker pool → frame decode) over the in-process loopback
-// transport. Two design-space axes the paper's figures don't cover:
-//   * aggregate host throughput vs. the number of service engines (workers),
+// transport. Design-space axes the paper's figures don't cover:
 //   * reject (BUSY) rate vs. the bounded queue depth under saturation —
-//     the software twin of the valid/ready backpressure in stream/channel.
-// A third axis behind `--durable`: goodput of the LOG_APPEND opcode per
-// fsync policy, i.e. what each durability guarantee costs at the wire.
-// A fourth: single-request GB/s of the blocked container (COMPRESS_BLOCKED)
-// vs block size vs engines — the fan-out path where one request spreads
-// over the whole pool.
-// A fifth behind `--maintenance`: LOG_APPEND goodput with the background
+//     the software twin of the valid/ready backpressure in stream/channel —
+//     and what client-side retry with backoff recovers of it.
+// Behind `--durable`: goodput of the LOG_APPEND opcode per fsync policy,
+// i.e. what each durability guarantee costs at the wire.
+// Single-request GB/s of the blocked container (COMPRESS_BLOCKED) vs block
+// size vs engines — the fan-out path where one request spreads over the
+// whole pool.
+// Behind `--maintenance`: LOG_APPEND goodput with the background
 // compaction + scrub thread running against a gappy archive vs without —
 // the interference cost of self-healing, as a ratio.
-// A sixth (also in the default artifact, standalone behind `--overload`):
+// Also in the default artifact, standalone behind `--overload`:
 // served-vs-shed goodput and the latency tail of *admitted* requests when
 // the real TCP front end is driven past capacity with the brownout gate
 // armed — what overload control buys at 1-4x oversubscription.
-// A seventh (also in the default artifact, standalone behind
-// `--trace-overhead`): aggregate compress throughput with request tracing
-// off, sampled at the default 1/16, and always-on — what the span plumbing
-// costs at the wire, as an overhead percentage against the untraced run.
-// An eighth (also in the default artifact, standalone behind
-// `--matchfinder`): ratio and MB/s of each software match-finder backend
-// (hash chain / greedy) over every workload corpus, with the
-// match-length comparer pinned to scalar vs the best SIMD ISA on this host.
+// Per-request throughput, per-layer costs and engine scaling live in the
+// perfbench harness (perfbench/README.md).
 //
 // Besides the human tables, the default run writes BENCH_server.json
 // (override with `--json <path>`): the sweep rows plus a full STATS-opcode
@@ -48,11 +42,7 @@
 #include <vector>
 
 #include "common/prng.hpp"
-#include "deflate/encoder.hpp"
-#include "lzss/mf_encoder.hpp"
-#include "lzss/simd_compare.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "server/retry.hpp"
 #include "server/service.hpp"
 #include "server/tcp.hpp"
@@ -297,76 +287,6 @@ OverloadResult run_overload(const std::vector<std::uint8_t>& corpus, unsigned ov
   return r;
 }
 
-/// Prints the tracing A/B/C table and returns the rows as a JSON array. The
-/// measured contract (docs/OBSERVABILITY.md): the span plumbing is cheap
-/// enough to leave on — always-on tracing must stay within a few percent of
-/// the untraced run, and the default 1/16 sampling within noise.
-std::string trace_overhead_sweep(const std::vector<std::uint8_t>& corpus) {
-  const std::size_t chunk = 64 * 1024;
-  std::printf(
-      "\n-- tracing overhead: 64 KiB compress, 2 engines, 4 loadgen threads\n"
-      "   (off vs sampled 1/16 vs always-on; overhead vs the untraced run) --\n");
-  std::printf("%-14s %13s %9s %9s %10s\n", "tracing", "host MB/s", "ok", "spans",
-              "overhead");
-  std::string json = "[";
-  char jbuf[192];
-  double base = 0;
-  struct Mode {
-    const char* name;
-    const char* key;
-    unsigned sample;
-    bool ring;
-  };
-  const Mode modes[] = {{"off", "off", 0, false},
-                        {"sampled 1/16", "sampled", 16, true},
-                        {"always-on", "always", 1, true}};
-  bool first = true;
-  for (const Mode& m : modes) {
-    obs::TraceRing ring(8192);
-    server::ServiceConfig cfg;
-    cfg.workers = 2;
-    cfg.queue_depth = 64;
-    cfg.trace = m.ring ? &ring : nullptr;
-    cfg.trace_sample = m.sample;
-    server::Service service(cfg);
-    const auto r = run_load(service, corpus, /*threads=*/4, chunk,
-                            /*requests_per_thread=*/24);
-    if (base == 0) base = r.mb_per_s;  // first row is the untraced baseline
-    const double overhead_pct = base > 0 ? (1.0 - r.mb_per_s / base) * 100.0 : 0;
-    std::printf("%-14s %13.2f %9llu %9llu %9.1f%%\n", m.name, r.mb_per_s,
-                static_cast<unsigned long long>(r.ok),
-                static_cast<unsigned long long>(ring.recorded()), overhead_pct);
-    std::snprintf(jbuf, sizeof(jbuf),
-                  "%s{\"mode\":\"%s\",\"trace_sample\":%u,\"mb_per_s\":%.3f,"
-                  "\"ok\":%llu,\"spans\":%llu,\"overhead_pct\":%.2f}",
-                  first ? "" : ",", m.key, m.sample, r.mb_per_s,
-                  static_cast<unsigned long long>(r.ok),
-                  static_cast<unsigned long long>(ring.recorded()), overhead_pct);
-    json += jbuf;
-    first = false;
-  }
-  json += "]";
-  return json;
-}
-
-/// `--trace-overhead`: just the tracing A/B/C, written as its own artifact.
-void print_trace_overhead_tables() {
-  bench::print_title("EXTENSION — REQUEST-TRACING OVERHEAD AT THE WIRE",
-                     "closed-loop 64 KiB compress: untraced vs sampled vs always-on");
-  const std::size_t bytes = std::max<std::size_t>(bench::sample_bytes(2), 1 << 20);
-  const auto& corpus = bench::cached_corpus("wiki", bytes);
-  std::string json = "{\"bench\":\"server_trace_overhead\",\"chunk_bytes\":65536,"
-                     "\"trace_overhead\":";
-  json += trace_overhead_sweep(corpus);
-  json += "}\n";
-  std::FILE* jf = std::fopen(g_json_path.c_str(), "wb");
-  if (jf != nullptr) {
-    std::fwrite(json.data(), 1, json.size(), jf);
-    std::fclose(jf);
-    std::printf("\nwrote %s\n", g_json_path.c_str());
-  }
-}
-
 /// Prints the overload table and returns the rows as a JSON array, so the
 /// same sweep feeds both the default artifact and the standalone
 /// `--overload` run.
@@ -424,86 +344,6 @@ void print_overload_tables() {
   }
 }
 
-/// Times one MatchFinderEncoder pass over @p data with the comparer pinned
-/// to @p isa; best-of-@p reps MB/s plus the token stream of the last pass.
-double time_encode(const core::MatchParams& p, const std::vector<std::uint8_t>& data,
-                   core::simd::CompareIsa isa, int reps, std::vector<core::Token>* tokens) {
-  core::simd::force_isa(isa);
-  double best = 0;
-  for (int r = 0; r < reps; ++r) {
-    core::MatchFinderEncoder enc(p);
-    const auto t0 = std::chrono::steady_clock::now();
-    auto t = enc.encode(data);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    best = std::max(best, secs > 0 ? static_cast<double>(data.size()) / secs / 1e6 : 0.0);
-    if (tokens != nullptr && r == reps - 1) *tokens = std::move(t);
-  }
-  return best;
-}
-
-/// Prints the per-backend ratio/throughput matrix over every workload corpus,
-/// with the comparer pinned to scalar and to the best ISA this host has —
-/// the A/B that shows what the vector match-length comparer buys each
-/// backend. Returns the rows as a JSON array for the artifact.
-std::string matchfinder_sweep() {
-  const std::size_t bytes = 256 * 1024;
-  const int reps = 3;
-  const auto best = core::simd::best_isa();
-  std::printf(
-      "\n-- match-finder backends: 256 KiB one-shot encode per cell, best of %d\n"
-      "   (comparer pinned to scalar vs %s; ratio = fixed-Huffman bits / input) --\n",
-      reps, core::simd::isa_name(best));
-  std::printf("%-12s %-12s %8s %14s %14s %9s\n", "backend", "corpus", "ratio",
-              "scalar MB/s", "simd MB/s", "speedup");
-  std::string json = "[";
-  char jbuf[256];
-  bool first = true;
-  for (const auto kind : {core::MatchFinderKind::kHashChain, core::MatchFinderKind::kGreedy}) {
-    core::MatchParams p = core::MatchParams::speed_optimized();
-    p.finder = kind;
-    for (const auto& name : wl::corpus_names()) {
-      const auto& data = bench::cached_corpus(name, bytes);
-      std::vector<core::Token> tokens;
-      const double scalar_mb_s =
-          time_encode(p, data, core::simd::CompareIsa::kScalar, reps, nullptr);
-      const double simd_mb_s = time_encode(p, data, best, reps, &tokens);
-      const double ratio = data.empty()
-                               ? 0.0
-                               : static_cast<double>((deflate::fixed_block_bits(tokens) + 7) / 8) /
-                                     static_cast<double>(data.size());
-      std::printf("%-12s %-12s %8.4f %14.2f %14.2f %8.2fx\n", core::finder_name(kind),
-                  name.c_str(), ratio, scalar_mb_s, simd_mb_s,
-                  scalar_mb_s > 0 ? simd_mb_s / scalar_mb_s : 0.0);
-      std::snprintf(jbuf, sizeof(jbuf),
-                    "%s{\"backend\":\"%s\",\"corpus\":\"%s\",\"ratio\":%.4f,"
-                    "\"scalar_mb_s\":%.2f,\"simd_mb_s\":%.2f,\"simd_isa\":\"%s\"}",
-                    first ? "" : ",", core::finder_name(kind), name.c_str(), ratio, scalar_mb_s,
-                    simd_mb_s, core::simd::isa_name(best));
-      json += jbuf;
-      first = false;
-    }
-  }
-  core::simd::force_isa(best);  // leave the process on the fast path
-  json += "]";
-  return json;
-}
-
-/// `--matchfinder`: just the backend sweep, written as its own JSON artifact.
-void print_matchfinder_tables() {
-  bench::print_title("EXTENSION — MATCH-FINDER BACKENDS x WORKLOADS",
-                     "ratio and MB/s per backend, scalar vs SIMD match-length comparer");
-  std::string json = "{\"bench\":\"server_matchfinder\",\"matchfinder_sweep\":";
-  json += matchfinder_sweep();
-  json += "}\n";
-  std::FILE* jf = std::fopen(g_json_path.c_str(), "wb");
-  if (jf != nullptr) {
-    std::fwrite(json.data(), 1, json.size(), jf);
-    std::fclose(jf);
-    std::printf("\nwrote %s\n", g_json_path.c_str());
-  }
-}
-
 void print_tables() {
   bench::print_title("EXTENSION — COMPRESSION SERVICE UNDER LOAD (loopback transport)",
                      "N loadgen threads x 64 KiB compress requests, full wire path");
@@ -514,44 +354,7 @@ void print_tables() {
 
   std::string json = "{\"bench\":\"server_throughput\",\"chunk_bytes\":65536";
   char jbuf[256];
-  std::string stats_payload;  // last engines-sweep STATS response, verbatim
-
-  std::printf("\n-- throughput vs engines (queue depth 64, 2x oversubscribed load) --\n");
-  std::printf("(engines are host threads: scaling needs cores; this host has %u)\n",
-              std::thread::hardware_concurrency());
-  std::printf("%-9s %9s %14s %9s %9s %12s\n", "engines", "threads", "host MB/s", "ok", "busy",
-              "reject rate");
-  json += ",\"engines_sweep\":[";
-  double base = 0;
-  for (const unsigned engines : {1u, 2u, 4u}) {
-    server::ServiceConfig cfg;
-    cfg.workers = engines;
-    cfg.queue_depth = 64;
-    server::Service service(cfg);
-    const auto r = run_load(service, corpus, /*threads=*/engines * 2, chunk,
-                            /*requests_per_thread=*/8);
-    if (engines == 1) base = r.mb_per_s;
-    std::printf("%-9u %9u %11.2f (%4.2fx) %6llu %9llu %11.1f%%\n", engines, engines * 2,
-                r.mb_per_s, base > 0 ? r.mb_per_s / base : 0,
-                static_cast<unsigned long long>(r.ok),
-                static_cast<unsigned long long>(r.busy), 100 * r.reject_rate);
-    std::snprintf(jbuf, sizeof(jbuf),
-                  "%s{\"engines\":%u,\"threads\":%u,\"mb_per_s\":%.3f,\"ok\":%llu,"
-                  "\"busy\":%llu,\"reject_rate\":%.4f}",
-                  engines == 1 ? "" : ",", engines, engines * 2, r.mb_per_s,
-                  static_cast<unsigned long long>(r.ok),
-                  static_cast<unsigned long long>(r.busy), r.reject_rate);
-    json += jbuf;
-    // Fetch the machine-readable snapshot through the same wire path the
-    // loadgen used; the last sweep's payload lands in the JSON artifact.
-    server::LoopbackClient client(service);
-    server::RequestFrame sreq;
-    sreq.opcode = server::Opcode::kStats;
-    const auto sresp = client.call(sreq);
-    if (sresp.status == server::Status::kOk)
-      stats_payload.assign(sresp.payload.begin(), sresp.payload.end());
-  }
-  json += "]";
+  std::string stats_payload;  // last queue-sweep STATS response, verbatim
 
   std::printf("\n-- backpressure vs queue depth (1 engine, 12 loadgen threads) --\n");
   std::printf("%-12s %9s %9s %12s %16s\n", "queue depth", "ok", "busy", "reject rate",
@@ -576,6 +379,14 @@ void print_tables() {
                   static_cast<unsigned long long>(r.busy), r.reject_rate,
                   static_cast<unsigned long long>(stats.queue_high_water));
     json += jbuf;
+    // Fetch the machine-readable snapshot through the same wire path the
+    // loadgen used; the last sweep's payload lands in the JSON artifact.
+    server::LoopbackClient client(service);
+    server::RequestFrame sreq;
+    sreq.opcode = server::Opcode::kStats;
+    const auto sresp = client.call(sreq);
+    if (sresp.status == server::Status::kOk)
+      stats_payload.assign(sresp.payload.begin(), sresp.payload.end());
   }
   json += "]";
 
@@ -656,14 +467,6 @@ void print_tables() {
   // the latency tail of admitted requests at 1-4x capacity.
   json += ",\"overload_sweep\":";
   json += overload_sweep(corpus);
-
-  // What the span plumbing costs: tracing off / sampled 1/16 / always-on.
-  json += ",\"trace_overhead\":";
-  json += trace_overhead_sweep(corpus);
-
-  // Software match-finder backends x workloads, scalar vs SIMD comparer.
-  json += ",\"matchfinder_sweep\":";
-  json += matchfinder_sweep();
 
   // The STATS payload is already JSON ({"service":...,"metrics":[...]}) —
   // embed it verbatim.
@@ -943,8 +746,6 @@ int main(int argc, char** argv) {
   bool durable = false;
   bool maintenance = false;
   bool overload = false;
-  bool trace_overhead = false;
-  bool matchfinder = false;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--durable") == 0) {
@@ -953,10 +754,6 @@ int main(int argc, char** argv) {
       maintenance = true;
     } else if (std::strcmp(argv[i], "--overload") == 0) {
       overload = true;
-    } else if (std::strcmp(argv[i], "--trace-overhead") == 0) {
-      trace_overhead = true;
-    } else if (std::strcmp(argv[i], "--matchfinder") == 0) {
-      matchfinder = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       g_json_path = argv[++i];
     } else {
@@ -965,10 +762,8 @@ int main(int argc, char** argv) {
   }
   argc = out;
   return lzss::bench::run_bench_main(argc, argv,
-                                     matchfinder    ? print_matchfinder_tables
-                                     : trace_overhead ? print_trace_overhead_tables
-                                     : overload     ? print_overload_tables
-                                     : maintenance  ? print_maintenance_tables
-                                     : durable      ? print_durable_tables
-                                                    : print_tables);
+                                     overload      ? print_overload_tables
+                                     : maintenance ? print_maintenance_tables
+                                     : durable     ? print_durable_tables
+                                                   : print_tables);
 }

@@ -45,26 +45,6 @@ struct CycleStats {
     return total_cycles == 0 ? 0.0
                              : static_cast<double>(part) / static_cast<double>(total_cycles);
   }
-
-  CycleStats& operator+=(const CycleStats& o) noexcept {
-    waiting += o.waiting;
-    fetching += o.fetching;
-    matching += o.matching;
-    output += o.output;
-    updating += o.updating;
-    rotating += o.rotating;
-    total_cycles += o.total_cycles;
-    bytes_in += o.bytes_in;
-    literals += o.literals;
-    matches += o.matches;
-    match_bytes += o.match_bytes;
-    chain_probes += o.chain_probes;
-    compare_bytes += o.compare_bytes;
-    rotation_passes += o.rotation_passes;
-    output_stall_cycles += o.output_stall_cycles;
-    prefetch_hits += o.prefetch_hits;
-    return *this;
-  }
 };
 
 }  // namespace lzss::hw

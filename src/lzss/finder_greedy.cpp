@@ -26,10 +26,6 @@ class GreedyFinder final : public MatchFinder {
     table_.assign(std::size_t{1} << bits_, kEmpty);
   }
 
-  [[nodiscard]] MatchFinderKind kind() const noexcept override {
-    return MatchFinderKind::kGreedy;
-  }
-
   void seed(std::span<const std::uint8_t> block) override {
     in_ = block;
     std::fill(table_.begin(), table_.end(), kEmpty);

@@ -25,10 +25,6 @@ class HashChainFinder final : public MatchFinder {
     prev_.assign(params_.window_size(), kNoCandidate);
   }
 
-  [[nodiscard]] MatchFinderKind kind() const noexcept override {
-    return MatchFinderKind::kHashChain;
-  }
-
   void seed(std::span<const std::uint8_t> block) override {
     in_ = block;
     std::fill(head_.begin(), head_.end(), kNoCandidate);

@@ -82,7 +82,6 @@ class MatchFinder {
  public:
   virtual ~MatchFinder() = default;
 
-  [[nodiscard]] virtual MatchFinderKind kind() const noexcept = 0;
   virtual void seed(std::span<const std::uint8_t> block) = 0;
   virtual std::uint64_t insert(std::uint64_t pos) = 0;
   [[nodiscard]] virtual MatchCandidate find_longest_match(std::uint64_t pos, std::uint64_t head,

@@ -42,7 +42,7 @@ class MatchFinderEncoder {
   /// Compresses @p input into a token stream. Resets stats() first.
   [[nodiscard]] std::vector<Token> encode(std::span<const std::uint8_t> input);
 
-  [[nodiscard]] MatchFinderKind kind() const noexcept { return finder_->kind(); }
+  [[nodiscard]] MatchFinderKind kind() const noexcept { return params_.finder; }
   /// Census of the last encode().
   [[nodiscard]] const EncodeStats& stats() const noexcept { return stats_; }
   /// The finder's census, cumulative over this encoder's lifetime.

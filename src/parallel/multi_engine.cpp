@@ -9,7 +9,6 @@
 
 #include "common/bitio.hpp"
 #include "deflate/encoder.hpp"
-#include "hw/functional.hpp"
 #include "parallel/stripe.hpp"
 
 namespace lzss::par {
@@ -86,19 +85,6 @@ MultiEngineReport compress_multi_engine(const hw::HwConfig& config,
   report.deflate_stream = w.take();
   report.compressed_bytes = report.deflate_stream.size();
   return report;
-}
-
-std::vector<std::uint8_t> compress_striped(const hw::HwConfig& config,
-                                           std::span<const std::uint8_t> data,
-                                           unsigned num_engines) {
-  if (num_engines == 0) throw std::invalid_argument("compress_striped: zero engines");
-  num_engines = clamp_stripe_count(data.size(), config.dict_size(), num_engines);
-  bits::BitWriter w;
-  for (unsigned i = 0; i < num_engines; ++i) {
-    deflate::write_fixed_block(w, hw::compress_tokens(config, stripe_of(data, num_engines, i)),
-                               /*final_block=*/i + 1 == num_engines);
-  }
-  return w.take();
 }
 
 }  // namespace lzss::par

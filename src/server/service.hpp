@@ -9,12 +9,12 @@
 // Dispatch policy: PING and STATS are control-plane and answered inline (they
 // never queue, never see BUSY). COMPRESS and DECOMPRESS are data-plane and go
 // through the queue to a worker. The hw backend serves the cycle model's
-// tokens from its untimed functional twin (hw/functional.hpp); payloads at or
-// above large_threshold are cut into the par::MultiEngine stripes, one
-// Deflate block each. The first hw-backend COMPRESS / COMPRESS_BLOCKED and
-// every 64th after it run the cycle model itself — a hw::Compressor built
-// for that request's configuration (one per block for COMPRESS_BLOCKED) —
-// and export its census; the response bytes are the same either way.
+// tokens from its untimed functional twin (hw/functional.hpp), one token
+// stream and one Deflate block per COMPRESS whatever its size. The first
+// hw-backend COMPRESS / COMPRESS_BLOCKED and every 64th after it run the
+// cycle model itself — a hw::Compressor built for that request's
+// configuration (one per block for COMPRESS_BLOCKED) — and export its
+// census; the response bytes are the same either way.
 // COMPRESS_BLOCKED splits the payload into an LZBC block container and fans
 // the blocks across the pool as internal sub-jobs on the same bounded queue
 // (container/scheduler.hpp); DECOMPRESS sniffs the LZBC magic and inverts
@@ -88,9 +88,9 @@ namespace lzss::server {
 /// backends run the MatchFinderEncoder; kAuto picks per request class by
 /// payload size: small requests take the one-probe greedy finder (lowest
 /// per-request overhead), mid-size requests the hash-chain finder (better
-/// ratio, still cheap), and large requests stay on the striped hw
-/// MultiEngine path. A request can pin a backend via frame flags bits 3..5,
-/// which overrides this policy.
+/// ratio, still cheap), and requests of 256 KiB and up take the hw
+/// backend's twin, which outruns the hash chain there. A request can pin a
+/// backend via frame flags bits 3..5, which overrides this policy.
 enum class MatchBackend : std::uint8_t {
   kHw = 0,
   kHashChain,
@@ -105,8 +105,6 @@ enum class MatchBackend : std::uint8_t {
 struct ServiceConfig {
   unsigned workers = 2;                  ///< data-plane worker threads
   std::size_t queue_depth = 64;          ///< bounded MPMC queue capacity
-  unsigned large_engines = 4;            ///< MultiEngine width for large payloads
-  std::size_t large_threshold = 1 << 18; ///< bytes; >= this stripes across engines
   /// COMPRESS_BLOCKED split size (clamped up to the dictionary size, see
   /// parallel/stripe.hpp); lzssd exposes it as --block-kb.
   std::size_t block_bytes = 256 * 1024;

@@ -13,14 +13,18 @@
 #include <condition_variable>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <thread>
 
 #include "common/checksum.hpp"
 #include "container/codec.hpp"
 #include "container/format.hpp"
+#include "deflate/container.hpp"
+#include "deflate/encoder.hpp"
 #include "deflate/inflate.hpp"
 #include "fault/fault.hpp"
+#include "hw/functional.hpp"
 #include "lzss/raw_container.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -95,18 +99,63 @@ TEST(ServerService, DecompressOpcodeInvertsCompress) {
   }
 }
 
-TEST(ServerService, LargePayloadTakesTheMultiEnginePath) {
+/// The hw backend's bytes for @p data under the default service config: the
+/// twin's tokens as one fixed-Huffman block in a zlib container whose window
+/// is the 4 KiB speed preset's 12 bits.
+std::vector<std::uint8_t> hw_zlib_bytes(std::span<const std::uint8_t> data) {
+  const hw::HwConfig hw = ServiceConfig{}.hw;
+  EXPECT_EQ(hw.dict_bits, 12u);
+  return deflate::zlib_wrap(deflate::deflate_fixed(hw::compress_tokens(hw, data)),
+                            checksum::adler32(data), 12);
+}
+
+TEST(ServerService, LargeHwCompressIsOneFixedBlock) {
+  Service service(small_config());  // fresh: its first hw request is the census sample
+  LoopbackClient client(service);
+  const auto data = wl::make_corpus("wiki", 320 * 1024);
+  const auto expected = hw_zlib_bytes(data);
+  const auto sampled = client.call(compress_request(1, data));
+  const auto twin = client.call(compress_request(2, data));
+  ASSERT_EQ(sampled.status, Status::kOk);
+  ASSERT_EQ(twin.status, Status::kOk);
+  EXPECT_EQ(sampled.payload, expected);
+  EXPECT_EQ(twin.payload, expected);
+}
+
+TEST(ServerService, AutoBackendClassesBySize) {
   ServiceConfig cfg = small_config();
-  cfg.large_threshold = 16 * 1024;  // force striping at a test-friendly size
-  cfg.large_engines = 4;
+  cfg.match_backend = MatchBackend::kAuto;
   Service service(cfg);
   LoopbackClient client(service);
-
-  const auto data = wl::make_corpus("wiki", 128 * 1024);
-  const auto resp = client.call(compress_request(9, data));
-  ASSERT_EQ(resp.status, Status::kOk);
-  // The striped stream is multi-block Deflate but still one valid zlib body.
-  EXPECT_EQ(deflate::zlib_decompress(resp.payload), data);
+  const auto finder_requests = [&](const char* backend) {
+    const auto snap = service.metrics().snapshot();
+    const obs::Sample* s = snap.find("matchfinder_requests_total", backend);
+    return s == nullptr ? std::uint64_t{0} : s->value;
+  };
+  // Request sizes in order, with the finder counts after each one: below
+  // small_threshold is greedy, below 256 KiB hash chain, the rest hw.
+  const struct {
+    std::size_t bytes;
+    std::uint64_t greedy, hashchain;
+  } classes[] = {
+      {cfg.small_threshold - 1, 1, 0},
+      {64 * 1024, 1, 1},
+      {256 * 1024 - 1, 1, 2},
+      {256 * 1024, 1, 2},
+      {320 * 1024, 1, 2},
+  };
+  for (const auto& c : classes) {
+    const auto data = wl::make_corpus("wiki", c.bytes);
+    const auto resp = client.call(compress_request(1, data));
+    ASSERT_EQ(resp.status, Status::kOk) << c.bytes;
+    EXPECT_EQ(finder_requests("greedy"), c.greedy) << c.bytes;
+    EXPECT_EQ(finder_requests("hashchain"), c.hashchain) << c.bytes;
+    if (c.bytes >= 256 * 1024) {
+      EXPECT_EQ(resp.payload, hw_zlib_bytes(data)) << c.bytes;
+    } else {
+      EXPECT_EQ(deflate::zlib_decompress(resp.payload), data) << c.bytes;
+    }
+  }
 }
 
 TEST(ServerService, PingEchoesIdAndFlags) {
@@ -974,13 +1023,12 @@ TEST(ServerService, CensusSamplesOneHwRequestIn64) {
 
 TEST(ServerService, CensusSampleAndTwinResponsesAreByteIdentical) {
   ServiceConfig cfg = small_config();
-  cfg.large_threshold = 64 * 1024;
   cfg.block_bytes = 32 * 1024;
   const auto small = wl::make_corpus("wiki", 24 * 1024);
   const auto large = wl::make_corpus("mixed", 160 * 1024);
   const std::pair<const char*, RequestFrame> cases[] = {
       {"small", compress_request(1, small)},
-      {"large-striped", compress_request(2, large)},
+      {"large", compress_request(2, large)},
       {"raw", compress_request(3, small, kFlagRawContainer)},
       {"preset", compress_request(4, small, flags_with_preset(0, 2))},
       {"blocked", blocked_request(5, large)},

@@ -2,12 +2,10 @@
 //
 //   lzssd [options]
 //     --port <p>          TCP port (default 5555; 0 picks an ephemeral port)
-//     --engines <n>       data-plane worker threads, one hw model each (default 2)
+//     --engines <n>       data-plane worker threads (default 2)
 //     --queue-depth <d>   bounded request queue; full => BUSY (default 64)
 //     --preset <name>     service default config from the estimator ladder
 //                         (speed | balanced | ratio | min-bram | baseline-2007)
-//     --large-engines <n> MultiEngine stripe width for large payloads (default 4)
-//     --threshold-kb <k>  payloads >= k KiB take the striped path (default 256)
 //     --block-kb <k>      COMPRESS_BLOCKED block size in KiB; blocks fan out
 //                         across the worker pool (default 256, docs/CONTAINER.md)
 //     --request-timeout-ms <t>  per-request deadline; expired requests answer
@@ -111,8 +109,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: lzssd [--port p] [--engines n] [--queue-depth d] [--preset name]\n"
                "             [--matchfinder hw|hashchain|greedy|auto]\n"
-               "             [--small-threshold-kb k]\n"
-               "             [--large-engines n] [--threshold-kb k] [--block-kb k]\n"
+               "             [--small-threshold-kb k] [--block-kb k]\n"
                "             [--request-timeout-ms t] [--hung-worker-ms t]\n"
                "             [--store-dir dir] [--store-fsync policy] [--store-segment-kb k]\n"
                "             [--compact-trigger-garbage-pct p] [--retain-max-bytes b]\n"
@@ -197,10 +194,6 @@ int main(int argc, char** argv) {
       if (!server::parse_match_backend(v, cfg.match_backend)) return usage();
     } else if (arg == "--small-threshold-kb" && (v = next()) != nullptr) {
       cfg.small_threshold = static_cast<std::size_t>(std::atoi(v)) * 1024;
-    } else if (arg == "--large-engines" && (v = next()) != nullptr) {
-      cfg.large_engines = static_cast<unsigned>(std::atoi(v));
-    } else if (arg == "--threshold-kb" && (v = next()) != nullptr) {
-      cfg.large_threshold = static_cast<std::size_t>(std::atoi(v)) * 1024;
     } else if (arg == "--block-kb" && (v = next()) != nullptr) {
       cfg.block_bytes = static_cast<std::size_t>(std::atoi(v)) * 1024;
     } else if (arg == "--request-timeout-ms" && (v = next()) != nullptr) {
