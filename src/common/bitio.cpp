@@ -1,6 +1,7 @@
 #include "common/bitio.hpp"
 
 #include <cassert>
+#include <cstring>
 #include <stdexcept>
 
 namespace lzss::bits {
@@ -40,24 +41,9 @@ std::vector<std::uint8_t> BitWriter::take() {
   return std::move(bytes_);
 }
 
-void BitReader::refill() {
-  while (nbits_ <= 56 && pos_ < data_.size()) {
-    acc_ |= static_cast<std::uint64_t>(data_[pos_++]) << nbits_;
-    nbits_ += 8;
-  }
-}
+void BitReader::refill_cold() noexcept { refill(); }
 
-std::uint32_t BitReader::get_bits(unsigned n) {
-  assert(n <= 32);
-  if (n == 0) return 0;
-  refill();
-  if (nbits_ < n) throw std::out_of_range("BitReader: out of data");
-  const std::uint32_t v =
-      static_cast<std::uint32_t>(acc_ & ((n == 32) ? 0xFFFFFFFFu : ((1u << n) - 1u)));
-  acc_ >>= n;
-  nbits_ -= n;
-  return v;
-}
+void BitReader::throw_out_of_data() { throw std::out_of_range("BitReader: out of data"); }
 
 void BitReader::align_to_byte() noexcept {
   const unsigned drop = nbits_ % 8;
@@ -68,6 +54,18 @@ void BitReader::align_to_byte() noexcept {
 std::uint8_t BitReader::get_aligned_byte() {
   assert(bit_position() % 8 == 0);
   return static_cast<std::uint8_t>(get_bits(8));
+}
+
+void BitReader::get_aligned_bytes(std::span<std::uint8_t> out) {
+  assert(bit_position() % 8 == 0);
+  std::size_t i = 0;
+  for (; i < out.size() && nbits_ > 0; ++i) out[i] = static_cast<std::uint8_t>(get_bits(8));
+  const std::size_t rest = out.size() - i;
+  if (rest == 0) return;
+  if (rest > bytes_left()) throw_out_of_data();
+  std::memcpy(out.data() + i, data_.data() + pos_, rest);
+  pos_ += rest;
+  acc_ = 0;  // it may hold a look-ahead copy of bytes just taken
 }
 
 }  // namespace lzss::bits

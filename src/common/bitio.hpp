@@ -6,8 +6,10 @@
 // BitWriter/BitReader implement both conventions on top of a byte vector.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -60,12 +62,57 @@ class BitWriter {
 };
 
 /// Reads bits LSB-first from a byte buffer.
+///
+/// Bits sit in a 64-bit accumulator. refill() tops it up with one 8-byte
+/// load while at least 8 input bytes remain and byte loads after that, so
+/// it never reads past the span. Table decoders refill once, then index
+/// tables with window() and consume() several fields without reloading.
 class BitReader {
  public:
   explicit BitReader(std::span<const std::uint8_t> data) noexcept : data_(data) {}
 
+  /// Loads input until at least 56 bits are buffered or the input ends.
+  void refill() noexcept {
+    if (data_.size() - pos_ >= 8) {
+      // Bits of acc_ at and above nbits_ are zero or already equal to the
+      // next input bits, so OR-ing the whole word in is exact; only the
+      // whole bytes that fit are counted as loaded.
+      acc_ |= load_le64(data_.data() + pos_) << nbits_;
+      const unsigned bytes = (63 - nbits_) / 8;
+      pos_ += bytes;
+      nbits_ += 8 * bytes;
+    } else {
+      while (nbits_ < 56 && pos_ < data_.size()) {
+        acc_ |= static_cast<std::uint64_t>(data_[pos_++]) << nbits_;
+        nbits_ += 8;
+      }
+    }
+  }
+
+  /// The next @p n bits (n <= 32) without consuming them. Bits past the end
+  /// of the input read as zero; consume() is what detects running out.
+  [[nodiscard]] std::uint32_t peek(unsigned n) const noexcept {
+    return static_cast<std::uint32_t>(acc_ & ((std::uint64_t{1} << n) - 1));
+  }
+
+  /// The buffered bits, LSB first, for table lookups; as with peek(), bits
+  /// past the end of the input read as zero.
+  [[nodiscard]] std::uint64_t window() const noexcept { return acc_; }
+
+  /// Drops @p n buffered bits. Throws std::out_of_range if fewer are buffered.
+  void consume(unsigned n) {
+    if (n > nbits_) throw_out_of_data();
+    acc_ >>= n;
+    nbits_ -= n;
+  }
+
   /// Reads @p n bits (n <= 32), LSB first. Throws std::out_of_range at EOF.
-  [[nodiscard]] std::uint32_t get_bits(unsigned n);
+  [[nodiscard]] std::uint32_t get_bits(unsigned n) {
+    if (nbits_ < n) refill_cold();
+    const std::uint32_t v = peek(n);
+    consume(n);
+    return v;
+  }
 
   /// Reads a single bit.
   [[nodiscard]] std::uint32_t get_bit() { return get_bits(1); }
@@ -76,19 +123,33 @@ class BitReader {
   /// Reads a raw byte; the reader must be byte-aligned.
   [[nodiscard]] std::uint8_t get_aligned_byte();
 
+  /// Fills @p out with the next raw bytes; the reader must be byte-aligned.
+  /// Throws std::out_of_range if the input holds fewer.
+  void get_aligned_bytes(std::span<std::uint8_t> out);
+
   /// Number of bits consumed so far.
   [[nodiscard]] std::size_t bit_position() const noexcept { return pos_ * 8 - nbits_; }
+
+  /// Input bytes not yet loaded into the accumulator.
+  [[nodiscard]] std::size_t bytes_left() const noexcept { return data_.size() - pos_; }
 
   /// True when no complete bit remains.
   [[nodiscard]] bool exhausted() const noexcept { return nbits_ == 0 && pos_ >= data_.size(); }
 
  private:
-  void refill();
+  static std::uint64_t load_le64(const std::uint8_t* p) noexcept {
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof v);
+    if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap64(v);
+    return v;
+  }
+  void refill_cold() noexcept;  // refill() out of line, so inlined get_bits stays small
+  [[noreturn]] static void throw_out_of_data();
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;    // next byte index
   std::uint64_t acc_ = 0;  // pending bits, LSB-first
-  unsigned nbits_ = 0;
+  unsigned nbits_ = 0;     // buffered bits, < 64
 };
 
 }  // namespace lzss::bits

@@ -9,17 +9,27 @@ constexpr std::uint32_t kAdlerMod = 65521;  // largest prime < 2^16
 // Max bytes processable before s2 can overflow a uint32 (zlib's NMAX).
 constexpr std::size_t kAdlerNmax = 5552;
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> t{};
+// Slicing-by-8 tables: kCrcTables[0] is the bytewise table; kCrcTables[k][b]
+// is the CRC of byte b followed by k zero bytes, so eight table lookups fold
+// eight input bytes at once.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-    t[i] = c;
+    t[0][i] = c;
   }
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i) t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
   return t;
 }
 
-constexpr auto kCrcTable = make_crc_table();
+constexpr auto kCrcTables = make_crc_tables();
+
+std::uint32_t load_le32(const std::uint8_t* p) noexcept {
+  return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) | (std::uint32_t{p[2]} << 16) |
+         (std::uint32_t{p[3]} << 24);
+}
 
 }  // namespace
 
@@ -38,8 +48,17 @@ void Adler32::update(std::span<const std::uint8_t> data) noexcept {
 }
 
 void Crc32::update(std::span<const std::uint8_t> data) noexcept {
+  const auto& t = kCrcTables;
   std::uint32_t c = crc_;
-  for (const std::uint8_t b : data) c = kCrcTable[(c ^ b) & 0xFFu] ^ (c >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+        t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   crc_ = c;
 }
 

@@ -97,14 +97,12 @@ void decode_block(const BlockView& block, std::span<std::uint8_t> out) {
                            "stored block length mismatch");
     std::memcpy(out.data(), comp.data(), comp.size());
   } else {
-    // raw_len (validated against block_size during parse) is the hard
-    // output cap: the per-block inflate bomb guard. A stream that wants
-    // more throws InflateBombError before the memory is committed.
-    const auto raw = deflate::inflate_raw(comp, block.raw_len);
-    if (raw.size() != block.raw_len)
+    // raw_len (validated against block_size during parse) sizes the output
+    // span and is the hard output cap: the per-block inflate bomb guard. A
+    // stream that wants more throws InflateBombError.
+    if (deflate::inflate_into(comp, out) != block.raw_len)
       throw ContainerError(ContainerError::Kind::kBadLength,
                            "block inflated to the wrong length");
-    std::memcpy(out.data(), raw.data(), raw.size());
   }
   if (checksum::crc32(out) != block.crc32)
     throw ContainerError(ContainerError::Kind::kCrcMismatch, "block CRC-32 mismatch");

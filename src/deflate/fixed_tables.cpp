@@ -5,19 +5,6 @@
 namespace lzss::deflate {
 namespace {
 
-// RFC 1951 section 3.2.5 tables.
-constexpr std::array<std::uint16_t, 29> kLengthBase{
-    3,  4,  5,  6,  7,  8,  9,  10, 11,  13,  15,  17,  19,  23, 27,
-    31, 35, 43, 51, 59, 67, 83, 99, 115, 131, 163, 195, 227, 258};
-constexpr std::array<std::uint8_t, 29> kLengthExtra{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2,
-                                                    2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 0};
-constexpr std::array<std::uint16_t, 30> kDistBase{
-    1,    2,    3,    4,    5,    7,    9,    13,    17,    25,
-    33,   49,   65,   97,   129,  193,  257,  385,   513,   769,
-    1025, 1537, 2049, 3073, 4097, 6145, 8193, 12289, 16385, 24577};
-constexpr std::array<std::uint8_t, 30> kDistExtra{0, 0, 0, 0, 1, 1, 2,  2,  3,  3,  4,  4,  5,  5, 6,
-                                                  6, 7, 7, 8, 8, 9, 9, 10, 10, 11, 11, 12, 12, 13, 13};
-
 CanonicalCode build_canonical(const std::array<std::uint8_t, kNumLitLenSymbols>& lengths,
                               unsigned num_symbols) {
   // RFC 1951 section 3.2.2: codes of each length are assigned consecutively
@@ -77,26 +64,6 @@ DistanceCode distance_code(std::uint32_t distance) noexcept {
   while (i + 1 < 30 && kDistBase[i + 1] <= distance) ++i;
   return DistanceCode{static_cast<std::uint8_t>(i), kDistExtra[i],
                       static_cast<std::uint16_t>(distance - kDistBase[i])};
-}
-
-std::uint32_t length_base(unsigned symbol) noexcept {
-  assert(symbol >= kFirstLengthCode && symbol <= 285);
-  return kLengthBase[symbol - kFirstLengthCode];
-}
-
-unsigned length_extra_bits(unsigned symbol) noexcept {
-  assert(symbol >= kFirstLengthCode && symbol <= 285);
-  return kLengthExtra[symbol - kFirstLengthCode];
-}
-
-std::uint32_t distance_base(unsigned symbol) noexcept {
-  assert(symbol < 30);
-  return kDistBase[symbol];
-}
-
-unsigned distance_extra_bits(unsigned symbol) noexcept {
-  assert(symbol < 30);
-  return kDistExtra[symbol];
 }
 
 const CanonicalCode& fixed_litlen_code() noexcept {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 
 namespace lzss::deflate {
@@ -37,13 +38,39 @@ struct DistanceCode {
 /// Maps a distance (1..32768) to its RFC 1951 code.
 [[nodiscard]] DistanceCode distance_code(std::uint32_t distance) noexcept;
 
+// RFC 1951 section 3.2.5 tables. They live in the header so that inflate's
+// symbol loop indexes them directly.
+inline constexpr std::array<std::uint16_t, 29> kLengthBase{
+    3,  4,  5,  6,  7,  8,  9,  10, 11,  13,  15,  17,  19,  23, 27,
+    31, 35, 43, 51, 59, 67, 83, 99, 115, 131, 163, 195, 227, 258};
+inline constexpr std::array<std::uint8_t, 29> kLengthExtra{
+    0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 0};
+inline constexpr std::array<std::uint16_t, 30> kDistBase{
+    1,    2,    3,    4,    5,    7,    9,    13,    17,    25,
+    33,   49,   65,   97,   129,  193,  257,  385,   513,   769,
+    1025, 1537, 2049, 3073, 4097, 6145, 8193, 12289, 16385, 24577};
+inline constexpr std::array<std::uint8_t, 30> kDistExtra{
+    0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11, 11, 12, 12, 13, 13};
+
 /// Base length for length symbol 257+i and its extra-bit count.
-[[nodiscard]] std::uint32_t length_base(unsigned symbol) noexcept;
-[[nodiscard]] unsigned length_extra_bits(unsigned symbol) noexcept;
+[[nodiscard]] inline std::uint32_t length_base(unsigned symbol) noexcept {
+  assert(symbol >= kFirstLengthCode && symbol <= 285);
+  return kLengthBase[symbol - kFirstLengthCode];
+}
+[[nodiscard]] inline unsigned length_extra_bits(unsigned symbol) noexcept {
+  assert(symbol >= kFirstLengthCode && symbol <= 285);
+  return kLengthExtra[symbol - kFirstLengthCode];
+}
 
 /// Base distance for distance symbol i and its extra-bit count.
-[[nodiscard]] std::uint32_t distance_base(unsigned symbol) noexcept;
-[[nodiscard]] unsigned distance_extra_bits(unsigned symbol) noexcept;
+[[nodiscard]] inline std::uint32_t distance_base(unsigned symbol) noexcept {
+  assert(symbol < 30);
+  return kDistBase[symbol];
+}
+[[nodiscard]] inline unsigned distance_extra_bits(unsigned symbol) noexcept {
+  assert(symbol < 30);
+  return kDistExtra[symbol];
+}
 
 /// A canonical Huffman code assignment: per-symbol code value and bit length.
 struct CanonicalCode {

@@ -126,25 +126,60 @@ std::vector<std::uint8_t> huffman_code_lengths(std::span<const std::uint64_t> fr
   return lengths;
 }
 
-HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths) {
+HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths,
+                               std::span<const std::uint8_t> extra_bits) {
+  std::uint32_t count[kMaxBits + 1] = {};  // number of codes of each length
+  unsigned max_len = 0;
   for (const auto l : lengths) {
     if (l > kMaxBits) throw std::invalid_argument("HuffmanDecoder: length > 15");
-    if (l != 0) count_[l]++;
+    if (l != 0) count[l]++;
+    max_len = std::max<unsigned>(max_len, l);
   }
   // Over-subscription check (Kraft inequality).
   std::int64_t left = 1;
   for (unsigned len = 1; len <= kMaxBits; ++len) {
     left <<= 1;
-    left -= count_[len];
+    left -= count[len];
     if (left < 0) throw std::invalid_argument("HuffmanDecoder: over-subscribed code");
   }
-  // offsets[len] = index of first symbol with that code length.
-  std::uint32_t offsets[kMaxBits + 2] = {};
-  for (unsigned len = 1; len <= kMaxBits; ++len) offsets[len + 1] = offsets[len] + count_[len];
-  total_symbols_ = offsets[kMaxBits + 1];
-  symbol_.resize(total_symbols_);
+  total_symbols_ = std::accumulate(std::begin(count), std::end(count), 0u);
+  // Canonical codes, bit-reversed into the order the stream delivers them:
+  // the first bit read is the lowest bit.
+  std::vector<std::uint16_t> reversed = canonical_codes(lengths);
+  for (std::size_t s = 0; s < lengths.size(); ++s)
+    reversed[s] = static_cast<std::uint16_t>(bits::reverse_bits(reversed[s], lengths[s]));
+
+  root_bits_ = std::min(max_len, kMaxRootBits);
+  root_mask_ = (1u << root_bits_) - 1;
+  table_.assign(std::size_t{1} << root_bits_, kInvalid);
+  // Each root slot that prefixes longer codes links to a sub-table sized by
+  // the longest of them.
+  std::vector<std::uint8_t> longest(table_.size(), 0);
+  for (std::size_t s = 0; s < lengths.size(); ++s)
+    if (lengths[s] > root_bits_)
+      longest[reversed[s] & root_mask_] = std::max(longest[reversed[s] & root_mask_], lengths[s]);
+  for (std::size_t slot = 0; slot < longest.size(); ++slot) {
+    if (longest[slot] == 0) continue;
+    table_[slot] = static_cast<std::uint32_t>(table_.size() << 16) | kLink | longest[slot];
+    table_.resize(table_.size() + (std::size_t{1} << (longest[slot] - root_bits_)), kInvalid);
+  }
+
   for (std::size_t s = 0; s < lengths.size(); ++s) {
-    if (lengths[s] != 0) symbol_[offsets[lengths[s]]++] = static_cast<std::uint16_t>(s);
+    const unsigned len = lengths[s];
+    if (len == 0) continue;
+    const unsigned extra = s < extra_bits.size() ? extra_bits[s] : 0;
+    const auto entry = static_cast<std::uint32_t>(s << 16 | len << 8 | (len + extra));
+    if (len <= root_bits_) {
+      for (std::size_t i = reversed[s]; i <= root_mask_; i += std::size_t{1} << len)
+        table_[i] = entry;
+    } else {
+      const std::uint32_t link = table_[reversed[s] & root_mask_];
+      std::uint32_t* sub = table_.data() + (link >> 16);
+      const std::size_t sub_size = std::size_t{1} << ((link & kLenMask) - root_bits_);
+      for (std::size_t i = reversed[s] >> root_bits_; i < sub_size;
+           i += std::size_t{1} << (len - root_bits_))
+        sub[i] = entry;
+    }
   }
 }
 

@@ -941,8 +941,10 @@ ResponseFrame Service::do_decompress(const RequestFrame& request) {
   ResponseFrame resp;
   const bool raw = (request.flags & kFlagRawContainer) != 0;
   try {
+    // zlib_decompress has verified the trailer's Adler-32 against the
+    // output, so the response reuses it instead of hashing again.
     resp.payload = raw ? core::raw_container_unpack(request.payload)
-                       : deflate::zlib_decompress(request.payload, cfg_.max_payload);
+                       : deflate::zlib_decompress(request.payload, cfg_.max_payload, &resp.adler);
   } catch (const deflate::InflateBombError&) {
     resp.status = Status::kTooLarge;
     resp.payload.clear();
@@ -957,7 +959,7 @@ ResponseFrame Service::do_decompress(const RequestFrame& request) {
     resp.payload.clear();
     return resp;
   }
-  resp.adler = checksum::adler32(resp.payload);
+  if (raw) resp.adler = checksum::adler32(resp.payload);
   return resp;
 }
 

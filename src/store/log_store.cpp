@@ -788,8 +788,9 @@ std::vector<std::uint8_t> LogStore::read(std::uint64_t sequence) {
 
   if ((it->flags & kFlagZlib) == 0) return payload;
   try {
-    auto raw = deflate::zlib_decompress(payload, it->raw_length);
-    if (raw.size() != it->raw_length)
+    // raw_length (bounded by kMaxRecordBytes at parse) sizes the output.
+    std::vector<std::uint8_t> raw(it->raw_length);
+    if (deflate::zlib_decompress_into(payload, raw) != raw.size())
       throw StoreError(StoreError::Kind::kCorrupt, "record inflated to the wrong size");
     return raw;
   } catch (const deflate::InflateError& e) {

@@ -4,6 +4,9 @@
 
 #include "common/prng.hpp"
 
+#include <algorithm>
+#include <vector>
+
 namespace lzss::bits {
 namespace {
 
@@ -142,6 +145,66 @@ TEST(BitReader, ExhaustedFlag) {
   EXPECT_FALSE(r.exhausted());
   (void)r.get_bits(8);
   EXPECT_TRUE(r.exhausted());
+}
+
+TEST(BitReader, RefillNeverReadsPastTheSpan) {
+  // The span is a prefix of zeros inside a buffer of ones: no bit of the
+  // ones may show up, whichever refill path runs (word loads while 8 bytes
+  // remain, byte loads after).
+  std::vector<std::uint8_t> buf(40, 0xFF);
+  for (std::size_t n = 0; n <= 24; ++n) {
+    std::fill(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(n), 0x00);
+    BitReader r(std::span<const std::uint8_t>(buf.data(), n));
+    for (std::size_t i = 0; i < n; ++i) {
+      r.refill();
+      EXPECT_EQ(r.window(), 0u) << n << " bytes, at " << i;
+      // A refill buffers at least 56 bits, or all that is left.
+      BitReader ahead = r;
+      EXPECT_NO_THROW(ahead.consume(static_cast<unsigned>(std::min<std::size_t>(56, 8 * (n - i)))));
+      r.consume(8);
+    }
+    r.refill();
+    EXPECT_TRUE(r.exhausted());
+    EXPECT_THROW(r.consume(1), std::out_of_range);
+  }
+}
+
+TEST(BitReader, PeekAndConsumeMatchGetBits) {
+  rng::Xoshiro256 rng(11);
+  std::vector<std::pair<std::uint32_t, unsigned>> fields;
+  BitWriter w;
+  for (int i = 0; i < 500; ++i) {
+    const unsigned n = 1 + static_cast<unsigned>(rng.next_below(15));
+    const auto v = static_cast<std::uint32_t>(rng.next_below(1u << n));
+    fields.emplace_back(v, n);
+    w.put_bits(v, n);
+  }
+  const auto bytes = w.take();
+  BitReader r(bytes);
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    // Refill only every third field: a refill leaves at least 56 bits.
+    if (i % 3 == 0) r.refill();
+    const auto [v, n] = fields[i];
+    EXPECT_EQ(r.peek(n), v);
+    r.consume(n);
+  }
+}
+
+TEST(BitReader, AlignedBytesSpanTheAccumulatorAndTheInput) {
+  std::vector<std::uint8_t> data(40);
+  for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  for (std::size_t take = 0; take <= 30; ++take) {
+    BitReader r(data);
+    EXPECT_EQ(r.get_bits(3), data[0] & 7u);  // loads a whole word
+    r.align_to_byte();
+    std::vector<std::uint8_t> got(take);
+    r.get_aligned_bytes(got);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), data.begin() + 1)) << take;
+    EXPECT_EQ(r.get_bits(8), data[1 + take]) << take;  // and the reader carries on
+  }
+  BitReader r(data);
+  std::vector<std::uint8_t> too_many(data.size() + 1);
+  EXPECT_THROW(r.get_aligned_bytes(too_many), std::out_of_range);
 }
 
 TEST(BitRoundtrip, RandomSequences) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string_view>
+#include <vector>
 
 #include "common/prng.hpp"
 
@@ -73,6 +74,49 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   inc.update({data.data(), 1000});
   inc.update({data.data() + 1000, 3096});
   EXPECT_EQ(inc.value(), crc32(data));
+}
+
+// The bytewise definition the slicing-by-8 tables are derived from.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? (c >> 1) ^ 0xEDB88320u : c >> 1;
+  }
+  return ~c;
+}
+
+TEST(Crc32, SlicingMatchesBytewiseAtEveryAlignmentAndLength) {
+  rng::Xoshiro256 rng(8);
+  std::vector<std::uint8_t> buf(8 + 64);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const auto data = std::span<const std::uint8_t>(buf).subspan(start, len);
+      EXPECT_EQ(crc32(data), crc32_bitwise(data)) << start << "+" << len;
+    }
+  }
+}
+
+TEST(Crc32, IncrementalSplitsAtEveryOffset) {
+  rng::Xoshiro256 rng(9);
+  std::vector<std::uint8_t> data(150);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+  const std::uint32_t whole = crc32_bitwise(data);
+  const std::span<const std::uint8_t> all(data);
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    Crc32 c;
+    c.update(all.first(split));
+    c.update(all.subspan(split));
+    EXPECT_EQ(c.value(), whole) << split;
+    // A three-way split that leaves the middle piece at every length 0..9.
+    const std::size_t mid = std::min<std::size_t>(data.size() - split, split % 10);
+    Crc32 t;
+    t.update(all.first(split));
+    t.update(all.subspan(split, mid));
+    t.update(all.subspan(split + mid));
+    EXPECT_EQ(t.value(), whole) << split;
+  }
 }
 
 TEST(Crc32, SensitiveToSingleBitFlip) {

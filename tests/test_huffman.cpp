@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -102,7 +103,8 @@ TEST(HuffmanDecoder, DecodesCanonicalStream) {
     w.put_huffman(codes[sym], 2);
     const auto bytes = w.take();
     bits::BitReader r(bytes);
-    EXPECT_EQ(dec.decode([&r] { return r.get_bit(); }), sym);
+    r.refill();
+    EXPECT_EQ(dec.decode(r).value(), sym);
   }
 }
 
@@ -123,8 +125,82 @@ TEST(HuffmanDecoder, MixedLengthRoundtrip) {
   const auto bytes = w.take();
   bits::BitReader r(bytes);
   for (const auto s : symbols) {
-    EXPECT_EQ(dec.decode([&r] { return r.get_bit(); }), s);
+    r.refill();
+    EXPECT_EQ(dec.decode(r).value(), s);
   }
+}
+
+TEST(HuffmanDecoder, FifteenBitCodesRoundTrip) {
+  // Symbol k occurs 2^k times, more than everything rarer together, so the
+  // code is a chain that reaches the 15-bit limit: decoding goes through
+  // the sub-tables behind the root table.
+  std::vector<std::uint64_t> freqs(16);
+  for (std::size_t k = 0; k < freqs.size(); ++k) freqs[k] = std::uint64_t{1} << k;
+  freqs[0] = 1;
+  freqs[1] = 3;
+  const auto lengths = huffman_code_lengths(freqs, 15);
+  ASSERT_EQ(*std::max_element(lengths.begin(), lengths.end()), 15);
+  const auto codes = canonical_codes(lengths);
+  HuffmanDecoder dec(lengths);
+
+  rng::Xoshiro256 rng(15);
+  std::vector<unsigned> symbols;
+  bits::BitWriter w;
+  for (int i = 0; i < 2000; ++i) {
+    // Every symbol, longest codes included, then a random mix.
+    const unsigned s = i < 16 ? static_cast<unsigned>(i)
+                              : static_cast<unsigned>(rng.next_below(freqs.size()));
+    symbols.push_back(s);
+    w.put_huffman(codes[s], lengths[s]);
+  }
+  const auto bytes = w.take();
+  bits::BitReader r(bytes);
+  for (const auto s : symbols) {
+    r.refill();
+    EXPECT_EQ(dec.decode(r).value(), s);
+  }
+}
+
+TEST(HuffmanDecoder, ExtraBitsAreConsumedWithTheCode) {
+  const std::uint8_t lengths[] = {2, 2, 2, 2};
+  const std::uint8_t extra_bits[] = {0, 3, 13};  // symbol 3: past the end, none
+  HuffmanDecoder dec(lengths, extra_bits);
+  const auto codes = canonical_codes(lengths);
+  const std::pair<unsigned, std::uint32_t> stream[] = {{1, 5}, {0, 0}, {2, 0x1ABC}, {3, 0}, {2, 0}};
+  bits::BitWriter w;
+  for (const auto& [sym, extra] : stream) {
+    w.put_huffman(codes[sym], 2);
+    w.put_bits(extra, extra_bits[0] + (sym < 3 ? extra_bits[sym] : 0));
+  }
+  const auto bytes = w.take();
+  bits::BitReader r(bytes);
+  for (const auto& [sym, extra] : stream) {
+    r.refill();
+    const auto got = dec.decode(r);
+    EXPECT_EQ(got.value(), sym);
+    EXPECT_EQ(got.extra(), extra);
+  }
+  EXPECT_EQ(r.bit_position(), 2u * 5 + 3 + 13 + 13);
+}
+
+TEST(HuffmanDecoder, IncompleteCodeRejectsItsUnusedCode) {
+  const std::uint8_t lengths[] = {1};  // code 0 is symbol 0; code 1 is unused
+  HuffmanDecoder dec(lengths);
+  const std::vector<std::uint8_t> zero{0x00}, one{0x01};
+  bits::BitReader r0(zero), r1(one);
+  r0.refill();
+  r1.refill();
+  EXPECT_EQ(dec.decode(r0).value(), 0u);
+  EXPECT_THROW((void)dec.decode(r1), std::runtime_error);
+}
+
+TEST(HuffmanDecoder, CodeRunningPastTheInputThrowsOutOfRange) {
+  const std::uint8_t lengths[] = {2, 2, 2, 3, 3};
+  HuffmanDecoder dec(lengths);
+  const std::vector<std::uint8_t> none;
+  bits::BitReader r(none);
+  r.refill();
+  EXPECT_THROW((void)dec.decode(r), std::out_of_range);
 }
 
 TEST(HuffmanDecoder, RejectsOversubscribedCode) {

@@ -5,9 +5,14 @@
 #include "common/bitio.hpp"
 #include "deflate/dynamic_encoder.hpp"
 #include "deflate/encoder.hpp"
+#include "deflate/huffman.hpp"
 #include "deflate/inflate.hpp"
+#include "lzss/decoder.hpp"
 #include "lzss/mf_encoder.hpp"
 #include "workloads/corpus.hpp"
+
+#include <algorithm>
+#include <random>
 
 namespace lzss::deflate {
 namespace {
@@ -99,8 +104,9 @@ TEST(InflateEdges, MissingFinalBlockHitsEndOfData) {
   bits::BitWriter w;
   write_fixed_block(w, enc.encode(a), /*final_block=*/false);
   const auto stream = w.take();
-  // The decoder keeps looking for the next block header and runs out.
-  EXPECT_THROW((void)inflate_raw(stream), std::exception);
+  // The decoder keeps looking for the next block header and runs out:
+  // a typed InflateError, not the bit reader's std::out_of_range.
+  EXPECT_THROW((void)inflate_raw(stream), InflateError);
 }
 
 TEST(InflateEdges, StoredBlockOfZeroBytes) {
@@ -114,6 +120,112 @@ TEST(InflateEdges, MaximumLengthStoredBlock) {
   bits::BitWriter w;
   write_stored_block(w, payload, true);
   EXPECT_EQ(inflate_raw(w.take()), payload);
+}
+
+
+// The table decoder runs a fast loop while a whole match fits under the cap
+// and 8 input bytes remain, and a careful loop for the rest. These pin the
+// copies, the sub-tables and both exits.
+
+std::vector<std::uint8_t> inflated_into(std::span<const std::uint8_t> stream, std::size_t size) {
+  std::vector<std::uint8_t> out(size);
+  out.resize(inflate_into(stream, out));
+  return out;
+}
+
+TEST(InflateFastLoop, OverlappedCopiesOfEveryShortDistance) {
+  for (std::uint32_t d = 1; d <= 20; ++d) {
+    std::vector<core::Token> tokens;
+    for (std::uint32_t i = 0; i < d; ++i)
+      tokens.push_back(core::Token::literal(static_cast<std::uint8_t>('a' + i)));
+    for (int k = 0; k < 6; ++k) tokens.push_back(core::Token::match(d, 258));
+    tokens.push_back(core::Token::literal('!'));
+    const auto expected = core::decode_tokens(tokens);
+    for (const auto& stream : {deflate_fixed(tokens), deflate_dynamic(tokens)}) {
+      EXPECT_EQ(inflate_raw(stream), expected) << "distance " << d;
+      // An exact buffer: the last matches sit within 258 bytes of the cap.
+      EXPECT_EQ(inflated_into(stream, expected.size()), expected) << "distance " << d;
+    }
+  }
+}
+
+TEST(InflateFastLoop, FifteenBitCodesResolveThroughSubTables) {
+  // Literal k occurs 2^(k+1) times, more than everything rarer together,
+  // so the Huffman tree is a chain: literal 0 and end-of-block get 15-bit
+  // codes, past the 10-bit root table, in its sub-tables.
+  std::vector<std::uint64_t> freqs(kNumLitLenSymbols, 0);
+  std::vector<core::Token> tokens;
+  for (unsigned sym = 0; sym < 15; ++sym) {
+    freqs[sym] = std::uint64_t{2} << sym;
+    tokens.insert(tokens.end(), freqs[sym], core::Token::literal(static_cast<std::uint8_t>(sym)));
+  }
+  freqs[kEndOfBlock] = 1;
+  const auto lengths = huffman_code_lengths(freqs, 15);
+  ASSERT_EQ(*std::max_element(lengths.begin(), lengths.end()), 15);
+
+  std::mt19937 rng(17);
+  std::shuffle(tokens.begin(), tokens.end(), rng);
+  const auto expected = core::decode_tokens(tokens);
+  const auto stream = deflate_dynamic(tokens);
+  EXPECT_EQ(inflate_raw(stream), expected);
+  EXPECT_EQ(inflated_into(stream, expected.size()), expected);
+}
+
+TEST(InflateFastLoop, EveryStreamLengthNearTheEndOfInput) {
+  // Short streams never hold 8 spare input bytes, longer ones leave the
+  // fast loop for their last symbols; each must decode, and losing any of
+  // its last 8 bytes must fail typed.
+  const auto data = wl::make_corpus("wiki", 600);
+  core::MatchFinderEncoder enc(core::MatchParams::speed_optimized());
+  for (std::size_t n = 0; n <= data.size(); n += 7) {
+    const auto input = std::span(data).first(n);
+    const auto tokens = enc.encode(input);
+    for (const auto& stream : {deflate_fixed(tokens), deflate_dynamic(tokens)}) {
+      ASSERT_EQ(inflate_raw(stream), std::vector<std::uint8_t>(input.begin(), input.end()));
+      for (std::size_t cut = 1; cut <= std::min<std::size_t>(8, stream.size()); ++cut)
+        EXPECT_THROW((void)inflate_raw(std::span(stream).first(stream.size() - cut)), InflateError)
+            << n << " bytes, " << cut << " cut";
+    }
+  }
+}
+
+TEST(InflateFastLoop, CapOfExactlyTheOutputSucceedsAndOneLessThrows) {
+  const auto text = wl::make_corpus("wiki", 20000);
+  core::MatchFinderEncoder enc(core::MatchParams::speed_optimized());
+  // A run of distance-1 matches ends the second case mid-copy at the cap.
+  std::vector<core::Token> run{core::Token::literal('x')};
+  run.insert(run.end(), 40, core::Token::match(1, 258));
+  const auto run_bytes = core::decode_tokens(run);
+  bits::BitWriter stored;
+  write_stored_block(stored, std::span(text).first(3000), true);
+
+  const std::vector<std::pair<std::vector<std::uint8_t>, std::vector<std::uint8_t>>> cases{
+      {deflate_fixed(enc.encode(text)), text},
+      {deflate_dynamic(enc.encode(text)), text},
+      {deflate_fixed(run), run_bytes},
+      {stored.take(), std::vector<std::uint8_t>(text.begin(), text.begin() + 3000)},
+  };
+  for (const auto& [stream, expected] : cases) {
+    EXPECT_EQ(inflate_raw(stream, expected.size()), expected);
+    EXPECT_THROW((void)inflate_raw(stream, expected.size() - 1), InflateBombError);
+    EXPECT_EQ(inflated_into(stream, expected.size()), expected);
+    std::vector<std::uint8_t> short_by_one(expected.size() - 1);
+    EXPECT_THROW((void)inflate_into(stream, short_by_one), InflateBombError);
+  }
+}
+
+TEST(InflateFastLoop, DistanceTooFarIsRejectedInBothLoops) {
+  // The bad match first (fast loop: plenty of input after it) and last
+  // (careful loop: the end of the input is near).
+  std::vector<core::Token> lead(64, core::Token::literal('q'));
+  std::vector<core::Token> early{core::Token::literal('a'), core::Token::match(2, 3)};
+  early.insert(early.end(), lead.begin(), lead.end());
+  std::vector<core::Token> late = lead;
+  late.push_back(core::Token::match(65, 3));
+  for (const auto& tokens : {early, late}) {
+    EXPECT_THROW((void)inflate_raw(deflate_fixed(tokens)), InflateError);
+    EXPECT_THROW((void)inflate_raw(deflate_dynamic(tokens)), InflateError);
+  }
 }
 
 }  // namespace
