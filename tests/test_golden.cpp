@@ -10,11 +10,15 @@
 
 #include "common/checksum.hpp"
 #include "container/codec.hpp"
+#include "common/prng.hpp"
 #include "deflate/container.hpp"
+#include "deflate/dynamic_encoder.hpp"
 #include "deflate/encoder.hpp"
+#include "deflate/inflate.hpp"
 #include "estimator/evaluate.hpp"
 #include "hw/compressor.hpp"
 #include "hw/functional.hpp"
+#include "lzss/decoder.hpp"
 #include "lzss/mf_encoder.hpp"
 #include "swmodel/cache_sim.hpp"
 #include "workloads/corpus.hpp"
@@ -351,6 +355,61 @@ TEST(ContainerArchiveVectors, BlockStreamsAreFrozen) {
       EXPECT_EQ(checksum::crc32(block.comp), g.blocks[i].crc) << "block " << i;
     }
   }
+}
+
+// The block writers' bytes on a synthetic stream that reaches every code:
+// each literal 0-255, each length 3-258 and each distance band's first and
+// last value, 1 through 32768, with length 258 at distance 32768 among them.
+// Real compressor output (the vectors above) misses most of the extreme
+// codes.
+std::vector<core::Token> every_code_tokens() {
+  rng::Xoshiro256 rng(18);
+  std::vector<core::Token> tokens;
+  std::vector<std::uint8_t> literals(256);
+  for (unsigned i = 0; i < 256; ++i) literals[i] = static_cast<std::uint8_t>(i);
+  for (std::size_t i = literals.size() - 1; i > 0; --i)
+    std::swap(literals[i], literals[rng.next_below(i + 1)]);
+  for (const std::uint8_t b : literals) tokens.push_back(core::Token::literal(b));
+  // Grow the history past 32 KiB so that every distance is in reach.
+  for (int i = 0; i < 128; ++i) tokens.push_back(core::Token::match(256, 258));
+
+  std::vector<core::Token> matches;
+  for (std::uint32_t len = 3; len <= 258; ++len)
+    matches.push_back(core::Token::match(1 + static_cast<std::uint32_t>(rng.next_below(32768)), len));
+  for (std::size_t i = 0; i < deflate::kDistBase.size(); ++i) {
+    const std::uint32_t first = deflate::kDistBase[i];
+    const std::uint32_t last = i + 1 < deflate::kDistBase.size() ? deflate::kDistBase[i + 1] - 1u
+                                                                 : deflate::kMaxDistance;
+    for (const std::uint32_t d : {first, last})
+      matches.push_back(core::Token::match(d, 3 + static_cast<std::uint32_t>(rng.next_below(256))));
+  }
+  matches.push_back(core::Token::match(deflate::kMaxDistance, 258));
+  for (std::size_t i = matches.size() - 1; i > 0; --i)
+    std::swap(matches[i], matches[rng.next_below(i + 1)]);
+  for (const core::Token& m : matches) {
+    for (auto n = rng.next_below(4); n > 0; --n) tokens.push_back(core::Token::literal(rng.next_byte()));
+    tokens.push_back(m);
+  }
+  return tokens;
+}
+
+TEST(EncoderVectors, EveryCodeStreamIsFrozen) {
+  const auto tokens = every_code_tokens();
+  const auto expected = core::decode_tokens(tokens);
+
+  bits::BitWriter w;
+  deflate::write_fixed_block(w, tokens, /*final_block=*/true);
+  EXPECT_EQ(w.bit_count(), deflate::fixed_block_bits(tokens));
+  const auto fixed = w.take();
+  EXPECT_EQ(fixed.size(), 2132u);
+  EXPECT_EQ(checksum::crc32(fixed), 0xBB35A6A3u);
+  EXPECT_EQ(fixed, deflate::deflate_fixed(tokens));
+  EXPECT_EQ(deflate::inflate_raw(fixed), expected);
+
+  const auto dynamic = deflate::deflate_dynamic(tokens);
+  EXPECT_EQ(dynamic.size(), 2005u);
+  EXPECT_EQ(checksum::crc32(dynamic), 0x10EC6E6Au);
+  EXPECT_EQ(deflate::inflate_raw(dynamic), expected);
 }
 
 }  // namespace
