@@ -3,24 +3,15 @@
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 namespace lzss::bits {
 
-void BitWriter::put_bits(std::uint32_t value, unsigned n) {
-  assert(n <= 32);
-  if (n < 32) value &= (1u << n) - 1u;
-  acc_ |= static_cast<std::uint64_t>(value) << nbits_;
-  nbits_ += n;
-  while (nbits_ >= 8) {
-    bytes_.push_back(static_cast<std::uint8_t>(acc_ & 0xFFu));
-    acc_ >>= 8;
-    nbits_ -= 8;
-  }
-}
+void BitWriter::grow(std::size_t need) { buf_.resize(need); }
 
 void BitWriter::align_to_byte() {
   if (nbits_ > 0) {
-    bytes_.push_back(static_cast<std::uint8_t>(acc_ & 0xFFu));
+    buf_[pos_++] = static_cast<std::uint8_t>(acc_);
     acc_ = 0;
     nbits_ = 0;
   }
@@ -28,17 +19,22 @@ void BitWriter::align_to_byte() {
 
 void BitWriter::put_aligned_byte(std::uint8_t b) {
   assert(byte_aligned());
-  bytes_.push_back(b);
+  reserve_bits(8);
+  buf_[pos_++] = b;
 }
 
 void BitWriter::put_aligned_bytes(std::span<const std::uint8_t> bytes) {
   assert(byte_aligned());
-  bytes_.insert(bytes_.end(), bytes.begin(), bytes.end());
+  reserve_bits(8 * bytes.size());
+  if (!bytes.empty()) std::memcpy(buf_.data() + pos_, bytes.data(), bytes.size());
+  pos_ += bytes.size();
 }
 
 std::vector<std::uint8_t> BitWriter::take() {
   align_to_byte();
-  return std::move(bytes_);
+  buf_.resize(pos_);
+  pos_ = 0;
+  return std::exchange(buf_, {});
 }
 
 void BitReader::refill_cold() noexcept { refill(); }

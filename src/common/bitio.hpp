@@ -3,10 +3,14 @@
 // Deflate packs bits into bytes starting at the least-significant bit.
 // Non-Huffman fields (extra bits, lengths) are written LSB-first; Huffman
 // codes are written starting from the most-significant bit of the code.
-// BitWriter/BitReader implement both conventions on top of a byte vector.
+// BitWriter/BitReader implement both conventions with a 64-bit accumulator:
+// the writer flushes whole bytes with one word store, the reader refills with
+// one word load.
 #pragma once
 
+#include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -26,15 +30,69 @@ namespace lzss::bits {
 }
 
 /// Accumulates bits LSB-first into a growing byte buffer.
+///
+/// Bits gather in a 64-bit accumulator. Each put stores the whole
+/// accumulator with one 8-byte store at the first incomplete byte, then
+/// keeps only the bits of that byte, so every whole byte is flushed at once.
+/// The buffer keeps at least 8 bytes of slack past that byte for the store.
+/// A writer appends at any bit offset, so blocks chain into one stream.
 class BitWriter {
  public:
   BitWriter() = default;
 
   /// Appends the low @p n bits of @p value, LSB first. n must be <= 32.
-  void put_bits(std::uint32_t value, unsigned n);
+  /// Fields that pack() makes room for at once.
+  static constexpr std::size_t kPackChunk = 4096;
+
+  /// A field for pack(): the low @p n bits of @p value, no bit set above.
+  struct Field {
+    std::uint64_t value;
+    unsigned n;
+  };
+
+  /// Appends the low @p n bits of @p value, LSB first. n must be <= 32.
+  void put_bits(std::uint32_t value, unsigned n) {
+    assert(n <= 32);
+    const Field f{value & ((std::uint64_t{1} << n) - 1), n};
+    pack(1, n, [f](std::size_t) { return f; });
+  }
 
   /// Appends an @p n bit Huffman code, MSB of the code first.
   void put_huffman(std::uint32_t code, unsigned n) { put_bits(reverse_bits(code, n), n); }
+
+  /// Appends the fields @p field(0) ... @p field(count - 1), each at most
+  /// @p max_bits <= 56 wide. The accumulator stays in registers for the
+  /// whole loop and each field costs one 8-byte store. Room is made once per
+  /// kPackChunk fields, so the buffer outgrows the stream by at most
+  /// kPackChunk * max_bits bits and the store's slack, not by the worst case
+  /// of all @p count.
+  template <class FieldFn>
+  void pack(std::size_t count, unsigned max_bits, FieldFn field) {
+    assert(max_bits <= 56);
+    for (std::size_t begin = 0; begin < count; begin += kPackChunk) {
+      const std::size_t end = std::min(count, begin + kPackChunk);
+      reserve_bits((end - begin) * max_bits);
+      // Locals, not members: a store into the byte buffer may alias any
+      // member, which would send them through memory on every field.
+      std::uint8_t* const out = buf_.data();
+      std::uint64_t acc = acc_;
+      unsigned nbits = nbits_;
+      std::size_t pos = pos_;
+      for (std::size_t i = begin; i < end; ++i) {
+        const Field f = field(i);
+        assert(f.n <= max_bits && f.value >> f.n == 0);
+        acc |= f.value << nbits;
+        nbits += f.n;
+        store_le64(out + pos, acc);
+        pos += nbits / 8;
+        acc >>= nbits & ~7u;
+        nbits &= 7;
+      }
+      acc_ = acc;
+      nbits_ = nbits;
+      pos_ = pos;
+    }
+  }
 
   /// Pads with zero bits to the next byte boundary.
   void align_to_byte();
@@ -47,17 +105,33 @@ class BitWriter {
 
   [[nodiscard]] bool byte_aligned() const noexcept { return nbits_ == 0; }
   /// Total number of bits written so far.
-  [[nodiscard]] std::size_t bit_count() const noexcept { return bytes_.size() * 8 + nbits_; }
+  [[nodiscard]] std::size_t bit_count() const noexcept { return pos_ * 8 + nbits_; }
+
+  /// Bytes the buffer holds: those written, the slack and the room pack()
+  /// made for its last chunk.
+  [[nodiscard]] std::size_t buffer_bytes() const noexcept { return buf_.size(); }
 
   /// Finishes the stream (pads to a byte) and returns the buffer.
   [[nodiscard]] std::vector<std::uint8_t> take();
 
-  /// Read-only view of the complete bytes written so far.
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept { return bytes_; }
-
  private:
-  std::vector<std::uint8_t> bytes_;
-  std::uint64_t acc_ = 0;  // pending bits, LSB-first
+  static constexpr std::size_t kSlack = 8;  // room for the 8-byte store
+
+  /// Makes room for @p n more bits.
+  void reserve_bits(std::size_t n) {
+    const std::size_t need = pos_ + (nbits_ + n + 7) / 8 + kSlack;
+    if (need > buf_.size()) grow(need);
+  }
+
+  static void store_le64(std::uint8_t* p, std::uint64_t v) noexcept {
+    if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap64(v);
+    std::memcpy(p, &v, sizeof v);
+  }
+  void grow(std::size_t need);
+
+  std::vector<std::uint8_t> buf_;
+  std::size_t pos_ = 0;    // complete bytes written
+  std::uint64_t acc_ = 0;  // pending bits, LSB-first; those of byte pos_
   unsigned nbits_ = 0;     // number of pending bits, < 8
 };
 

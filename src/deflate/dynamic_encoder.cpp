@@ -81,8 +81,8 @@ void write_dynamic_block(bits::BitWriter& w, std::span<const core::Token> tokens
   // A decodable block needs at least one distance code even if unused.
   if (std::all_of(dist_len.begin(), dist_len.end(), [](auto l) { return l == 0; }))
     dist_len[0] = 1;
-  const auto lit_codes = canonical_codes(lit_len);
-  const auto dist_codes = canonical_codes(dist_len);
+  const CanonicalCode lit_code = canonical_code(lit_len);
+  const CanonicalCode dist_code = canonical_code(dist_len);
 
   // 3. Trim trailing zero lengths; HLIT >= 257, HDIST >= 1.
   std::size_t hlit = kNumLitLenSymbols;
@@ -100,7 +100,7 @@ void write_dynamic_block(bits::BitWriter& w, std::span<const core::Token> tokens
   std::vector<std::uint64_t> clc_freq(19, 0);
   for (const auto& s : clc_symbols) clc_freq[s.symbol]++;
   std::vector<std::uint8_t> clc_len = huffman_code_lengths(clc_freq, 7);
-  const auto clc_codes = canonical_codes(clc_len);
+  const CanonicalCode clc_code = canonical_code(clc_len);
 
   std::size_t hclen = 19;
   while (hclen > 4 && clc_len[kClcOrder[hclen - 1]] == 0) --hclen;
@@ -113,25 +113,12 @@ void write_dynamic_block(bits::BitWriter& w, std::span<const core::Token> tokens
   w.put_bits(static_cast<std::uint32_t>(hclen - 4), 4);
   for (std::size_t i = 0; i < hclen; ++i) w.put_bits(clc_len[kClcOrder[i]], 3);
   for (const auto& s : clc_symbols) {
-    w.put_huffman(clc_codes[s.symbol], clc_len[s.symbol]);
+    w.put_bits(clc_code.reversed[s.symbol], clc_code.bits[s.symbol]);
     if (s.extra_bits != 0) w.put_bits(s.extra_value, s.extra_bits);
   }
 
   // 6. Emit the payload.
-  for (const core::Token& t : tokens) {
-    if (t.is_literal()) {
-      const unsigned s = t.literal_byte();
-      w.put_huffman(lit_codes[s], lit_len[s]);
-      continue;
-    }
-    const LengthCode lc = length_code(t.length());
-    w.put_huffman(lit_codes[lc.symbol], lit_len[lc.symbol]);
-    if (lc.extra_bits != 0) w.put_bits(lc.extra_value, lc.extra_bits);
-    const DistanceCode dc = distance_code(t.distance());
-    w.put_huffman(dist_codes[dc.symbol], dist_len[dc.symbol]);
-    if (dc.extra_bits != 0) w.put_bits(dc.extra_value, dc.extra_bits);
-  }
-  w.put_huffman(lit_codes[kEndOfBlock], lit_len[kEndOfBlock]);
+  write_tokens(w, tokens, lit_code, dist_code);
 }
 
 std::vector<std::uint8_t> deflate_dynamic(std::span<const core::Token> tokens) {

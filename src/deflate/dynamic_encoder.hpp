@@ -1,9 +1,11 @@
 // Dynamic-Huffman Deflate block writer (RFC 1951 section 3.2.7).
 //
 // Not used by the hardware (the paper deliberately fixes the table to avoid
-// table-building cycles and memories); used by the ablation bench that
-// measures how much compression the fixed table gives up, and by the
-// zlib-interop example.
+// table-building cycles and memories). The software paths use it: the
+// store's records, the LZBC container's software token source and
+// `lzsszip`. The ablation bench measures how much compression the fixed
+// table gives up against it. Its payload goes through the same
+// write_tokens() loop as the fixed block's.
 #pragma once
 
 #include <cstdint>

@@ -13,31 +13,47 @@ DistanceCode checked_distance_code(std::uint32_t distance) {
 
 namespace {
 
-void write_token(bits::BitWriter& w, const CanonicalCode& lit, const CanonicalCode& dist,
-                 const core::Token& t) {
-  if (t.is_literal()) {
-    const unsigned s = t.literal_byte();
-    w.put_huffman(lit.code[s], lit.bits[s]);
-    return;
-  }
-  const LengthCode lc = length_code(t.length());
-  w.put_huffman(lit.code[lc.symbol], lit.bits[lc.symbol]);
-  if (lc.extra_bits != 0) w.put_bits(lc.extra_value, lc.extra_bits);
-  const DistanceCode dc = checked_distance_code(t.distance());
-  w.put_huffman(dist.code[dc.symbol], dist.bits[dc.symbol]);
-  if (dc.extra_bits != 0) w.put_bits(dc.extra_value, dc.extra_bits);
+/// Throws EncodeError for a distance Deflate cannot carry, before a block
+/// writes any bit.
+void check_distances(std::span<const core::Token> tokens) {
+  for (const core::Token& t : tokens)
+    if (t.distance() > kMaxDistance) [[unlikely]]
+      (void)checked_distance_code(t.distance());
 }
 
 }  // namespace
 
+void write_tokens(bits::BitWriter& w, std::span<const core::Token> tokens,
+                  const CanonicalCode& litlen, const CanonicalCode& dist) {
+  // The span is captured by value so that its pointer stays in a register.
+  const auto field = [tokens, &litlen, &dist](std::size_t i) -> bits::BitWriter::Field {
+    const core::Token t = tokens[i];
+    if (t.is_literal()) {
+      const unsigned s = t.literal_byte();
+      return {litlen.reversed[s], litlen.bits[s]};
+    }
+    const LengthCode lc = length_code(t.length());
+    const DistanceCode dc = distance_code(t.distance());
+    std::uint64_t v = litlen.reversed[lc.symbol];
+    unsigned n = litlen.bits[lc.symbol];
+    v |= std::uint64_t{lc.extra_value} << n;
+    n += lc.extra_bits;
+    v |= std::uint64_t{dist.reversed[dc.symbol]} << n;
+    n += dist.bits[dc.symbol];
+    v |= std::uint64_t{dc.extra_value} << n;
+    n += dc.extra_bits;
+    return {v, n};
+  };
+  w.pack(tokens.size(), kMaxTokenBits, field);
+  w.put_bits(litlen.reversed[kEndOfBlock], litlen.bits[kEndOfBlock]);
+}
+
 void write_fixed_block(bits::BitWriter& w, std::span<const core::Token> tokens,
                        bool final_block) {
-  const CanonicalCode& lit = fixed_litlen_code();
-  const CanonicalCode& dist = fixed_distance_code();
+  check_distances(tokens);
   w.put_bits(final_block ? 1 : 0, 1);  // BFINAL
   w.put_bits(0b01, 2);                 // BTYPE = fixed Huffman
-  for (const core::Token& t : tokens) write_token(w, lit, dist, t);
-  w.put_huffman(lit.code[kEndOfBlock], lit.bits[kEndOfBlock]);
+  write_tokens(w, tokens, fixed_litlen_code(), fixed_distance_code());
 }
 
 void write_stored_block(bits::BitWriter& w, std::span<const std::uint8_t> bytes,

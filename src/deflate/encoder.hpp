@@ -2,9 +2,9 @@
 //
 // The hardware uses a single fixed-Huffman block per stream (building a
 // dynamic table would cost cycles and memories); `write_fixed_block` is that
-// path. The dynamic-block writer lives in dynamic_encoder.hpp and exists to
-// quantify the paper's "cost for the high performance is less efficient
-// compression compared to the dynamic huffman coders" remark.
+// path. The dynamic-block writer lives in dynamic_encoder.hpp. Both emit
+// their payload through write_tokens(): table symbol lookups, codes stored
+// bit-reversed, and one word-wise put per token.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +32,16 @@ class EncodeError : public std::invalid_argument {
 /// distance_code() for @p distance, or EncodeError when it exceeds
 /// kMaxDistance.
 [[nodiscard]] DistanceCode checked_distance_code(std::uint32_t distance);
+
+/// Most bits one match takes: a 15-bit length code, 5 extra bits, a 15-bit
+/// distance code and 13 extra bits.
+inline constexpr unsigned kMaxTokenBits = 48;
+
+/// Appends @p tokens and the end-of-block symbol under the @p litlen and
+/// @p dist codes: the payload of a fixed or a dynamic block. Every distance
+/// must be at most kMaxDistance; the block writers check that first.
+void write_tokens(bits::BitWriter& w, std::span<const core::Token> tokens,
+                  const CanonicalCode& litlen, const CanonicalCode& dist);
 
 /// Appends one fixed-Huffman block (BTYPE=01) containing @p tokens plus the
 /// end-of-block symbol. Throws EncodeError on a distance beyond kMaxDistance.

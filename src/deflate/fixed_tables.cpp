@@ -1,32 +1,24 @@
 #include "deflate/fixed_tables.hpp"
 
+#include <algorithm>
 #include <cassert>
 
+#include "deflate/huffman.hpp"
+
 namespace lzss::deflate {
-namespace {
 
-CanonicalCode build_canonical(const std::array<std::uint8_t, kNumLitLenSymbols>& lengths,
-                              unsigned num_symbols) {
-  // RFC 1951 section 3.2.2: codes of each length are assigned consecutively
-  // in symbol order, starting where the previous length left off.
-  std::array<std::uint16_t, kMaxCodeLength + 1> bl_count{};
-  for (unsigned s = 0; s < num_symbols; ++s) bl_count[lengths[s]]++;
-  bl_count[0] = 0;
-
-  std::array<std::uint16_t, kMaxCodeLength + 2> next_code{};
-  std::uint16_t code = 0;
-  for (unsigned len = 1; len <= kMaxCodeLength; ++len) {
-    code = static_cast<std::uint16_t>((code + bl_count[len - 1]) << 1);
-    next_code[len] = code;
-  }
-
+CanonicalCode canonical_code(std::span<const std::uint8_t> lengths) {
+  assert(lengths.size() <= kNumLitLenSymbols);
+  const std::vector<std::uint16_t> code = canonical_codes(lengths);
+  const std::vector<std::uint16_t> reversed = stream_order_codes(lengths);
   CanonicalCode out;
-  out.bits = lengths;
-  for (unsigned s = 0; s < num_symbols; ++s) {
-    if (lengths[s] != 0) out.code[s] = next_code[lengths[s]]++;
-  }
+  std::copy(code.begin(), code.end(), out.code.begin());
+  std::copy(reversed.begin(), reversed.end(), out.reversed.begin());
+  std::copy(lengths.begin(), lengths.end(), out.bits.begin());
   return out;
 }
+
+namespace {
 
 CanonicalCode make_fixed_litlen() {
   std::array<std::uint8_t, kNumLitLenSymbols> lengths{};
@@ -34,37 +26,16 @@ CanonicalCode make_fixed_litlen() {
   for (unsigned s = 144; s <= 255; ++s) lengths[s] = 9;
   for (unsigned s = 256; s <= 279; ++s) lengths[s] = 7;
   for (unsigned s = 280; s <= 287; ++s) lengths[s] = 8;
-  return build_canonical(lengths, kNumLitLenSymbols);
+  return canonical_code(lengths);
 }
 
 CanonicalCode make_fixed_distance() {
-  std::array<std::uint8_t, kNumLitLenSymbols> lengths{};
-  for (unsigned s = 0; s < 32; ++s) lengths[s] = 5;  // 30/31 never emitted
-  return build_canonical(lengths, 32);
+  std::array<std::uint8_t, 32> lengths{};
+  lengths.fill(5);  // 30/31 never emitted
+  return canonical_code(lengths);
 }
 
 }  // namespace
-
-LengthCode length_code(std::uint32_t length) noexcept {
-  assert(length >= 3 && length <= 258);
-  // Linear scan is fine: called through a lookup in the encoder hot path only
-  // via this function; the table is tiny and the upper_bound is predictable.
-  unsigned i = 28;
-  if (length < 258) {
-    i = 0;
-    while (i + 1 < 29 && kLengthBase[i + 1] <= length) ++i;
-  }
-  return LengthCode{static_cast<std::uint16_t>(kFirstLengthCode + i), kLengthExtra[i],
-                    static_cast<std::uint16_t>(length - kLengthBase[i])};
-}
-
-DistanceCode distance_code(std::uint32_t distance) noexcept {
-  assert(distance >= 1 && distance <= 32768);
-  unsigned i = 0;
-  while (i + 1 < 30 && kDistBase[i + 1] <= distance) ++i;
-  return DistanceCode{static_cast<std::uint8_t>(i), kDistExtra[i],
-                      static_cast<std::uint16_t>(distance - kDistBase[i])};
-}
 
 const CanonicalCode& fixed_litlen_code() noexcept {
   static const CanonicalCode c = make_fixed_litlen();

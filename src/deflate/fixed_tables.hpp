@@ -9,6 +9,7 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
+#include <span>
 
 namespace lzss::deflate {
 
@@ -31,12 +32,6 @@ struct DistanceCode {
   std::uint8_t extra_bits;
   std::uint16_t extra_value;
 };
-
-/// Maps a match length (3..258) to its RFC 1951 code.
-[[nodiscard]] LengthCode length_code(std::uint32_t length) noexcept;
-
-/// Maps a distance (1..32768) to its RFC 1951 code.
-[[nodiscard]] DistanceCode distance_code(std::uint32_t distance) noexcept;
 
 // RFC 1951 section 3.2.5 tables. They live in the header so that inflate's
 // symbol loop indexes them directly.
@@ -72,11 +67,64 @@ inline constexpr std::array<std::uint8_t, 30> kDistExtra{
   return kDistExtra[symbol];
 }
 
+namespace detail {
+
+// zlib's _length_code and _dist_code (trees.c): the length code of every
+// match length, indexed by length - 3, and the distance symbol of distances
+// 1..256 at d - 1 and of 257..32768 at 256 + ((d - 1) >> 7). Above 256 a
+// distance band's base is 1 more than a multiple of 128, so every distance
+// sharing (d - 1) >> 7 shares its symbol.
+inline constexpr std::array<LengthCode, 256> kLengthCodes = [] {
+  std::array<LengthCode, 256> t{};
+  for (std::uint32_t len = 3; len <= 258; ++len) {
+    unsigned i = 0;
+    while (i + 1 < kLengthBase.size() && kLengthBase[i + 1] <= len) ++i;
+    t[len - 3] = {static_cast<std::uint16_t>(kFirstLengthCode + i), kLengthExtra[i],
+                  static_cast<std::uint16_t>(len - kLengthBase[i])};
+  }
+  return t;
+}();
+
+inline constexpr std::array<std::uint8_t, 512> kDistSymbols = [] {
+  std::array<std::uint8_t, 512> t{};
+  for (std::uint32_t i = 0; i < t.size(); ++i) {
+    const std::uint32_t d = i < 256 ? i + 1 : ((i - 256) << 7) + 1;
+    while (t[i] + 1u < kDistBase.size() && kDistBase[t[i] + 1] <= d) ++t[i];
+  }
+  return t;
+}();
+
+}  // namespace detail
+
+/// Maps a match length (3..258) to its RFC 1951 code.
+[[nodiscard]] inline LengthCode length_code(std::uint32_t length) noexcept {
+  assert(length >= 3 && length <= 258);
+  return detail::kLengthCodes[(length - 3) & 255];
+}
+
+/// Maps a distance (1..32768) to its RFC 1951 code.
+[[nodiscard]] inline DistanceCode distance_code(std::uint32_t distance) noexcept {
+  assert(distance >= 1 && distance <= 32768);
+  // Arithmetic rather than a branch, which mispredicts on a mix of near and
+  // far matches; the mask keeps an out-of-contract distance in the table.
+  const std::uint32_t x = distance - 1;
+  const std::uint32_t far = x >= 256 ? 1 : 0;
+  const std::uint8_t sym = detail::kDistSymbols[((x >> (7 * far)) + (far << 8)) & 511];
+  return DistanceCode{sym, kDistExtra[sym],
+                      static_cast<std::uint16_t>(distance - kDistBase[sym])};
+}
+
 /// A canonical Huffman code assignment: per-symbol code value and bit length.
 struct CanonicalCode {
   std::array<std::uint16_t, kNumLitLenSymbols> code{};
+  /// `code` bit-reversed into stream order, as the block writers put it.
+  std::array<std::uint16_t, kNumLitLenSymbols> reversed{};
   std::array<std::uint8_t, kNumLitLenSymbols> bits{};
 };
+
+/// The canonical code (RFC 1951 section 3.2.2) for per-symbol code
+/// @p lengths; at most kNumLitLenSymbols of them, 0 = symbol absent.
+[[nodiscard]] CanonicalCode canonical_code(std::span<const std::uint8_t> lengths);
 
 /// The fixed literal/length code of RFC 1951 section 3.2.6.
 [[nodiscard]] const CanonicalCode& fixed_litlen_code() noexcept;

@@ -29,6 +29,13 @@ std::vector<std::uint16_t> canonical_codes(std::span<const std::uint8_t> lengths
   return codes;
 }
 
+std::vector<std::uint16_t> stream_order_codes(std::span<const std::uint8_t> lengths) {
+  std::vector<std::uint16_t> codes = canonical_codes(lengths);
+  for (std::size_t s = 0; s < lengths.size(); ++s)
+    codes[s] = static_cast<std::uint16_t>(bits::reverse_bits(codes[s], lengths[s]));
+  return codes;
+}
+
 std::vector<std::uint8_t> huffman_code_lengths(std::span<const std::uint64_t> freqs,
                                                unsigned max_bits) {
   const std::size_t n = freqs.size();
@@ -143,11 +150,8 @@ HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths,
     if (left < 0) throw std::invalid_argument("HuffmanDecoder: over-subscribed code");
   }
   total_symbols_ = std::accumulate(std::begin(count), std::end(count), 0u);
-  // Canonical codes, bit-reversed into the order the stream delivers them:
-  // the first bit read is the lowest bit.
-  std::vector<std::uint16_t> reversed = canonical_codes(lengths);
-  for (std::size_t s = 0; s < lengths.size(); ++s)
-    reversed[s] = static_cast<std::uint16_t>(bits::reverse_bits(reversed[s], lengths[s]));
+  // The first bit read is the lowest bit of a stream-order code.
+  const std::vector<std::uint16_t> reversed = stream_order_codes(lengths);
 
   root_bits_ = std::min(max_len, kMaxRootBits);
   root_mask_ = (1u << root_bits_) - 1;

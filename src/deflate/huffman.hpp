@@ -1,5 +1,5 @@
-// Canonical Huffman utilities shared by the dynamic-block encoder and the
-// inflate decoder.
+// Canonical Huffman utilities shared by the block writers and the inflate
+// decoder.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +13,11 @@ namespace lzss::deflate {
 /// Computes canonical code values for the given code lengths (RFC 1951
 /// section 3.2.2). lengths[i] == 0 means "symbol absent".
 [[nodiscard]] std::vector<std::uint16_t> canonical_codes(std::span<const std::uint8_t> lengths);
+
+/// canonical_codes() bit-reversed into stream order. Deflate sends a
+/// Huffman code MSB first into an LSB-first stream, so the block writers put
+/// these values with put_bits and the table decoder indexes by them.
+[[nodiscard]] std::vector<std::uint16_t> stream_order_codes(std::span<const std::uint8_t> lengths);
 
 /// Computes length-limited Huffman code lengths for the given symbol
 /// frequencies. Zero-frequency symbols get length 0. Uses a standard Huffman

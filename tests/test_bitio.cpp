@@ -59,8 +59,6 @@ TEST(BitWriter, WideWritesAtOddPhase) {
   w.put_bits(0x5, 3);
   w.put_bits(0xFEDCBA98u, 32);
   w.put_bits(0x3, 2);
-  BitReader r(w.bytes());
-  // Not yet taken: bytes() holds complete bytes only; use take for all bits.
   const auto bytes = w.take();
   BitReader r2(bytes);
   EXPECT_EQ(r2.get_bits(3), 0x5u);
@@ -95,6 +93,55 @@ TEST(BitWriter, HuffmanCodesGoMsbFirst) {
   w.put_huffman(0b110, 3);
   const auto bytes = w.take();
   EXPECT_EQ(bytes[0], 0b011);
+}
+
+TEST(BitWriter, EveryWidthAtEveryOffsetMatchesABitwiseReference) {
+  // The word store flushes whole bytes only; whatever the offset the put
+  // starts at, its bits must land where a bit-at-a-time writer puts them.
+  rng::Xoshiro256 rng(5);
+  for (unsigned offset = 0; offset < 64; ++offset) {
+    for (unsigned n = 0; n <= 32; ++n) {
+      std::vector<bool> ref;
+      BitWriter w;
+      auto put = [&](std::uint32_t v, unsigned width) {
+        w.put_bits(v, width);  // bits above the width must be ignored
+        for (unsigned b = 0; b < width; ++b) ref.push_back(((v >> b) & 1) != 0);
+      };
+      for (unsigned left = offset; left > 0;) {
+        const unsigned width = std::min(left, 1 + static_cast<unsigned>(rng.next_below(32)));
+        put(static_cast<std::uint32_t>(rng.next()), width);
+        left -= width;
+      }
+      ASSERT_EQ(w.bit_count(), offset);
+      put(static_cast<std::uint32_t>(rng.next()), n);
+      put(0x5, 3);  // a marker after the field
+      EXPECT_EQ(w.bit_count(), ref.size());
+      const auto bytes = w.take();
+      ASSERT_EQ(bytes.size(), (ref.size() + 7) / 8) << offset << "+" << n;
+      std::vector<std::uint8_t> want(bytes.size(), 0);
+      for (std::size_t i = 0; i < ref.size(); ++i)
+        if (ref[i]) want[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+      EXPECT_EQ(bytes, want) << "offset " << offset << ", width " << n;
+    }
+  }
+}
+
+TEST(BitWriter, AlignedBytesFollowPackedBits) {
+  BitWriter w;
+  w.put_bits(0x1FF, 9);
+  w.align_to_byte();
+  std::vector<std::uint8_t> payload(100);
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<std::uint8_t>(i * 3);
+  w.put_aligned_bytes(payload);
+  w.put_aligned_byte(0xC3);
+  w.put_bits(0x2, 2);
+  const auto bytes = w.take();
+  ASSERT_EQ(bytes.size(), 2 + payload.size() + 2);
+  EXPECT_EQ(bytes[0], 0xFF);
+  EXPECT_EQ(bytes[1], 0x01);
+  EXPECT_TRUE(std::equal(payload.begin(), payload.end(), bytes.begin() + 2));
+  EXPECT_EQ(bytes[102], 0xC3);
+  EXPECT_EQ(bytes[103], 0x02);
 }
 
 TEST(ReverseBits, KnownValues) {

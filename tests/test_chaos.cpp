@@ -669,6 +669,9 @@ TEST(Chaos, ScrubHitsCorruptionQuarantinesAndServesOn) {
   const auto segs = store::testutil::segment_files(dir.path);
   ASSERT_GT(segs.size(), 2u);
 
+  // The service first: the store's metrics live in its registry, which must
+  // outlive the store.
+  Service service(chaos_config());
   store::LogStore log(dir.path, opt);  // clean open: the index is trusted
 
   // Silent bitrot after the open — only a scrub re-read can see it.
@@ -679,7 +682,6 @@ TEST(Chaos, ScrubHitsCorruptionQuarantinesAndServesOn) {
   store::testutil::spit(segs[1], image, image.size());
   const std::uint64_t damaged_seq = recs[1].sequence;
 
-  Service service(chaos_config());
   log.bind_metrics(service.metrics(), nullptr);
   service.attach_store(&log);
   server::LoopbackClient client(service);

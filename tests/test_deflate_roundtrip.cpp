@@ -4,6 +4,7 @@
 #include <tuple>
 
 #include "common/checksum.hpp"
+#include "common/prng.hpp"
 #include "deflate/container.hpp"
 #include "deflate/dynamic_encoder.hpp"
 #include "deflate/encoder.hpp"
@@ -92,6 +93,61 @@ TEST(MultiBlock, MixedBlockTypesConcatenate) {
   const auto out = inflate_raw(w.take());
   EXPECT_EQ(std::string(out.begin(), out.end()),
             "stored block first; then fixed fixed then fixed fixed ");
+}
+
+TEST(MultiBlock, FixedBlocksChainAtOddOffsetsThenStored) {
+  // The word-wise writer appends at any bit offset: two fixed blocks that
+  // each end mid-byte, then a stored block that aligns mid-stream.
+  std::vector<core::Token> first{core::Token::literal(200), core::Token::literal('a'),
+                                 core::Token::literal('b'), core::Token::literal('c')};
+  std::vector<core::Token> second{core::Token::literal('a'), core::Token::literal('b'),
+                                  core::Token::literal('c'), core::Token::match(3, 6)};
+  const auto stored = bytes("stored tail");
+  bits::BitWriter w;
+  write_fixed_block(w, first, false);
+  EXPECT_EQ(w.bit_count(), 43u);  // 3 header + 9 + 3 * 8 + 7 end-of-block
+  write_fixed_block(w, second, false);
+  EXPECT_EQ(w.bit_count(), 89u);  // + 3 + 3 * 8 + 7 + 5 + 7
+  write_stored_block(w, stored, true);
+  std::vector<std::uint8_t> want{200, 'a', 'b', 'c'};
+  const auto tail = bytes("abcabcabcstored tail");
+  want.insert(want.end(), tail.begin(), tail.end());
+  EXPECT_EQ(inflate_raw(w.take()), want);
+}
+
+TEST(MultiBlock, EncodeErrorLeavesTheStreamWhereItWas) {
+  // A distance Deflate cannot carry throws from either writer before the
+  // block writes a bit, so the stream so far stays usable.
+  const std::vector<core::Token> lead{core::Token::literal(200), core::Token::literal('x')};
+  std::vector<core::Token> bad(300, core::Token::literal('y'));
+  bad.push_back(core::Token::match(32769, 3));
+  bits::BitWriter w;
+  write_fixed_block(w, lead, false);
+  const std::size_t at = w.bit_count();
+  ASSERT_NE(at % 8, 0u);
+  EXPECT_THROW(write_fixed_block(w, bad, false), EncodeError);
+  EXPECT_EQ(w.bit_count(), at);
+  EXPECT_THROW(write_dynamic_block(w, bad, false), EncodeError);
+  EXPECT_EQ(w.bit_count(), at);
+  write_fixed_block(w, lead, true);
+  EXPECT_EQ(inflate_raw(w.take()), (std::vector<std::uint8_t>{200, 'x', 200, 'x'}));
+}
+
+TEST(FixedBlock, AllLiteralReserveIsChunkBounded) {
+  // The writer makes room per chunk of tokens, not for a whole block's worst
+  // case: 4 MiB of literals must not reserve 48 bits a token (24 MiB).
+  rng::Xoshiro256 rng(3);
+  std::vector<core::Token> tokens;
+  tokens.reserve(4 << 20);
+  for (std::size_t i = 0; i < (4u << 20); ++i)
+    tokens.push_back(core::Token::literal(rng.next_byte()));
+  bits::BitWriter w;
+  write_fixed_block(w, tokens, true);
+  const std::size_t final_bytes = (w.bit_count() + 7) / 8;
+  EXPECT_LE(w.buffer_bytes(), final_bytes + bits::BitWriter::kPackChunk * kMaxTokenBits / 8 + 16);
+  const auto stream = w.take();
+  EXPECT_EQ(stream.size(), final_bytes);
+  EXPECT_EQ(inflate_raw(stream).size(), tokens.size());
 }
 
 TEST(DynamicBlock, RoundtripOnText) {

@@ -375,7 +375,8 @@ std::vector<core::Token> every_code_tokens() {
 
   std::vector<core::Token> matches;
   for (std::uint32_t len = 3; len <= 258; ++len)
-    matches.push_back(core::Token::match(1 + static_cast<std::uint32_t>(rng.next_below(32768)), len));
+    matches.push_back(
+        core::Token::match(1 + static_cast<std::uint32_t>(rng.next_below(32768)), len));
   for (std::size_t i = 0; i < deflate::kDistBase.size(); ++i) {
     const std::uint32_t first = deflate::kDistBase[i];
     const std::uint32_t last = i + 1 < deflate::kDistBase.size() ? deflate::kDistBase[i + 1] - 1u
@@ -387,7 +388,8 @@ std::vector<core::Token> every_code_tokens() {
   for (std::size_t i = matches.size() - 1; i > 0; --i)
     std::swap(matches[i], matches[rng.next_below(i + 1)]);
   for (const core::Token& m : matches) {
-    for (auto n = rng.next_below(4); n > 0; --n) tokens.push_back(core::Token::literal(rng.next_byte()));
+    for (auto n = rng.next_below(4); n > 0; --n)
+      tokens.push_back(core::Token::literal(rng.next_byte()));
     tokens.push_back(m);
   }
   return tokens;

@@ -310,7 +310,8 @@ TEST(ServerTcp, InflightBudgetShedsBusyAtHeader) {
   // The budget was handed back: the inflight gauge settles at zero.
   EXPECT_TRUE(wait_until(
       [&] {
-        const auto* s = h.service.metrics().snapshot().find("server_inflight_bytes");
+        const auto snap = h.service.metrics().snapshot();
+        const auto* s = snap.find("server_inflight_bytes");
         return s != nullptr && s->gauge == 0;
       },
       1000ms));
@@ -413,7 +414,8 @@ TEST(ServerTcp, DrainDeadlineBoundsShutdown) {
   auto& accepted = service.metrics().counter("server_conns_accepted_total");
   ASSERT_TRUE(wait_until(
       [&] {
-        const auto* s = service.metrics().snapshot().find("server_inflight_requests");
+        const auto snap = service.metrics().snapshot();
+        const auto* s = snap.find("server_inflight_requests");
         return s != nullptr && s->gauge == 0 && accepted.value() >= 1;
       },
       3000ms));

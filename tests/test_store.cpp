@@ -673,11 +673,13 @@ TEST(StoreService, ScrubFindsSeededCorruptionAndVerifyReportsGaps) {
   const auto segs = segment_files(dir.path);
   ASSERT_GT(segs.size(), 2u);
 
+  // The service first: the store's metrics live in its registry, which must
+  // outlive the store.
+  server::Service service(service_config());
   LogStore log(dir.path, small_options());
   corrupt_record(segs[1], 1);  // silent bitrot after open
   const std::uint64_t damaged_seq = parse_segment_records(segs[1])[1].sequence;
 
-  server::Service service(service_config());
   log.bind_metrics(service.metrics(), nullptr);
   service.attach_store(&log);
   server::LoopbackClient client(service);
