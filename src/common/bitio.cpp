@@ -7,8 +7,6 @@
 
 namespace lzss::bits {
 
-void BitWriter::grow(std::size_t need) { buf_.resize(need); }
-
 void BitWriter::align_to_byte() {
   if (nbits_ > 0) {
     buf_[pos_++] = static_cast<std::uint8_t>(acc_);

@@ -40,7 +40,6 @@ class BitWriter {
  public:
   BitWriter() = default;
 
-  /// Appends the low @p n bits of @p value, LSB first. n must be <= 32.
   /// Fields that pack() makes room for at once.
   static constexpr std::size_t kPackChunk = 4096;
 
@@ -120,14 +119,13 @@ class BitWriter {
   /// Makes room for @p n more bits.
   void reserve_bits(std::size_t n) {
     const std::size_t need = pos_ + (nbits_ + n + 7) / 8 + kSlack;
-    if (need > buf_.size()) grow(need);
+    if (need > buf_.size()) buf_.resize(need);
   }
 
   static void store_le64(std::uint8_t* p, std::uint64_t v) noexcept {
     if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap64(v);
     std::memcpy(p, &v, sizeof v);
   }
-  void grow(std::size_t need);
 
   std::vector<std::uint8_t> buf_;
   std::size_t pos_ = 0;    // complete bytes written

@@ -126,24 +126,6 @@ TEST(BitWriter, EveryWidthAtEveryOffsetMatchesABitwiseReference) {
   }
 }
 
-TEST(BitWriter, AlignedBytesFollowPackedBits) {
-  BitWriter w;
-  w.put_bits(0x1FF, 9);
-  w.align_to_byte();
-  std::vector<std::uint8_t> payload(100);
-  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<std::uint8_t>(i * 3);
-  w.put_aligned_bytes(payload);
-  w.put_aligned_byte(0xC3);
-  w.put_bits(0x2, 2);
-  const auto bytes = w.take();
-  ASSERT_EQ(bytes.size(), 2 + payload.size() + 2);
-  EXPECT_EQ(bytes[0], 0xFF);
-  EXPECT_EQ(bytes[1], 0x01);
-  EXPECT_TRUE(std::equal(payload.begin(), payload.end(), bytes.begin() + 2));
-  EXPECT_EQ(bytes[102], 0xC3);
-  EXPECT_EQ(bytes[103], 0x02);
-}
-
 TEST(ReverseBits, KnownValues) {
   EXPECT_EQ(reverse_bits(0b1, 1), 0b1u);
   EXPECT_EQ(reverse_bits(0b100, 3), 0b001u);
