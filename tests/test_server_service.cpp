@@ -23,7 +23,9 @@
 #include "deflate/container.hpp"
 #include "deflate/encoder.hpp"
 #include "deflate/inflate.hpp"
+#include "estimator/presets.hpp"
 #include "fault/fault.hpp"
+#include "hw/compressor.hpp"
 #include "hw/functional.hpp"
 #include "lzss/raw_container.hpp"
 #include "obs/metrics.hpp"
@@ -629,6 +631,129 @@ TEST(ServerContainer, EmptyBlockedCompressRoundTrips) {
   ASSERT_EQ(restored.status, Status::kOk);
   EXPECT_TRUE(restored.payload.empty());
   EXPECT_EQ(restored.adler, 1u);  // Adler-32 of empty output
+}
+
+// ------------------------------------------- blocked path pinned to codec --
+//
+// COMPRESS_BLOCKED and blocked DECOMPRESS are the codec's block driver run
+// on the service's workers: these pin the bytes, the block metrics and the
+// error statuses the service adds around it.
+
+/// The HwConfig the service resolves for a blocked request: the preset (or
+/// the service default) with the dictionary clamped to Deflate's window.
+hw::HwConfig blocked_hw(std::uint8_t preset_id = 0) {
+  hw::HwConfig cfg = preset_id == 0 ? ServiceConfig{}.hw
+                                    : est::standard_presets()[preset_id - 1].config;
+  cfg.dict_bits = std::min(cfg.dict_bits, 15u);
+  return cfg;
+}
+
+std::vector<std::uint8_t> codec_bytes(std::span<const std::uint8_t> data,
+                                      std::size_t block_bytes, const hw::HwConfig& hw) {
+  container::BlockCodecConfig codec;
+  codec.block_bytes = block_bytes;
+  codec.tokens = hw;
+  return container::block_compress(data, codec);
+}
+
+std::int64_t waiters(obs::Registry& registry) {
+  return registry.gauge("container_reassembly_waiters").value();
+}
+
+TEST(ServerContainer, BlockedBytesEqualCodecBytes) {
+  ServiceConfig cfg = small_config();
+  cfg.block_bytes = 32 * 1024;
+  obs::Registry registry;
+  cfg.registry = &registry;
+  Service service(cfg);
+  LoopbackClient client(service);
+  // 100 KiB + 123 bytes: three full blocks and a short last one.
+  const auto data = wl::make_corpus("mixed", 100 * 1024 + 123);
+  const auto expected = codec_bytes(data, cfg.block_bytes, blocked_hw());
+
+  // The first hw request is the census sample (a model per block), the
+  // second runs the functional twin: both give the codec's bytes.
+  for (std::uint64_t id : {1u, 2u}) {
+    const auto resp = client.call(blocked_request(id, data));
+    ASSERT_EQ(resp.status, Status::kOk) << id;
+    EXPECT_EQ(resp.payload, expected) << id;
+    EXPECT_EQ(resp.adler, checksum::adler32(data)) << id;
+    EXPECT_EQ(waiters(registry), 0) << id;
+  }
+  const auto preset = client.call(blocked_request(3, data, flags_with_preset(0, 2)));
+  ASSERT_EQ(preset.status, Status::kOk);
+  EXPECT_EQ(preset.payload, codec_bytes(data, cfg.block_bytes, blocked_hw(2)));
+  EXPECT_EQ(waiters(registry), 0);
+  EXPECT_EQ(registry.counter("container_blocks_total", {{"op", "compress"}}).value(), 3u * 4u);
+}
+
+TEST(ServerContainer, IncompressibleBlocksCountAsBlockFallbacks) {
+  ServiceConfig cfg = small_config();
+  cfg.block_bytes = 16 * 1024;
+  obs::Registry registry;
+  cfg.registry = &registry;
+  Service service(cfg);
+  LoopbackClient client(service);
+  const auto data = wl::make_corpus("random", 40 * 1024);
+
+  const auto resp = client.call(blocked_request(1, data));
+  ASSERT_EQ(resp.status, Status::kOk);
+  const auto view = container::parse(resp.payload, data.size());
+  std::uint64_t stored = 0;
+  for (const auto& b : view.blocks) stored += b.method == container::Method::kStored ? 1 : 0;
+  EXPECT_EQ(stored, view.blocks.size());
+  EXPECT_EQ(registry.counter("container_block_fallbacks_total").value(), stored);
+  EXPECT_EQ(waiters(registry), 0);
+}
+
+TEST(ServerContainer, SampledBlockedRequestExportsOneCensusPerBlock) {
+  ServiceConfig cfg = small_config();
+  cfg.block_bytes = 32 * 1024;
+  obs::Registry registry;
+  cfg.registry = &registry;
+  Service service(cfg);
+  LoopbackClient client(service);
+  const auto data = wl::make_corpus("wiki", 80 * 1024);
+
+  // One model run per block: the census totals are the per-block sums.
+  std::uint64_t cycles = 0;
+  for (std::size_t begin = 0; begin < data.size(); begin += cfg.block_bytes) {
+    const std::size_t len = std::min<std::size_t>(cfg.block_bytes, data.size() - begin);
+    hw::Compressor model(blocked_hw());
+    cycles += model.compress(std::span(data).subspan(begin, len)).stats.total_cycles;
+  }
+  ASSERT_EQ(client.call(blocked_request(1, data)).status, Status::kOk);
+  EXPECT_EQ(registry.counter("hw_cycles_total").value(), cycles);
+  EXPECT_EQ(registry.counter("hw_bytes_in_total").value(), data.size());
+  // The next request runs the twin: no census.
+  ASSERT_EQ(client.call(blocked_request(2, data)).status, Status::kOk);
+  EXPECT_EQ(registry.counter("hw_cycles_total").value(), cycles);
+  EXPECT_EQ(waiters(registry), 0);
+}
+
+TEST(ServerContainer, BlockInflatingPastRawLenAnswersCorrupt) {
+  // A well-formed record whose Deflate stream inflates to 4 KiB while its
+  // header claims 16 raw bytes: the per-block bomb guard refuses it, and the
+  // service answers CORRUPT, not TOO_LARGE.
+  obs::Registry registry;
+  ServiceConfig cfg = small_config();
+  cfg.registry = &registry;
+  Service service(cfg);
+  LoopbackClient client(service);
+  const std::vector<std::uint8_t> zeros(4096, 0);
+  const auto stream = deflate::deflate_fixed(hw::compress_tokens(blocked_hw(), zeros));
+  const std::uint32_t raw_len = 16;
+  std::vector<std::uint8_t> bomb;
+  container::append_superframe_header(bomb, raw_len, 1, raw_len);
+  container::append_block_header(bomb, container::Method::kDeflate,
+                                 checksum::crc32(std::span(zeros).first(raw_len)), raw_len,
+                                 static_cast<std::uint32_t>(stream.size()));
+  bomb.insert(bomb.end(), stream.begin(), stream.end());
+
+  const auto resp = client.call(decompress_request(1, std::move(bomb)));
+  EXPECT_EQ(resp.status, Status::kCorrupt);
+  EXPECT_TRUE(resp.payload.empty());
+  EXPECT_EQ(waiters(registry), 0);
 }
 
 TEST(ServerService, PlainDecompressBombAnswersTooLarge) {
