@@ -4,11 +4,10 @@
 #include <atomic>
 #include <cstring>
 #include <exception>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "common/checksum.hpp"
+#include "container/scheduler.hpp"
 #include "deflate/dynamic_encoder.hpp"
 #include "deflate/encoder.hpp"
 #include "deflate/inflate.hpp"
@@ -62,6 +61,33 @@ BlockEncodeResult make_record(std::span<const std::uint8_t> raw, Deflate deflate
   return out;
 }
 
+/// The block loop behind block_compress and block_decompress: body(i) runs
+/// once per block through @p run (run_local when empty), and a block's
+/// exception lands in its own slot. Every block runs; the lowest-index
+/// failure is rethrown afterwards, so a damaged container never yields a
+/// partial payload.
+template <typename RawLen, typename Body>
+void for_each_block(std::size_t blocks, const BlockRunner& run, RawLen raw_len, Body body) {
+  std::vector<std::exception_ptr> errors(blocks);
+  const BlockFn block = [&](std::size_t i) {
+    BlockOutcome outcome{raw_len(i), true};
+    try {
+      body(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
+      outcome.ok = false;
+    }
+    return outcome;
+  };
+  if (run) {
+    run(blocks, block);
+  } else {
+    (void)run_local(blocks, block);
+  }
+  for (const auto& e : errors)
+    if (e) std::rethrow_exception(e);
+}
+
 }  // namespace
 
 BlockEncodeResult encode_block(const hw::HwConfig& cfg, hw::Compressor* model,
@@ -109,8 +135,8 @@ void decode_block(const BlockView& block, std::span<std::uint8_t> out) {
 }
 
 std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> input,
-                                         const BlockCodecConfig& config,
-                                         EncodeReport* report) {
+                                         const BlockCodecConfig& config, EncodeReport* report,
+                                         const BlockRunner& run, const BlockEncoder& encode) {
   // The hw source takes the stripe clamp; a software archive keeps the
   // requested size, which is its seek granularity.
   const auto* hw_source = std::get_if<hw::HwConfig>(&config.tokens);
@@ -120,48 +146,25 @@ std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> input,
   if (block_bytes == 0 || block_bytes > kMaxBlockSize)
     throw std::invalid_argument("block_compress: block size outside (0, kMaxBlockSize]");
   const std::size_t blocks = block_count_for(input.size(), block_bytes);
+  const auto raw_block = [&](std::size_t i) {
+    const std::size_t begin = i * block_bytes;
+    return input.subspan(begin, std::min(block_bytes, input.size() - begin));
+  };
+  const auto encode_raw = [&](std::span<const std::uint8_t> raw) {
+    if (encode) return encode(raw);
+    if (hw_source != nullptr) return encode_block(*hw_source, nullptr, raw);
+    return encode_block(std::get<core::MatchParams>(config.tokens), raw);
+  };
   std::vector<std::vector<std::uint8_t>> records(blocks);
   std::atomic<std::size_t> stored_blocks{0};
-
-  // Same shape as the multi-engine bank: threads pull block indices off a
-  // shared counter; records land by index so order is deterministic.
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  auto run = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= blocks) return;
-      try {
-        const std::size_t begin = i * block_bytes;
-        const std::size_t len = std::min(block_bytes, input.size() - begin);
-        const auto raw = input.subspan(begin, len);
-        auto result = hw_source != nullptr
-                          ? encode_block(*hw_source, nullptr, raw)
-                          : encode_block(std::get<core::MatchParams>(config.tokens), raw);
-        if (result.stored) stored_blocks.fetch_add(1);
-        records[i] = std::move(result.record);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        return;
-      }
-    }
-  };
-
-  const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned want = config.threads == 0 ? hw_threads : config.threads;
-  const unsigned n_threads =
-      static_cast<unsigned>(std::min<std::size_t>(std::max(want, 1u), std::max<std::size_t>(blocks, 1)));
-  if (n_threads <= 1) {
-    run();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(n_threads);
-    for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(run);
-    for (auto& t : pool) t.join();
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  // Records land by index, so the order is deterministic whichever thread
+  // ran the block.
+  for_each_block(blocks, run, [&](std::size_t i) { return raw_block(i).size(); },
+                 [&](std::size_t i) {
+                   auto result = encode_raw(raw_block(i));
+                   if (result.stored) stored_blocks.fetch_add(1, std::memory_order_relaxed);
+                   records[i] = std::move(result.record);
+                 });
 
   std::size_t total = kSuperframeHeaderSize;
   for (const auto& r : records) total += r.size();
@@ -179,50 +182,23 @@ std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> input,
 }
 
 std::vector<std::uint8_t> block_decompress(std::span<const std::uint8_t> bytes,
-                                           std::size_t max_output, DecodeReport* report) {
+                                           std::size_t max_output, DecodeReport* report,
+                                           const BlockRunner& run) {
   const SuperframeView view = parse(bytes, max_output);
   std::vector<std::uint8_t> out(static_cast<std::size_t>(view.raw_total));
-  std::size_t stored_blocks = 0;
-  for (const auto& b : view.blocks)
-    if (b.method == Method::kStored) ++stored_blocks;
-
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  std::atomic<bool> failed{false};
-  auto run = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= view.blocks.size() || failed.load(std::memory_order_relaxed)) return;
-      try {
-        const BlockView& b = view.blocks[i];
-        decode_block(b, std::span<std::uint8_t>(out).subspan(b.raw_offset, b.raw_len));
-      } catch (...) {
-        failed.store(true, std::memory_order_relaxed);
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        return;
-      }
-    }
-  };
-
-  const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned n_threads = static_cast<unsigned>(
-      std::min<std::size_t>(hw_threads, std::max<std::size_t>(view.blocks.size(), 1)));
-  if (n_threads <= 1) {
-    run();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(n_threads);
-    for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(run);
-    for (auto& t : pool) t.join();
-  }
-  // All-or-nothing: any failing block rethrows; a damaged container never
-  // yields a partial payload.
-  if (first_error) std::rethrow_exception(first_error);
+  // Disjoint output slices: blocks land directly in the preallocated
+  // output, with no reassembly copy.
+  for_each_block(view.blocks.size(), run,
+                 [&](std::size_t i) { return std::size_t{view.blocks[i].raw_len}; },
+                 [&](std::size_t i) {
+                   const BlockView& b = view.blocks[i];
+                   decode_block(b, std::span<std::uint8_t>(out).subspan(b.raw_offset, b.raw_len));
+                 });
   if (report != nullptr) {
     report->blocks = view.blocks.size();
-    report->stored_blocks = stored_blocks;
+    report->stored_blocks = static_cast<std::size_t>(
+        std::count_if(view.blocks.begin(), view.blocks.end(),
+                      [](const BlockView& b) { return b.method == Method::kStored; }));
   }
   return out;
 }

@@ -1,10 +1,13 @@
 // BlockCodec: split → compress-per-block → reassemble, the symmetric
-// parallel decode, and seeking reads.
+// parallel decode, and seeking reads. This is the only code that splits,
+// assembles, parses and slice-decodes LZBC.
 //
-// The per-block primitives (encode_block / decode_block) are what the
-// service's fan-out path runs on worker threads; block_compress /
-// block_decompress wrap them with a local thread pool for standalone use
-// (tools, benches, tests) so the container round-trips without a server.
+// block_compress / block_decompress are one block driver with two hooks: a
+// BlockRunner decides where the blocks run, and a BlockEncoder how a block
+// is compressed. Standalone callers (tools, benches, tests) leave both empty
+// and get the local runner (container/scheduler.hpp: run_fanout with helper
+// threads) and the config's token source; the service passes a runner over
+// its worker queue and an encoder that samples the cycle model's census.
 // read_range decodes only the blocks a byte range overlaps, which makes the
 // container the seekable file archive too (lzsszip -f archive).
 //
@@ -26,6 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <variant>
 #include <vector>
@@ -44,7 +48,6 @@ using TokenSource = std::variant<hw::HwConfig, core::MatchParams>;
 
 struct BlockCodecConfig {
   std::size_t block_bytes = 256 * 1024;  ///< split size before the dict clamp
-  unsigned threads = 0;                  ///< 0 = hardware concurrency
   TokenSource tokens = hw::HwConfig::speed_optimized();
 };
 
@@ -81,24 +84,47 @@ struct BlockEncodeResult {
 /// Fault point "container.block.corrupt" flips bits in the compressed view.
 void decode_block(const BlockView& block, std::span<std::uint8_t> out);
 
-/// Splits, compresses each block on a local thread pool, reassembles in
-/// order. With the hw source the block size is clamped up to the dictionary
-/// (the stripe clamp; the report carries the effective value). A block size
-/// of 0 or beyond kMaxBlockSize throws std::invalid_argument.
+/// What a runner learns from one block, for its spans and metrics.
+struct BlockOutcome {
+  std::size_t raw_len = 0;
+  bool ok = true;  ///< false: the block failed, and so will the whole call
+};
+
+/// One block of a block_compress / block_decompress call. Never throws.
+using BlockFn = std::function<BlockOutcome(std::size_t index)>;
+
+/// Calls block(i) once for every i in [0, blocks), on any threads, and
+/// returns when all calls have returned. Empty = run_local.
+using BlockRunner = std::function<void(std::size_t blocks, const BlockFn& block)>;
+
+/// Builds one block's record from its raw bytes; may run on any thread.
+/// Empty = encode_block for BlockCodecConfig::tokens (the hw source runs the
+/// functional twin).
+using BlockEncoder = std::function<BlockEncodeResult(std::span<const std::uint8_t> raw)>;
+
+/// Splits, compresses each block through @p run, reassembles in order. With
+/// the hw source the block size is clamped up to the dictionary (the stripe
+/// clamp; the report carries the effective value). A block size of 0 or
+/// beyond kMaxBlockSize throws std::invalid_argument.
 [[nodiscard]] std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> input,
                                                        const BlockCodecConfig& config,
-                                                       EncodeReport* report = nullptr);
+                                                       EncodeReport* report = nullptr,
+                                                       const BlockRunner& run = {},
+                                                       const BlockEncoder& encode = {});
 
 struct DecodeReport {
   std::size_t blocks = 0;
   std::size_t stored_blocks = 0;
 };
 
-/// Parses strictly, then decodes every block (CRC-verified) on a local
-/// thread pool. @p max_output caps raw_total (throws kTooLarge beyond it).
+/// Parses strictly, then decodes every block (CRC-verified) through @p run
+/// into its slice of the output. @p max_output caps raw_total (parse throws
+/// kTooLarge beyond it); a failing block throws as decode_block does, the
+/// lowest-index failure first, and no partial output is returned.
 [[nodiscard]] std::vector<std::uint8_t> block_decompress(std::span<const std::uint8_t> bytes,
                                                          std::size_t max_output,
-                                                         DecodeReport* report = nullptr);
+                                                         DecodeReport* report = nullptr,
+                                                         const BlockRunner& run = {});
 
 /// Reads @p length raw bytes from uncompressed @p offset of a parsed
 /// container, decoding only the blocks the range overlaps: the fixed split

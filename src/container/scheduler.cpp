@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <thread>
 
 #include "fault/fault.hpp"
 
@@ -145,6 +146,16 @@ FanoutReport run_fanout(std::size_t blocks, std::size_t max_helpers, const Block
   }
   report.helper_blocks = helper_blocks->load();
   return report;
+}
+
+FanoutReport run_local(std::size_t blocks, const BlockWork& work) {
+  // jthreads join on destruction, so every helper is joined on every exit.
+  std::vector<std::jthread> helpers;
+  const std::size_t max_helpers = std::max(1u, std::thread::hardware_concurrency()) - 1;
+  return run_fanout(blocks, max_helpers, work, [&](std::function<void()> task) {
+    helpers.emplace_back(std::move(task));
+    return true;
+  });
 }
 
 }  // namespace lzss::container

@@ -12,6 +12,10 @@
 // (kill-fault, watchdog poison) abandons its claim on unwind and the parent
 // re-claims it, so a lost worker costs latency, never completeness.
 //
+// It is the only block scheduler: the service enqueues helpers on its
+// bounded queue, and run_local gives standalone callers (the codec's
+// block_compress / block_decompress, the multi-engine bank) helper threads.
+//
 // Lifetime: helper closures hold the Fanout by shared_ptr and their own
 // copy of the work functor, but the data the work functor references (the
 // request payload, the results array) belongs to the parent's stack.
@@ -85,5 +89,10 @@ struct FanoutReport {
 /// inline claim loop.
 [[nodiscard]] FanoutReport run_fanout(std::size_t blocks, std::size_t max_helpers,
                                       const BlockWork& work, const HelperEnqueue& enqueue);
+
+/// run_fanout for callers without a worker pool (tools, benches, tests):
+/// each helper is a thread started on enqueue, one per core beyond the
+/// caller's, and all are joined before the call returns.
+FanoutReport run_local(std::size_t blocks, const BlockWork& work);
 
 }  // namespace lzss::container

@@ -5,9 +5,11 @@
 namespace lzss::core {
 
 std::vector<std::uint8_t> decode_tokens(std::span<const Token> tokens,
-                                        std::uint32_t window_size) {
+                                        std::uint32_t window_size, std::size_t max_output) {
   std::vector<std::uint8_t> out;
   for (const Token& t : tokens) {
+    if ((t.is_literal() ? 1u : t.length()) > max_output - out.size())
+      throw DecodeError("decode_tokens: output exceeds the declared size");
     if (t.is_literal()) {
       out.push_back(t.literal_byte());
       continue;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -23,9 +24,12 @@ class DecodeError : public std::runtime_error {
 };
 
 /// Decodes @p tokens. @p window_size (0 = unlimited) additionally enforces
-/// that no distance exceeds the dictionary the encoder claimed to use.
-[[nodiscard]] std::vector<std::uint8_t> decode_tokens(std::span<const Token> tokens,
-                                                      std::uint32_t window_size = 0);
+/// that no distance exceeds the dictionary the encoder claimed to use;
+/// @p max_output bounds the output, and the first token that would pass it
+/// throws before its bytes are written.
+[[nodiscard]] std::vector<std::uint8_t> decode_tokens(
+    std::span<const Token> tokens, std::uint32_t window_size = 0,
+    std::size_t max_output = std::numeric_limits<std::size_t>::max());
 
 /// Convenience: true iff @p tokens decodes exactly to @p expected.
 [[nodiscard]] bool tokens_reproduce(std::span<const Token> tokens,

@@ -1,7 +1,5 @@
 #include "lzss/raw_container.hpp"
 
-#include "lzss/decoder.hpp"
-
 namespace lzss::core {
 namespace {
 
@@ -49,14 +47,18 @@ RawHeader raw_container_header(std::span<const std::uint8_t> c) {
   return h;
 }
 
-std::vector<std::uint8_t> raw_container_unpack(std::span<const std::uint8_t> c) {
+std::vector<std::uint8_t> raw_container_unpack(std::span<const std::uint8_t> c,
+                                               std::size_t max_output) {
   const RawHeader h = raw_container_header(c);
+  if (h.original_size > max_output)
+    throw RawTooLargeError("raw container: original size exceeds the output cap");
   const std::span<const std::uint8_t> payload = c.subspan(kHeaderBytes);
   const std::uint64_t needed_bits = h.token_count * (h.window_bits + 8);
   if (payload.size() * 8 < needed_bits) throw DecodeError("raw container: truncated payload");
   const auto tokens =
       unpack_raw_tokens(payload, static_cast<std::size_t>(h.token_count), h.window_bits);
-  auto data = decode_tokens(tokens, 1u << h.window_bits);
+  auto data =
+      decode_tokens(tokens, 1u << h.window_bits, static_cast<std::size_t>(h.original_size));
   if (data.size() != h.original_size)
     throw DecodeError("raw container: size mismatch after decode");
   return data;

@@ -13,9 +13,11 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
+#include "lzss/decoder.hpp"
 #include "lzss/token.hpp"
 
 namespace lzss::core {
@@ -25,10 +27,21 @@ namespace lzss::core {
                                                            unsigned window_bits,
                                                            std::uint64_t original_size);
 
+/// A container whose declared original_size passes the caller's cap. A
+/// DecodeError, so existing catch sites keep working; callers that want to
+/// tell "too big" from "corrupt" catch this first.
+class RawTooLargeError : public DecodeError {
+ public:
+  using DecodeError::DecodeError;
+};
+
 /// Parses and fully decodes a raw container back to the original bytes.
-/// Throws DecodeError on malformed framing or payload.
+/// An original_size beyond @p max_output throws RawTooLargeError before any
+/// token is decoded; the decode stops at the first token that passes
+/// original_size. Throws DecodeError on malformed framing or payload.
 [[nodiscard]] std::vector<std::uint8_t> raw_container_unpack(
-    std::span<const std::uint8_t> container);
+    std::span<const std::uint8_t> container,
+    std::size_t max_output = std::numeric_limits<std::size_t>::max());
 
 /// Parses only the header; returns {window_bits, original_size, token_count}.
 struct RawHeader {

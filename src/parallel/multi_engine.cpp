@@ -1,13 +1,11 @@
 #include "parallel/multi_engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "common/bitio.hpp"
+#include "container/scheduler.hpp"
 #include "deflate/encoder.hpp"
 #include "parallel/stripe.hpp"
 
@@ -39,37 +37,24 @@ MultiEngineReport compress_multi_engine(const hw::HwConfig& config,
   struct EngineOutput {
     std::vector<core::Token> tokens;
     hw::CycleStats stats;
+    std::exception_ptr error;
   };
   std::vector<EngineOutput> outputs(num_engines);
 
-  // One host thread per engine, pulling stripe indices off a shared counter.
-  std::atomic<unsigned> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  auto worker = [&] {
-    for (;;) {
-      const unsigned i = next.fetch_add(1);
-      if (i >= num_engines) return;
-      try {
-        hw::Compressor comp(config);
-        auto result = comp.compress(stripe_of(data, num_engines, i));
-        outputs[i].tokens = std::move(result.tokens);
-        outputs[i].stats = result.stats;
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        return;
-      }
+  // Each engine is one block of the shared scheduler: the calling thread
+  // and up to one helper thread per further core run the stripes.
+  (void)container::run_local(num_engines, [&](std::size_t i) {
+    try {
+      hw::Compressor comp(config);
+      auto result = comp.compress(stripe_of(data, num_engines, static_cast<unsigned>(i)));
+      outputs[i].tokens = std::move(result.tokens);
+      outputs[i].stats = result.stats;
+    } catch (...) {
+      outputs[i].error = std::current_exception();
     }
-  };
-
-  const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned n_threads = std::min(num_engines, hw_threads);
-  std::vector<std::thread> pool;
-  pool.reserve(n_threads);
-  for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+  });
+  for (const auto& o : outputs)
+    if (o.error) std::rethrow_exception(o.error);
 
   MultiEngineReport report;
   report.requested_engines = requested_engines;

@@ -3,9 +3,10 @@
 // The paper's introduction sells FPGAs on "massive algorithmic parallelism",
 // and its conclusion leaves scaling beyond one unit as future work: a single
 // compressor uses ~6 % of the XC5VFX70T's logic and a fraction of its BRAM,
-// so several units fit comfortably. This module models (and on the host,
-// actually runs, one thread per engine) a bank of E independent compressor
-// units, each fed a contiguous stripe of the input, whose token streams are
+// so several units fit comfortably. This module models a bank of E
+// independent compressor units (on the host they run as blocks of the
+// container scheduler, one thread per core), each fed a contiguous stripe of
+// the input, whose token streams are
 // stitched into one multi-block Deflate stream. Since every Deflate block
 // only references its own stripe's history, the concatenation is a valid
 // stream any inflater accepts.
@@ -59,9 +60,9 @@ struct MultiEngineReport {
   }
 };
 
-/// Compresses @p data on @p num_engines model instances (host threads run
-/// them concurrently; results are deterministic regardless of scheduling
-/// because the stripes are independent).
+/// Compresses @p data on @p num_engines model instances (container::run_local
+/// runs them concurrently; results are deterministic regardless of
+/// scheduling because the stripes are independent).
 [[nodiscard]] MultiEngineReport compress_multi_engine(const hw::HwConfig& config,
                                                       std::span<const std::uint8_t> data,
                                                       unsigned num_engines);

@@ -30,7 +30,6 @@
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "parallel/stripe.hpp"
 #include "store/log_store.hpp"
 
 namespace lzss::server {
@@ -765,53 +764,48 @@ ResponseFrame Service::do_verify(const RequestFrame& request) {
   std::string marks;
   if (container::looks_like_container(request.payload)) {
     format = "lzbc";
-    container::SuperframeView view;
+    // Per-block verdicts: the codec's driver with a runner that decodes the
+    // blocks in order and notes each one, past failures — VERIFY maps the
+    // damage where DECOMPRESS just fails. A runner never called means the
+    // parse failed.
+    blocks = 0;
+    bool parsed = false;
+    const container::BlockRunner verdicts = [&](std::size_t n, const container::BlockFn& block) {
+      parsed = true;
+      blocks = n;
+      for (std::size_t i = 0; i < n; ++i) {
+        const container::BlockOutcome outcome = block(i);
+        raw_bytes += outcome.raw_len;
+        corrupt_blocks += outcome.ok ? 0 : 1;
+        marks.push_back(outcome.ok ? '.' : 'X');
+      }
+    };
     try {
-      view = container::parse(request.payload, cfg_.max_payload);
+      content_adler = checksum::adler32(
+          container::block_decompress(request.payload, cfg_.max_payload, nullptr, verdicts));
     } catch (const container::ContainerError& e) {
-      if (e.kind() == container::ContainerError::Kind::kTooLarge) {
+      if (!parsed && e.kind() == container::ContainerError::Kind::kTooLarge) {
         resp.status = Status::kTooLarge;
         return resp;
       }
-      parse_error = true;
-    }
-    if (!parse_error) {
-      // Per-block verdicts: decode every block into a scratch slice and keep
-      // going past failures — VERIFY maps the damage instead of bailing at
-      // the first bad block the way DECOMPRESS does.
-      blocks = view.blocks.size();
-      std::vector<std::uint8_t> output(static_cast<std::size_t>(view.raw_total));
-      marks.reserve(view.blocks.size());
-      for (const container::BlockView& b : view.blocks) {
-        try {
-          container::decode_block(
-              b, std::span<std::uint8_t>(output).subspan(b.raw_offset, b.raw_len));
-          marks.push_back('.');
-        } catch (const std::exception&) {
-          ++corrupt_blocks;
-          marks.push_back('X');
-        }
-      }
-      raw_bytes = view.raw_total;
-      if (corrupt_blocks == 0) content_adler = checksum::adler32(output);
-    } else {
-      blocks = 0;
+      parse_error = !parsed;
+    } catch (const std::exception&) {
+      // A damaged block: already counted by the runner.
     }
   } else {
     const bool raw = (request.flags & kFlagRawContainer) != 0;
     format = raw ? "raw" : "zlib";
     try {
       const std::vector<std::uint8_t> output =
-          raw ? core::raw_container_unpack(request.payload)
+          raw ? core::raw_container_unpack(request.payload, cfg_.max_payload)
               : deflate::zlib_decompress(request.payload, cfg_.max_payload);
-      if (output.size() > cfg_.max_payload) {
-        resp.status = Status::kTooLarge;
-        return resp;
-      }
       raw_bytes = output.size();
       content_adler = checksum::adler32(output);
       marks.push_back('.');
     } catch (const deflate::InflateBombError&) {
+      resp.status = Status::kTooLarge;
+      return resp;
+    } catch (const core::RawTooLargeError&) {
       resp.status = Status::kTooLarge;
       return resp;
     } catch (const std::exception&) {
@@ -943,20 +937,18 @@ ResponseFrame Service::do_decompress(const RequestFrame& request) {
   try {
     // zlib_decompress has verified the trailer's Adler-32 against the
     // output, so the response reuses it instead of hashing again.
-    resp.payload = raw ? core::raw_container_unpack(request.payload)
+    // Both decoders stop at max_payload: zlib_decompress as an output cap,
+    // raw_container_unpack on the declared size before any token runs.
+    resp.payload = raw ? core::raw_container_unpack(request.payload, cfg_.max_payload)
                        : deflate::zlib_decompress(request.payload, cfg_.max_payload, &resp.adler);
   } catch (const deflate::InflateBombError&) {
     resp.status = Status::kTooLarge;
-    resp.payload.clear();
+    return resp;
+  } catch (const core::RawTooLargeError&) {
+    resp.status = Status::kTooLarge;
     return resp;
   } catch (const std::exception&) {
     resp.status = Status::kCorrupt;
-    resp.payload.clear();
-    return resp;
-  }
-  if (resp.payload.size() > cfg_.max_payload) {
-    resp.status = Status::kTooLarge;
-    resp.payload.clear();
     return resp;
   }
   if (raw) resp.adler = checksum::adler32(resp.payload);
@@ -974,43 +966,74 @@ ResponseFrame Service::do_compress_blocked(const RequestFrame& request, const hw
     return resp;
   }
 
-  const std::size_t block_bytes = par::clamp_block_bytes(cfg_.block_bytes, cfg.dict_size());
-  const std::size_t blocks = container::block_count_for(input.size(), block_bytes);
-  std::vector<std::vector<std::uint8_t>> records(blocks);
   // A census sample runs every block on the cycle model, built per block;
-  // otherwise the blocks take the functional twin's tokens.
+  // otherwise the blocks take the functional twin's tokens. encode_block
+  // never throws: a bad block degrades to a stored record, so it can only
+  // cost ratio, never the request.
   const bool sampled = census_due();
+  container::EncodeReport report;
+  const container::BlockRunner run =
+      std::bind_front(&Service::run_blocks, this, BlockOp::kCompress);
+  resp.payload = container::block_compress(
+      input, {cfg_.block_bytes, cfg}, &report, run, [&](std::span<const std::uint8_t> raw) {
+        std::optional<hw::Compressor> model;
+        if (sampled) model.emplace(cfg);
+        auto result = container::encode_block(cfg, model ? &*model : nullptr, raw);
+        if (result.census_valid) hw::export_cycle_stats(*registry_, result.census);
+        return result;
+      });
+  block_fallbacks_c_->add(report.stored_blocks);
+  return resp;
+}
 
-  // The per-block body; runs on the parent worker and on helper workers
-  // concurrently (records[i] slots are disjoint). It never throws:
-  // encode_block degrades to a stored record internally, so one bad block
-  // can only cost ratio, never the request. The parent's trace context is
-  // captured here (under the opcode span) and re-installed on whichever
-  // thread runs the block, so helper-side spans join the request tree.
+ResponseFrame Service::do_decompress_blocked(const RequestFrame& request) {
+  ResponseFrame resp;
+  try {
+    // parse caps raw_total by max_payload before any block work: the
+    // superframe-level bomb guard.
+    const container::BlockRunner run =
+        std::bind_front(&Service::run_blocks, this, BlockOp::kDecompress);
+    resp.payload = container::block_decompress(request.payload, cfg_.max_payload, nullptr, run);
+  } catch (const container::ContainerError& e) {
+    resp.status = e.kind() == container::ContainerError::Kind::kTooLarge ? Status::kTooLarge
+                                                                         : Status::kCorrupt;
+    return resp;
+  } catch (const std::exception&) {
+    // A bad Deflate stream or a per-block bomb: corruption of that block.
+    // The whole request fails — never a partial-success payload.
+    resp.status = Status::kCorrupt;
+    return resp;
+  }
+  resp.adler = checksum::adler32(resp.payload);
+  return resp;
+}
+
+void Service::run_blocks(BlockOp op, std::size_t blocks, const container::BlockFn& block) {
+  const bool compress = op == BlockOp::kCompress;
+  obs::Counter* const blocks_c = blocks_c_[static_cast<std::size_t>(op)];
+  obs::Histogram* const latency_us = block_lat_us_[static_cast<std::size_t>(op)];
+  // Runs on the parent worker and on helper workers concurrently. The
+  // parent's trace context is captured here (under the opcode span) and
+  // re-installed on whichever thread runs the block, so helper-side spans
+  // join the request tree.
   const obs::TraceContext fanout_ctx = obs::current_trace();
   const container::BlockWork work = [&](std::size_t i) {
     const auto t0 = std::chrono::steady_clock::now();
     const obs::TraceScope trace_scope(fanout_ctx);
     obs::Span span(trace_, "container_block");
-    const std::size_t begin = i * block_bytes;
-    const std::size_t len = std::min(block_bytes, input.size() - begin);
-    auto result = [&] {
-      obs::Span eng(trace_, "engine.encode");
-      eng.set_args(static_cast<std::int64_t>(len));
-      std::optional<hw::Compressor> model;
-      if (sampled) model.emplace(cfg);
-      return container::encode_block(cfg, model ? &*model : nullptr, input.subspan(begin, len));
-    }();
-    if (result.census_valid) hw::export_cycle_stats(*registry_, result.census);
-    if (result.stored) block_fallbacks_c_->add(1);
-    records[i] = std::move(result.record);
-    blocks_compress_c_->add(1);
-    block_lat_compress_us_->record(static_cast<std::uint64_t>(
+    container::BlockOutcome outcome;
+    {
+      obs::Span eng(trace_, compress ? "engine.encode" : "engine.decode");
+      outcome = block(i);
+      eng.set_args(static_cast<std::int64_t>(outcome.raw_len));
+    }
+    blocks_c->add(1);
+    latency_us->record(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - t0)
             .count()));
-    span.set_tag("compress");
-    span.set_args(static_cast<std::int64_t>(i), static_cast<std::int64_t>(len));
+    span.set_tag(!outcome.ok ? "corrupt" : compress ? "compress" : "decompress");
+    span.set_args(static_cast<std::int64_t>(i), static_cast<std::int64_t>(outcome.raw_len));
   };
 
   struct WaiterGuard {
@@ -1024,81 +1047,6 @@ ResponseFrame Service::do_compress_blocked(const RequestFrame& request, const hw
   helper_blocks_c_->add(rep.helper_blocks);
   helper_rejects_c_->add(rep.helpers_rejected);
   reassembly_wait_us_->record(rep.reassembly_wait_us);
-
-  std::size_t total = container::kSuperframeHeaderSize;
-  for (const auto& r : records) total += r.size();
-  resp.payload.reserve(total);
-  container::append_superframe_header(resp.payload, static_cast<std::uint32_t>(block_bytes),
-                                      static_cast<std::uint32_t>(blocks), input.size());
-  for (const auto& r : records) resp.payload.insert(resp.payload.end(), r.begin(), r.end());
-  return resp;
-}
-
-ResponseFrame Service::do_decompress_blocked(const RequestFrame& request) {
-  ResponseFrame resp;
-  container::SuperframeView view;
-  try {
-    // Full structural validation before any block work: raw_total is capped
-    // by max_payload here, the superframe-level bomb guard.
-    view = container::parse(request.payload, cfg_.max_payload);
-  } catch (const container::ContainerError& e) {
-    resp.status = e.kind() == container::ContainerError::Kind::kTooLarge ? Status::kTooLarge
-                                                                         : Status::kCorrupt;
-    return resp;
-  }
-
-  std::vector<std::uint8_t> output(static_cast<std::size_t>(view.raw_total));
-  std::atomic<bool> block_failed{false};
-
-  const obs::TraceContext fanout_ctx = obs::current_trace();
-  const container::BlockWork work = [&](std::size_t i) {
-    if (block_failed.load(std::memory_order_relaxed)) return;  // request already lost
-    const auto t0 = std::chrono::steady_clock::now();
-    const obs::TraceScope trace_scope(fanout_ctx);
-    obs::Span span(trace_, "container_block");
-    const container::BlockView& b = view.blocks[i];
-    bool ok = true;
-    try {
-      // Disjoint output slices: blocks from several workers land directly
-      // in the preallocated payload, no reassembly copy.
-      obs::Span eng(trace_, "engine.decode");
-      eng.set_args(static_cast<std::int64_t>(b.raw_len));
-      container::decode_block(b, std::span<std::uint8_t>(output).subspan(b.raw_offset, b.raw_len));
-    } catch (const std::exception&) {
-      // CRC mismatch, bad stream, or a per-block bomb: all corruption of
-      // this block. The typed per-block error fails the whole request —
-      // never a partial-success payload.
-      ok = false;
-      block_failed.store(true, std::memory_order_relaxed);
-    }
-    blocks_decompress_c_->add(1);
-    block_lat_decompress_us_->record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
-    span.set_tag(ok ? "decompress" : "corrupt");
-    span.set_args(static_cast<std::int64_t>(i), static_cast<std::int64_t>(b.raw_len));
-  };
-
-  struct WaiterGuard {
-    obs::Gauge* g;
-    explicit WaiterGuard(obs::Gauge* gauge) : g(gauge) { g->add(1); }
-    ~WaiterGuard() { g->add(-1); }
-  } waiter(reassembly_waiters_g_);
-  const container::FanoutReport rep = container::run_fanout(
-      view.blocks.size(), cfg_.workers > 0 ? cfg_.workers - 1 : 0, work,
-      [this](std::function<void()> task) { return try_enqueue_helper(std::move(task)); });
-  helper_blocks_c_->add(rep.helper_blocks);
-  helper_rejects_c_->add(rep.helpers_rejected);
-  reassembly_wait_us_->record(rep.reassembly_wait_us);
-
-  if (block_failed.load()) {
-    resp.status = Status::kCorrupt;
-    return resp;
-  }
-  resp.payload = std::move(output);
-  resp.adler = checksum::adler32(resp.payload);
-  return resp;
 }
 
 bool Service::try_enqueue_helper(std::function<void()> work) {
@@ -1149,11 +1097,12 @@ void Service::bind_metrics() {
   deadline_c_ = &r.counter("server_deadline_exceeded_total");
   fallbacks_c_ = &r.counter("server_fallbacks_total");
   respawns_c_ = &r.counter("server_workers_respawned_total");
-  blocks_compress_c_ = &r.counter("container_blocks_total", {{"op", "compress"}});
-  blocks_decompress_c_ = &r.counter("container_blocks_total", {{"op", "decompress"}});
-  block_lat_compress_us_ = &r.histogram("container_block_latency_us", {{"op", "compress"}});
-  block_lat_decompress_us_ =
-      &r.histogram("container_block_latency_us", {{"op", "decompress"}});
+  for (const BlockOp op : {BlockOp::kCompress, BlockOp::kDecompress}) {
+    const char* name = op == BlockOp::kCompress ? "compress" : "decompress";
+    blocks_c_[static_cast<std::size_t>(op)] = &r.counter("container_blocks_total", {{"op", name}});
+    block_lat_us_[static_cast<std::size_t>(op)] =
+        &r.histogram("container_block_latency_us", {{"op", name}});
+  }
   reassembly_waiters_g_ = &r.gauge("container_reassembly_waiters");
   reassembly_wait_us_ = &r.histogram("container_reassembly_wait_us");
   helper_blocks_c_ = &r.counter("container_helper_blocks_total");

@@ -15,11 +15,13 @@
 // cycle model itself — a hw::Compressor built for that request's
 // configuration (one per block for COMPRESS_BLOCKED) — and export its
 // census; the response bytes are the same either way.
-// COMPRESS_BLOCKED splits the payload into an LZBC block container and fans
-// the blocks across the pool as internal sub-jobs on the same bounded queue
-// (container/scheduler.hpp); DECOMPRESS sniffs the LZBC magic and inverts
-// blocked containers the same parallel way. The parent request's worker
-// always participates in the fan-out, so a saturated queue degrades to
+// COMPRESS_BLOCKED builds an LZBC block container with the codec's
+// block_compress (container/codec.hpp), and DECOMPRESS sniffs the LZBC magic
+// and inverts blocked containers with block_decompress. The service hands
+// both its runner, run_blocks: the blocks fan across the pool as internal
+// sub-jobs on the same bounded queue (container/scheduler.hpp), with the
+// per-block spans and metrics. The parent request's worker always
+// participates in the fan-out, so a saturated queue degrades to
 // single-worker throughput instead of deadlocking.
 //
 // Robustness contract (see docs/SERVER.md "Failure semantics"):
@@ -64,6 +66,7 @@
 #include <thread>
 #include <vector>
 
+#include "container/codec.hpp"
 #include "hw/config.hpp"
 #include "obs/trace.hpp"
 #include "server/frame.hpp"
@@ -263,6 +266,14 @@ class Service {
   [[nodiscard]] ResponseFrame do_compress_blocked(const RequestFrame& request,
                                                   const hw::HwConfig& cfg);
   [[nodiscard]] ResponseFrame do_decompress_blocked(const RequestFrame& request);
+  /// Which way a blocked request goes: picks the block metrics' op label.
+  enum class BlockOp : std::uint8_t { kCompress, kDecompress };
+  /// The codec driver's runner (bound to @p op): run_fanout over
+  /// try_enqueue_helper, with what the service adds to every blocked
+  /// request — the reassembly-waiter gauge, the container_block →
+  /// engine.encode/engine.decode spans, the per-block count and latency,
+  /// and the helper, reject and wait metrics.
+  void run_blocks(BlockOp op, std::size_t blocks, const container::BlockFn& block);
   /// Offers a container sub-job to the bounded queue; false = queue full or
   /// stopping (the parent runs the blocks itself — BUSY per block).
   [[nodiscard]] bool try_enqueue_helper(std::function<void()> work);
@@ -340,10 +351,8 @@ class Service {
   std::array<FinderInstruments, 2> mf_{};
 
   // Block-container instruments (docs/CONTAINER.md / docs/OBSERVABILITY.md).
-  obs::Counter* blocks_compress_c_ = nullptr;      ///< container_blocks_total{op=...}
-  obs::Counter* blocks_decompress_c_ = nullptr;
-  obs::Histogram* block_lat_compress_us_ = nullptr;   ///< per-block latency
-  obs::Histogram* block_lat_decompress_us_ = nullptr;
+  std::array<obs::Counter*, 2> blocks_c_{};        ///< container_blocks_total{op}, by BlockOp
+  std::array<obs::Histogram*, 2> block_lat_us_{};  ///< per-block latency{op}, by BlockOp
   obs::Gauge* reassembly_waiters_g_ = nullptr;     ///< parents waiting on helpers
   obs::Histogram* reassembly_wait_us_ = nullptr;
   obs::Counter* helper_blocks_c_ = nullptr;        ///< blocks run by helper jobs

@@ -19,8 +19,17 @@ namespace {
 BlockCodecConfig small_blocks(std::size_t block_bytes = 16 * 1024) {
   BlockCodecConfig cfg;
   cfg.block_bytes = block_bytes;
-  cfg.threads = 4;
   return cfg;
+}
+
+/// A runner with three real helper threads whatever the host's core count,
+/// as a service's workers would give.
+void threaded(std::size_t blocks, const BlockFn& block) {
+  std::vector<std::jthread> helpers;
+  (void)run_fanout(blocks, 3, block, [&](std::function<void()> task) {
+    helpers.emplace_back(std::move(task));
+    return true;
+  });
 }
 
 ContainerError::Kind parse_kind(std::span<const std::uint8_t> bytes,
@@ -137,11 +146,41 @@ TEST(ContainerCodec, RoundTripsAcrossSizes) {
         std::size_t{100 * 1024}, std::size_t{256 * 1024}}) {
     const auto data = wl::make_corpus("mixed", size);
     EncodeReport report;
-    const auto packed = block_compress(data, cfg, &report);
+    const auto packed = block_compress(data, cfg, &report, threaded);
     EXPECT_EQ(report.blocks, block_count_for(size, report.effective_block_bytes)) << size;
+    EXPECT_EQ(packed, block_compress(data, cfg)) << size;  // same bytes on one thread
     DecodeReport decode;
-    EXPECT_EQ(block_decompress(packed, size, &decode), data) << size;
+    EXPECT_EQ(block_decompress(packed, size, &decode, threaded), data) << size;
     EXPECT_EQ(decode.blocks, report.blocks) << size;
+  }
+}
+
+TEST(ContainerCodec, RunnerSeesEveryBlockAndItsOutcome) {
+  // Two damaged blocks out of four: the runner still runs every block and
+  // sees which failed, and the call throws the lower-index failure.
+  const auto data = wl::make_corpus("wiki", 64 * 1024);
+  auto packed = block_compress(data, small_blocks());
+  const auto view = parse(packed, data.size());
+  ASSERT_EQ(view.blocks.size(), 4u);
+  const auto offset_of = [&](std::size_t block) {
+    return static_cast<std::size_t>(view.blocks[block].comp.data() - packed.data());
+  };
+  packed[offset_of(1) - 4] ^= 0x01;   // block 1's CRC-32 (precedes the payload)
+  packed[offset_of(3) + 10] ^= 0x01;  // inside block 3's Deflate stream
+
+  std::vector<BlockOutcome> seen(4);
+  const BlockRunner recording = [&](std::size_t blocks, const BlockFn& block) {
+    for (std::size_t i = 0; i < blocks; ++i) seen[i] = block(i);
+  };
+  try {
+    (void)block_decompress(packed, data.size(), nullptr, recording);
+    FAIL() << "damaged container decoded";
+  } catch (const ContainerError& e) {
+    EXPECT_EQ(e.kind(), ContainerError::Kind::kCrcMismatch);
+  }
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(seen[i].raw_len, view.blocks[i].raw_len) << i;
+    EXPECT_EQ(seen[i].ok, i != 1 && i != 3) << i;
   }
 }
 
@@ -212,7 +251,7 @@ TEST(ContainerCodec, CrcFlipYieldsTypedMismatchNeverPartialOutput) {
   const auto* crc_addr = view.blocks.back().comp.data() - 4;  // crc32 precedes payload
   packed[static_cast<std::size_t>(crc_addr - packed.data())] ^= 0x01;
   try {
-    (void)block_decompress(packed, data.size());
+    (void)block_decompress(packed, data.size(), nullptr, threaded);
     FAIL() << "corrupted CRC round-tripped";
   } catch (const ContainerError& e) {
     EXPECT_EQ(e.kind(), ContainerError::Kind::kCrcMismatch);
@@ -405,6 +444,20 @@ TEST(ContainerFanout, RunFanoutSplitsWorkWithRealHelpers) {
   EXPECT_EQ(report.helpers_enqueued, 3u);
   EXPECT_EQ(report.inline_blocks + report.helper_blocks, 64u);
   EXPECT_GT(report.helper_blocks, 0u);
+}
+
+TEST(ContainerFanout, RunLocalRunsEveryBlockOnce) {
+  // The standalone runner: one helper thread per core beyond the caller's,
+  // each joined before run_local returns.
+  std::vector<std::atomic<int>> runs(64);
+  const auto report = run_local(64, [&](std::size_t i) {
+    runs[i].fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  });
+  for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
+  EXPECT_EQ(report.helpers_enqueued,
+            std::min<std::size_t>(63, std::max(1u, std::thread::hardware_concurrency()) - 1));
+  EXPECT_EQ(report.inline_blocks + report.helper_blocks, 64u);
 }
 
 TEST(ContainerFanout, ZeroBlocksIsANoOp) {

@@ -52,6 +52,18 @@ TEST(Decoder, WindowLimitEnforcedWhenDeclared)
   EXPECT_THROW((void)decode_tokens(tokens, 512), DecodeError);  // declared 512B window
 }
 
+TEST(Decoder, MaxOutputStopsAtTheFirstTokenPastIt) {
+  // One literal then a 258-byte run: 259 bytes fit a 259-byte bound exactly;
+  // a byte less and the match throws before it writes anything.
+  const std::vector<Token> run{Token::literal('a'), Token::match(1, 258)};
+  EXPECT_EQ(decode_tokens(run, 0, 259).size(), 259u);
+  EXPECT_THROW((void)decode_tokens(run, 0, 258), DecodeError);
+  EXPECT_THROW((void)decode_tokens(run, 0, 1), DecodeError);
+  const std::vector<Token> literals{Token::literal('o'), Token::literal('k')};
+  EXPECT_EQ(decode_tokens(literals, 0, 2).size(), 2u);
+  EXPECT_THROW((void)decode_tokens(literals, 0, 1), DecodeError);
+}
+
 TEST(Decoder, EmptyTokenStream) {
   EXPECT_TRUE(decode_tokens({}).empty());
 }

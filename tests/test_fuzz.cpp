@@ -3,9 +3,13 @@
 // randomized configurations.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <thread>
+
 #include "common/prng.hpp"
 #include "container/codec.hpp"
 #include "container/format.hpp"
+#include "container/scheduler.hpp"
 #include "deflate/container.hpp"
 #include "deflate/encoder.hpp"
 #include "deflate/inflate.hpp"
@@ -255,8 +259,16 @@ TEST(FuzzServerFrame, RandomGarbageAndRandomChunkingNeverCrash) {
 container::BlockCodecConfig fuzz_container_config() {
   container::BlockCodecConfig cfg;
   cfg.block_bytes = 8 * 1024;
-  cfg.threads = 2;
   return cfg;
+}
+
+/// Two real helper threads whatever the host's core count.
+void threaded(std::size_t blocks, const container::BlockFn& block) {
+  std::vector<std::jthread> helpers;
+  (void)container::run_fanout(blocks, 2, block, [&](std::function<void()> task) {
+    helpers.emplace_back(std::move(task));
+    return true;
+  });
 }
 
 TEST(FuzzContainer, BitFlipsYieldTypedErrorsOrIdenticalOutput) {
@@ -273,7 +285,7 @@ TEST(FuzzContainer, BitFlipsYieldTypedErrorsOrIdenticalOutput) {
     const std::size_t byte = rng.next_below(corrupted.size());
     corrupted[byte] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
     try {
-      const auto out = container::block_decompress(corrupted, data.size());
+      const auto out = container::block_decompress(corrupted, data.size(), nullptr, threaded);
       EXPECT_EQ(out, data);
       ++intact;
     } catch (const container::ContainerError&) {

@@ -68,6 +68,33 @@ TEST(RawContainer, SizeMismatchRejected) {
   EXPECT_THROW((void)raw_container_unpack(c), DecodeError);
 }
 
+/// A literal, then @p runs 258-byte copies at distance 1, in 16-bit
+/// commands (8-bit window): each command adds 129 bytes of output per byte.
+std::vector<std::uint8_t> run_container(std::size_t runs, std::uint64_t original_size) {
+  std::vector<Token> tokens{Token::literal('a')};
+  tokens.insert(tokens.end(), runs, Token::match(1, 258));
+  return raw_container_pack(tokens, 8, original_size);
+}
+
+TEST(RawContainer, DeclaredSizeBeyondTheCapIsTooLarge) {
+  const auto c = run_container(4, 1 + 4 * 258);
+  EXPECT_THROW((void)raw_container_unpack(c, 4 * 258), RawTooLargeError);
+  EXPECT_EQ(raw_container_unpack(c, 1 + 4 * 258).size(), 1u + 4 * 258);
+}
+
+TEST(RawContainer, TokensPastTheDeclaredSizeAreCorrupt) {
+  // Declares one byte but carries 1000 runs: the decode stops at the first
+  // run, a DecodeError that is not a RawTooLargeError.
+  const auto c = run_container(1000, 1);
+  try {
+    (void)raw_container_unpack(c, 1u << 20);
+    FAIL() << "container decoded past its declared size";
+  } catch (const RawTooLargeError&) {
+    FAIL() << "declared size is within the cap";
+  } catch (const DecodeError&) {
+  }
+}
+
 TEST(RawContainer, ImplausibleWindowRejected) {
   const std::vector<Token> tokens{Token::literal('x')};
   auto c = raw_container_pack(tokens, 12, 1);

@@ -756,6 +756,58 @@ TEST(ServerContainer, BlockInflatingPastRawLenAnswersCorrupt) {
   EXPECT_EQ(waiters(registry), 0);
 }
 
+/// An LZS1 container whose 16-bit commands each copy 258 bytes: a literal,
+/// then @p runs runs, declaring @p original_size.
+std::vector<std::uint8_t> raw_runs(std::size_t runs, std::uint64_t original_size) {
+  std::vector<core::Token> tokens{core::Token::literal('a')};
+  tokens.insert(tokens.end(), runs, core::Token::match(1, 258));
+  return core::raw_container_pack(tokens, 8, original_size);
+}
+
+TEST(ServerService, RawDecompressPastDeclaredSizeAnswersCorrupt) {
+  // 4096 runs (8 KiB of commands, 1 MiB of output) behind a declared size
+  // of one byte: refused at the first run, within the cap, so CORRUPT.
+  ServiceConfig cfg = small_config();
+  cfg.max_payload = 1024 * 1024;
+  Service service(cfg);
+  LoopbackClient client(service);
+  RequestFrame req = decompress_request(1, raw_runs(4096, 1));
+  req.flags = kFlagRawContainer;
+  const auto resp = client.call(req);
+  EXPECT_EQ(resp.status, Status::kCorrupt);
+  EXPECT_TRUE(resp.payload.empty());
+
+  req.opcode = Opcode::kVerify;  // container-mode VERIFY maps it as damage
+  const auto verdict = client.call(req);
+  ASSERT_EQ(verdict.status, Status::kOk);
+  const std::string json(verdict.payload.begin(), verdict.payload.end());
+  EXPECT_NE(json.find("\"corrupt\":1"), std::string::npos) << json;
+}
+
+TEST(ServerService, RawDecompressDeclaringMoreThanTheCapAnswersTooLarge) {
+  ServiceConfig cfg = small_config();
+  cfg.max_payload = 1024 * 1024;
+  Service service(cfg);
+  LoopbackClient client(service);
+  RequestFrame req = decompress_request(1, raw_runs(4096, 1 + 4096 * 258));
+  req.flags = kFlagRawContainer;
+  const auto resp = client.call(req);
+  EXPECT_EQ(resp.status, Status::kTooLarge);
+  EXPECT_TRUE(resp.payload.empty());
+
+  req.opcode = Opcode::kVerify;
+  EXPECT_EQ(client.call(req).status, Status::kTooLarge);
+
+  // The same commands declaring their true size fit a 2 MiB service.
+  cfg.max_payload = 2 * 1024 * 1024;
+  Service roomy(cfg);
+  LoopbackClient roomy_client(roomy);
+  req.opcode = Opcode::kDecompress;
+  const auto ok = roomy_client.call(req);
+  ASSERT_EQ(ok.status, Status::kOk);
+  EXPECT_EQ(ok.payload.size(), 1u + 4096 * 258);
+}
+
 TEST(ServerService, PlainDecompressBombAnswersTooLarge) {
   // A valid zlib stream that inflates past the small service's cap must be
   // refused with the typed TOO_LARGE, not inflated into memory.

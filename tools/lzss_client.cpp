@@ -303,11 +303,12 @@ int main(int argc, char** argv) {
 
     const bool compressing = op == "compress" || op == "compress-blocked";
     if (compressing && verify) {
-      // End-to-end proof: inflate locally and byte-compare.
-      const auto round = op == "compress-blocked"
-                             ? container::block_decompress(resp.payload, req.payload.size())
-                             : (raw ? core::raw_container_unpack(resp.payload)
-                                    : deflate::zlib_decompress(resp.payload));
+      // End-to-end proof: inflate locally, capped at the input size, and
+      // byte-compare.
+      const std::size_t cap = req.payload.size();
+      const auto round = op == "compress-blocked" ? container::block_decompress(resp.payload, cap)
+                         : raw ? core::raw_container_unpack(resp.payload, cap)
+                               : deflate::zlib_decompress(resp.payload, cap);
       if (round != req.payload) {
         std::fprintf(stderr, "round-trip MISMATCH: inflated output differs from input\n");
         return 1;
