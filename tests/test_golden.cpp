@@ -14,6 +14,7 @@
 #include "deflate/container.hpp"
 #include "deflate/dynamic_encoder.hpp"
 #include "deflate/encoder.hpp"
+#include "deflate/huffman.hpp"
 #include "deflate/inflate.hpp"
 #include "estimator/evaluate.hpp"
 #include "hw/compressor.hpp"
@@ -412,6 +413,56 @@ TEST(EncoderVectors, EveryCodeStreamIsFrozen) {
   EXPECT_EQ(dynamic.size(), 2005u);
   EXPECT_EQ(checksum::crc32(dynamic), 0x10EC6E6Au);
   EXPECT_EQ(deflate::inflate_raw(dynamic), expected);
+}
+
+// A block whose literal/length counts are the Fibonacci numbers F1..F20:
+// the end-of-block code is F1, eight length-258 matches (symbol 285) are F6
+// and 18 literals take the others. Each count is above the sum of all those
+// two or more below it, so the unconstrained tree is a 19-deep chain, and the
+// encoder takes the Kraft repair path that EveryCodeStreamIsFrozen never
+// reaches. The matches' random distances give the distance tree 8 codes
+// at most.
+std::vector<core::Token> deep_tree_tokens() {
+  rng::Xoshiro256 rng(20);
+  constexpr unsigned kMatches = 8;
+  std::vector<std::uint8_t> literals;
+  std::uint64_t a = 1, b = 1;  // F1, F2
+  for (unsigned k = 1; k <= 20; ++k) {
+    if (k != 1 && k != 6) literals.insert(literals.end(), a, static_cast<std::uint8_t>(k * 11));
+    const std::uint64_t next = a + b;
+    a = b;
+    b = next;
+  }
+  for (std::size_t i = literals.size() - 1; i > 0; --i)
+    std::swap(literals[i], literals[rng.next_below(i + 1)]);
+
+  std::vector<core::Token> tokens;
+  std::uint32_t pos = 0;
+  for (std::size_t i = 0; i < literals.size(); ++i) {
+    tokens.push_back(core::Token::literal(literals[i]));
+    ++pos;
+    if (i % 1000 == 999 && i / 1000 < kMatches) {
+      const auto dist = 1 + static_cast<std::uint32_t>(rng.next_below(pos));
+      tokens.push_back(core::Token::match(dist, 258));
+      pos += 258;
+    }
+  }
+  return tokens;
+}
+
+TEST(EncoderVectors, DeepDynamicTreeIsFrozen) {
+  const auto tokens = deep_tree_tokens();
+  std::vector<std::uint64_t> lit_freq(deflate::kNumLitLenSymbols, 0);
+  for (const core::Token& t : tokens)
+    lit_freq[t.is_literal() ? t.literal_byte() : deflate::length_code(t.length()).symbol]++;
+  lit_freq[deflate::kEndOfBlock] = 1;
+  const auto unlimited = deflate::huffman_code_lengths(lit_freq, 30);
+  ASSERT_EQ(*std::max_element(unlimited.begin(), unlimited.end()), 19);
+
+  const auto dynamic = deflate::deflate_dynamic(tokens);
+  EXPECT_EQ(dynamic.size(), 5847u);
+  EXPECT_EQ(checksum::crc32(dynamic), 0x7EC24390u);
+  EXPECT_EQ(deflate::inflate_raw(dynamic), core::decode_tokens(tokens));
 }
 
 }  // namespace

@@ -5,6 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <queue>
+#include <span>
+#include <stdexcept>
+#include <utility>
 
 #include "common/bitio.hpp"
 #include "common/prng.hpp"
@@ -86,6 +90,164 @@ TEST(HuffmanLengths, LengthLimitEnforcedOnSkewedInput) {
     kraft += std::pow(2.0, -static_cast<double>(l));
   }
   EXPECT_LE(kraft, 1.0 + 1e-9);
+}
+
+// The heap-based builder that huffman_code_lengths() replaced, kept verbatim
+// as the reference its code lengths must match: a (freq, node index) min-heap,
+// a depth-first depth pass, then the zlib-style Kraft repair.
+std::vector<std::uint8_t> reference_code_lengths(std::span<const std::uint64_t> freqs,
+                                                 unsigned max_bits) {
+  const std::size_t n = freqs.size();
+  std::vector<std::uint8_t> lengths(n, 0);
+
+  struct Node {
+    std::uint64_t freq;
+    int left = -1, right = -1;  // -1 for leaves
+    std::uint16_t symbol = 0;
+  };
+  std::vector<Node> nodes;
+  nodes.reserve(2 * n);
+
+  using HeapItem = std::pair<std::uint64_t, int>;  // (freq, node index)
+  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
+  for (std::size_t s = 0; s < n; ++s) {
+    if (freqs[s] == 0) continue;
+    nodes.push_back({freqs[s], -1, -1, static_cast<std::uint16_t>(s)});
+    heap.emplace(freqs[s], static_cast<int>(nodes.size() - 1));
+  }
+  if (heap.empty()) return lengths;
+  if (heap.size() == 1) {
+    lengths[nodes[heap.top().second].symbol] = 1;
+    return lengths;
+  }
+
+  while (heap.size() > 1) {
+    const auto [fa, a] = heap.top();
+    heap.pop();
+    const auto [fb, b] = heap.top();
+    heap.pop();
+    nodes.push_back({fa + fb, a, b, 0});
+    heap.emplace(fa + fb, static_cast<int>(nodes.size() - 1));
+  }
+
+  // Depth-first assignment of depths.
+  std::vector<std::pair<int, unsigned>> stack{{heap.top().second, 0}};
+  unsigned overflow_max = 0;
+  while (!stack.empty()) {
+    const auto [idx, depth] = stack.back();
+    stack.pop_back();
+    const Node& nd = nodes[static_cast<std::size_t>(idx)];
+    if (nd.left < 0) {
+      lengths[nd.symbol] = static_cast<std::uint8_t>(std::min(depth, max_bits));
+      overflow_max = std::max(overflow_max, depth);
+      continue;
+    }
+    stack.emplace_back(nd.left, depth + 1);
+    stack.emplace_back(nd.right, depth + 1);
+  }
+
+  if (overflow_max <= max_bits) return lengths;
+
+  // Kraft repair (zlib-style): clamping to max_bits over-subscribes the
+  // code space; lengthen the cheapest symbols until the Kraft sum is exact.
+  const std::uint64_t budget = 1ull << max_bits;
+  auto kraft = [&] {
+    std::uint64_t k = 0;
+    for (const auto l : lengths)
+      if (l != 0) k += budget >> l;
+    return k;
+  };
+  // Symbols sorted by ascending frequency, so we demote the rarest first.
+  std::vector<std::size_t> order;
+  for (std::size_t s = 0; s < n; ++s)
+    if (freqs[s] != 0) order.push_back(s);
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return freqs[a] < freqs[b]; });
+
+  std::uint64_t k = kraft();
+  while (k > budget) {
+    // Find a symbol whose code can be lengthened (length < max_bits).
+    bool changed = false;
+    for (const std::size_t s : order) {
+      if (lengths[s] != 0 && lengths[s] < max_bits) {
+        k -= budget >> lengths[s];
+        lengths[s]++;
+        k += budget >> lengths[s];
+        changed = true;
+        if (k <= budget) break;
+      }
+    }
+    if (!changed) throw std::logic_error("huffman_code_lengths: cannot satisfy Kraft");
+  }
+  // Optionally shorten codes to use the slack (keeps the code canonicalizable
+  // and slightly improves efficiency); iterate from the most frequent.
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    while (lengths[*it] > 1) {
+      const std::uint64_t gain = (budget >> (lengths[*it] - 1)) - (budget >> lengths[*it]);
+      if (k + gain > budget) break;
+      lengths[*it]--;
+      k += gain;
+    }
+  }
+  return lengths;
+}
+
+// A frequency vector of n symbols, @p used of them non-zero, drawn as one of
+// the shapes the builder must agree on: uniform counts, heavy ties, or a
+// Fibonacci chain (the skew that drives a tree past max_bits).
+enum class Shape { kUniform, kTies, kFibonacci };
+
+std::vector<std::uint64_t> make_freqs(rng::Xoshiro256& rng, std::size_t n, std::size_t used,
+                                      Shape shape) {
+  std::vector<std::size_t> symbols(n);
+  std::iota(symbols.begin(), symbols.end(), 0);
+  for (std::size_t i = n - 1; i > 0; --i) std::swap(symbols[i], symbols[rng.next_below(i + 1)]);
+  std::vector<std::uint64_t> freqs(n, 0);
+  std::uint64_t a = 1, b = 1;
+  for (std::size_t i = 0; i < used; ++i) {
+    std::uint64_t f = 0;
+    switch (shape) {
+      case Shape::kUniform: f = 1 + rng.next_below(5000); break;
+      case Shape::kTies: f = 1 + rng.next_below(3); break;
+      case Shape::kFibonacci: {
+        f = a;
+        const std::uint64_t next = a + b;
+        a = b;
+        b = next;
+        if (i % 60 == 59) a = b = 1;  // restart the chain: every count stays small
+        break;
+      }
+    }
+    freqs[symbols[i]] = f;
+  }
+  return freqs;
+}
+
+TEST(HuffmanLengths, MatchesHeapReference) {
+  rng::Xoshiro256 rng(20);
+  std::size_t repaired[2] = {};  // at max_bits 15 and 7
+  for (const std::size_t n : {std::size_t{286}, std::size_t{30}, std::size_t{19}}) {
+    for (const Shape shape : {Shape::kUniform, Shape::kTies, Shape::kFibonacci}) {
+      for (int trial = 0; trial < 200; ++trial) {
+        // 0, 1 and 2 used symbols first, then every alphabet fill from
+        // mostly-zero to full.
+        const std::size_t used = trial < 3 ? static_cast<std::size_t>(trial)
+                                           : 1 + rng.next_below(n);
+        const auto freqs = make_freqs(rng, n, used, shape);
+        for (const unsigned max_bits : {15u, 7u}) {
+          if (used > (std::size_t{1} << max_bits)) continue;  // no code fits
+          const auto want = reference_code_lengths(freqs, max_bits);
+          ASSERT_EQ(huffman_code_lengths(freqs, max_bits), want)
+              << "n=" << n << " used=" << used << " shape=" << static_cast<int>(shape)
+              << " max_bits=" << max_bits << " trial=" << trial;
+          if (reference_code_lengths(freqs, 30) != want) ++repaired[max_bits == 7];
+        }
+      }
+    }
+  }
+  // The Fibonacci chains reach the Kraft repair at both limits.
+  EXPECT_GT(repaired[0], 50u);
+  EXPECT_GT(repaired[1], 50u);
 }
 
 TEST(HuffmanLengths, FrequentSymbolsGetShorterCodes) {
