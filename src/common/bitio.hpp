@@ -19,14 +19,15 @@
 
 namespace lzss::bits {
 
-/// Reverses the low @p n bits of @p v (used to emit Huffman codes MSB-first).
+/// Reverses the low @p n <= 32 bits of @p v (used to emit Huffman codes
+/// MSB-first): the whole word is reversed in five swaps, then shifted down.
 [[nodiscard]] constexpr std::uint32_t reverse_bits(std::uint32_t v, unsigned n) noexcept {
-  std::uint32_t r = 0;
-  for (unsigned i = 0; i < n; ++i) {
-    r = (r << 1) | (v & 1u);
-    v >>= 1;
-  }
-  return r;
+  v = ((v >> 1) & 0x55555555u) | ((v & 0x55555555u) << 1);
+  v = ((v >> 2) & 0x33333333u) | ((v & 0x33333333u) << 2);
+  v = ((v >> 4) & 0x0F0F0F0Fu) | ((v & 0x0F0F0F0Fu) << 4);
+  v = ((v >> 8) & 0x00FF00FFu) | ((v & 0x00FF00FFu) << 8);
+  v = (v >> 16) | (v << 16);
+  return n == 0 ? 0 : v >> (32 - n);
 }
 
 /// Accumulates bits LSB-first into a growing byte buffer.

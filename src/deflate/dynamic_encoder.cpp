@@ -20,10 +20,15 @@ struct ClcSymbol {
   std::uint8_t extra_value;
 };
 
+// The most code lengths a header sends, and so the most CLC symbols: each
+// symbol covers at least one length.
+constexpr std::size_t kMaxLengths = kNumLitLenSymbols + kNumDistSymbols;
+
 /// Run-length encodes a code-length sequence into CLC symbols (16 = repeat
-/// previous 3-6, 17 = zeros 3-10, 18 = zeros 11-138).
-std::vector<ClcSymbol> rle_code_lengths(std::span<const std::uint8_t> lengths) {
-  std::vector<ClcSymbol> out;
+/// previous 3-6, 17 = zeros 3-10, 18 = zeros 11-138); returns their count.
+std::size_t rle_code_lengths(std::span<const std::uint8_t> lengths,
+                             std::array<ClcSymbol, kMaxLengths>& out) {
+  std::size_t count = 0;
   std::size_t i = 0;
   while (i < lengths.size()) {
     const std::uint8_t len = lengths[i];
@@ -34,27 +39,27 @@ std::vector<ClcSymbol> rle_code_lengths(std::span<const std::uint8_t> lengths) {
       std::size_t left = run;
       while (left >= 11) {
         const std::size_t n = std::min<std::size_t>(left, 138);
-        out.push_back({18, 7, static_cast<std::uint8_t>(n - 11)});
+        out[count++] = {18, 7, static_cast<std::uint8_t>(n - 11)};
         left -= n;
       }
       if (left >= 3) {
-        out.push_back({17, 3, static_cast<std::uint8_t>(left - 3)});
+        out[count++] = {17, 3, static_cast<std::uint8_t>(left - 3)};
         left = 0;
       }
-      while (left-- > 0) out.push_back({0, 0, 0});
+      while (left-- > 0) out[count++] = {0, 0, 0};
     } else {
-      out.push_back({len, 0, 0});
+      out[count++] = {len, 0, 0};
       std::size_t left = run - 1;
       while (left >= 3) {
         const std::size_t n = std::min<std::size_t>(left, 6);
-        out.push_back({16, 2, static_cast<std::uint8_t>(n - 3)});
+        out[count++] = {16, 2, static_cast<std::uint8_t>(n - 3)};
         left -= n;
       }
-      while (left-- > 0) out.push_back({len, 0, 0});
+      while (left-- > 0) out[count++] = {len, 0, 0};
     }
     i += run;
   }
-  return out;
+  return count;
 }
 
 }  // namespace
@@ -63,8 +68,8 @@ void write_dynamic_block(bits::BitWriter& w, std::span<const core::Token> tokens
                          bool final_block) {
   // 1. Symbol frequencies. The distance check throws before any bit is
   // written.
-  std::vector<std::uint64_t> lit_freq(kNumLitLenSymbols, 0);
-  std::vector<std::uint64_t> dist_freq(kNumDistSymbols, 0);
+  std::array<std::uint64_t, kNumLitLenSymbols> lit_freq{};
+  std::array<std::uint64_t, kNumDistSymbols> dist_freq{};
   for (const core::Token& t : tokens) {
     if (t.is_literal()) {
       lit_freq[t.literal_byte()]++;
@@ -76,8 +81,10 @@ void write_dynamic_block(bits::BitWriter& w, std::span<const core::Token> tokens
   lit_freq[kEndOfBlock] = 1;
 
   // 2. Code lengths (15-bit limit), then canonical codes.
-  std::vector<std::uint8_t> lit_len = huffman_code_lengths(lit_freq, kMaxCodeLength);
-  std::vector<std::uint8_t> dist_len = huffman_code_lengths(dist_freq, kMaxCodeLength);
+  std::array<std::uint8_t, kNumLitLenSymbols> lit_len{};
+  std::array<std::uint8_t, kNumDistSymbols> dist_len{};
+  huffman_code_lengths(lit_freq, kMaxCodeLength, lit_len);
+  huffman_code_lengths(dist_freq, kMaxCodeLength, dist_len);
   // A decodable block needs at least one distance code even if unused.
   if (std::all_of(dist_len.begin(), dist_len.end(), [](auto l) { return l == 0; }))
     dist_len[0] = 1;
@@ -91,15 +98,17 @@ void write_dynamic_block(bits::BitWriter& w, std::span<const core::Token> tokens
   while (hdist > 1 && dist_len[hdist - 1] == 0) --hdist;
 
   // 4. RLE the concatenated length sequence and build the CLC code.
-  std::vector<std::uint8_t> all_lengths(lit_len.begin(),
-                                        lit_len.begin() + static_cast<std::ptrdiff_t>(hlit));
-  all_lengths.insert(all_lengths.end(), dist_len.begin(),
-                     dist_len.begin() + static_cast<std::ptrdiff_t>(hdist));
-  const auto clc_symbols = rle_code_lengths(all_lengths);
+  std::array<std::uint8_t, kMaxLengths> all_lengths{};
+  std::copy_n(lit_len.begin(), hlit, all_lengths.begin());
+  std::copy_n(dist_len.begin(), hdist, all_lengths.begin() + static_cast<std::ptrdiff_t>(hlit));
+  std::array<ClcSymbol, kMaxLengths> clc_buf{};
+  const auto clc_symbols = std::span(clc_buf).first(
+      rle_code_lengths(std::span(all_lengths).first(hlit + hdist), clc_buf));
 
-  std::vector<std::uint64_t> clc_freq(19, 0);
+  std::array<std::uint64_t, 19> clc_freq{};
   for (const auto& s : clc_symbols) clc_freq[s.symbol]++;
-  std::vector<std::uint8_t> clc_len = huffman_code_lengths(clc_freq, 7);
+  std::array<std::uint8_t, 19> clc_len{};
+  huffman_code_lengths(clc_freq, 7, clc_len);
   const CanonicalCode clc_code = canonical_code(clc_len);
 
   std::size_t hclen = 19;

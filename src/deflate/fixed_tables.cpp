@@ -1,20 +1,34 @@
 #include "deflate/fixed_tables.hpp"
 
-#include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
-#include "deflate/huffman.hpp"
+#include "common/bitio.hpp"
 
 namespace lzss::deflate {
 
 CanonicalCode canonical_code(std::span<const std::uint8_t> lengths) {
-  assert(lengths.size() <= kNumLitLenSymbols);
-  const std::vector<std::uint16_t> code = canonical_codes(lengths);
-  const std::vector<std::uint16_t> reversed = stream_order_codes(lengths);
+  if (lengths.size() > kNumLitLenSymbols)
+    throw std::invalid_argument("canonical_code: more than 288 symbols");
+  std::array<std::uint32_t, kMaxCodeLength + 1> bl_count{};
+  for (const auto l : lengths) {
+    if (l > kMaxCodeLength) throw std::invalid_argument("canonical_code: length > 15");
+    bl_count[l]++;
+  }
+  bl_count[0] = 0;
+
+  std::array<std::uint32_t, kMaxCodeLength + 1> next_code{};
+  for (unsigned len = 1; len <= kMaxCodeLength; ++len)
+    next_code[len] = (next_code[len - 1] + bl_count[len - 1]) << 1;
+
   CanonicalCode out;
-  std::copy(code.begin(), code.end(), out.code.begin());
-  std::copy(reversed.begin(), reversed.end(), out.reversed.begin());
-  std::copy(lengths.begin(), lengths.end(), out.bits.begin());
+  for (std::size_t s = 0; s < lengths.size(); ++s) {
+    const unsigned len = lengths[s];
+    if (len == 0) continue;
+    const std::uint32_t code = next_code[len]++;
+    out.code[s] = static_cast<std::uint16_t>(code);
+    out.reversed[s] = static_cast<std::uint16_t>(bits::reverse_bits(code, len));
+    out.bits[s] = static_cast<std::uint8_t>(len);
+  }
   return out;
 }
 

@@ -123,7 +123,11 @@ struct CanonicalCode {
 };
 
 /// The canonical code (RFC 1951 section 3.2.2) for per-symbol code
-/// @p lengths; at most kNumLitLenSymbols of them, 0 = symbol absent.
+/// @p lengths, 0 = symbol absent, in one pass: each symbol's code, its
+/// stream-order reversal and its length. The one canonical-code routine,
+/// shared by the block writers and HuffmanDecoder. Throws
+/// std::invalid_argument on more than kNumLitLenSymbols lengths or a length
+/// over kMaxCodeLength.
 [[nodiscard]] CanonicalCode canonical_code(std::span<const std::uint8_t> lengths);
 
 /// The fixed literal/length code of RFC 1951 section 3.2.6.

@@ -1,93 +1,104 @@
 #include "deflate/huffman.hpp"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
-#include <queue>
 #include <stdexcept>
+
+#include "deflate/fixed_tables.hpp"
 
 namespace lzss::deflate {
 
-std::vector<std::uint16_t> canonical_codes(std::span<const std::uint8_t> lengths) {
-  unsigned max_len = 0;
-  for (const auto l : lengths) max_len = std::max<unsigned>(max_len, l);
+namespace {
 
-  std::vector<std::uint32_t> bl_count(max_len + 1, 0);
-  for (const auto l : lengths)
-    if (l != 0) bl_count[l]++;
+// A used symbol's sort key: freq << kSymbolBits | symbol, so that one
+// integer sort orders the leaves by (freq, symbol).
+constexpr unsigned kSymbolBits = 9;
+constexpr std::uint64_t kSymbolMask = (std::uint64_t{1} << kSymbolBits) - 1;
+static_assert(kMaxHuffmanSymbols == kSymbolMask + 1 && kMaxHuffmanFreq == ~0ull >> kSymbolBits);
 
-  std::vector<std::uint32_t> next_code(max_len + 2, 0);
-  std::uint32_t code = 0;
-  for (unsigned len = 1; len <= max_len; ++len) {
-    code = (code + bl_count[len - 1]) << 1;
-    next_code[len] = code;
-  }
+}  // namespace
 
-  std::vector<std::uint16_t> codes(lengths.size(), 0);
-  for (std::size_t s = 0; s < lengths.size(); ++s) {
-    if (lengths[s] != 0) codes[s] = static_cast<std::uint16_t>(next_code[lengths[s]]++);
-  }
-  return codes;
-}
-
-std::vector<std::uint16_t> stream_order_codes(std::span<const std::uint8_t> lengths) {
-  std::vector<std::uint16_t> codes = canonical_codes(lengths);
-  for (std::size_t s = 0; s < lengths.size(); ++s)
-    codes[s] = static_cast<std::uint16_t>(bits::reverse_bits(codes[s], lengths[s]));
-  return codes;
-}
-
-std::vector<std::uint8_t> huffman_code_lengths(std::span<const std::uint64_t> freqs,
-                                               unsigned max_bits) {
+void huffman_code_lengths(std::span<const std::uint64_t> freqs, unsigned max_bits,
+                          std::span<std::uint8_t> lengths) {
   const std::size_t n = freqs.size();
-  std::vector<std::uint8_t> lengths(n, 0);
+  if (n > kMaxHuffmanSymbols)
+    throw std::invalid_argument("huffman_code_lengths: alphabet larger than 512 symbols");
+  if (lengths.size() != n)
+    throw std::invalid_argument("huffman_code_lengths: lengths and freqs differ in size");
+  std::fill(lengths.begin(), lengths.end(), std::uint8_t{0});
 
-  struct Node {
-    std::uint64_t freq;
-    int left = -1, right = -1;  // -1 for leaves
-    std::uint16_t symbol = 0;
-  };
-  std::vector<Node> nodes;
-  nodes.reserve(2 * n);
-
-  using HeapItem = std::pair<std::uint64_t, int>;  // (freq, node index)
-  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
+  // 1. The used symbols, sorted by (freq, symbol): gathered in symbol
+  // order, then a stable LSD radix sort on the frequency bits of the key,
+  // a byte per pass, up to the largest frequency's top byte. Unlike a
+  // comparison sort it takes no data-dependent branch.
+  std::array<std::uint64_t, kMaxHuffmanSymbols> keys{}, scratch{};
+  std::size_t m = 0;
+  std::uint64_t max_freq = 0;
   for (std::size_t s = 0; s < n; ++s) {
     if (freqs[s] == 0) continue;
-    nodes.push_back({freqs[s], -1, -1, static_cast<std::uint16_t>(s)});
-    heap.emplace(freqs[s], static_cast<int>(nodes.size() - 1));
+    if (freqs[s] > kMaxHuffmanFreq)
+      throw std::invalid_argument("huffman_code_lengths: frequency of 2^55 or more");
+    keys[m++] = freqs[s] << kSymbolBits | s;
+    max_freq = std::max(max_freq, freqs[s]);
   }
-  if (heap.empty()) return lengths;
-  if (heap.size() == 1) {
-    lengths[nodes[heap.top().second].symbol] = 1;
-    return lengths;
+  if (m == 0) return;
+  if (m == 1) {
+    lengths[keys[0] & kSymbolMask] = 1;
+    return;
   }
-
-  while (heap.size() > 1) {
-    const auto [fa, a] = heap.top();
-    heap.pop();
-    const auto [fb, b] = heap.top();
-    heap.pop();
-    nodes.push_back({fa + fb, a, b, 0});
-    heap.emplace(fa + fb, static_cast<int>(nodes.size() - 1));
-  }
-
-  // Depth-first assignment of depths.
-  std::vector<std::pair<int, unsigned>> stack{{heap.top().second, 0}};
-  unsigned overflow_max = 0;
-  while (!stack.empty()) {
-    const auto [idx, depth] = stack.back();
-    stack.pop_back();
-    const Node& nd = nodes[static_cast<std::size_t>(idx)];
-    if (nd.left < 0) {
-      lengths[nd.symbol] = static_cast<std::uint8_t>(std::min(depth, max_bits));
-      overflow_max = std::max(overflow_max, depth);
-      continue;
+  std::uint64_t* leaf = keys.data();
+  std::uint64_t* out = scratch.data();
+  for (unsigned shift = kSymbolBits; (max_freq >> (shift - kSymbolBits)) != 0; shift += 8) {
+    std::array<std::uint16_t, 256> start{};
+    for (std::size_t i = 0; i < m; ++i) start[(leaf[i] >> shift) & 0xFF]++;
+    std::uint16_t sum = 0;
+    for (auto& c : start) {
+      const std::uint16_t count = c;
+      c = sum;
+      sum = static_cast<std::uint16_t>(sum + count);
     }
-    stack.emplace_back(nd.left, depth + 1);
-    stack.emplace_back(nd.right, depth + 1);
+    for (std::size_t i = 0; i < m; ++i) out[start[(leaf[i] >> shift) & 0xFF]++] = leaf[i];
+    std::swap(leaf, out);
   }
 
-  if (overflow_max <= max_bits) return lengths;
+  // 2. Two-queue merge: the sorted leaves, and the merged nodes in the order
+  // they are made, which is also ascending weight. Each step joins the two
+  // lightest fronts, a leaf before a node of equal weight: the order a
+  // (freq, node index) heap pops them in, with leaves numbered by symbol
+  // before every merged node.
+  std::array<std::uint64_t, kMaxHuffmanSymbols> weight{};  // merged node i's weight
+  std::array<std::uint16_t, kMaxHuffmanSymbols> leaf_parent{}, node_parent{};
+  std::size_t next_leaf = 0, next_node = 0;
+  for (std::size_t i = 0; i + 1 < m; ++i) {
+    std::uint64_t w = 0;
+    for (int pick = 0; pick < 2; ++pick) {
+      // next_node == i: no merged node is waiting.
+      if (next_leaf < m &&
+          (next_node == i || (leaf[next_leaf] >> kSymbolBits) <= weight[next_node])) {
+        w += leaf[next_leaf] >> kSymbolBits;
+        leaf_parent[next_leaf++] = static_cast<std::uint16_t>(i);
+      } else {
+        w += weight[next_node];
+        node_parent[next_node++] = static_cast<std::uint16_t>(i);
+      }
+    }
+    weight[i] = w;
+  }
+
+  // 3. Depths. A parent is made after its children, so one pass from the
+  // root (the last node) down reaches every parent before its children.
+  std::array<std::uint16_t, kMaxHuffmanSymbols> depth{};
+  depth[m - 2] = 0;
+  for (std::size_t i = m - 2; i-- > 0;) depth[i] = depth[node_parent[i]] + 1;
+  unsigned overflow_max = 0;
+  for (std::size_t j = 0; j < m; ++j) {
+    const unsigned d = depth[leaf_parent[j]] + 1u;
+    lengths[leaf[j] & kSymbolMask] = static_cast<std::uint8_t>(std::min(d, max_bits));
+    overflow_max = std::max(overflow_max, d);
+  }
+
+  if (overflow_max <= max_bits) return;
 
   // Kraft repair (zlib-style): clamping to max_bits over-subscribes the
   // code space; lengthen the cheapest symbols until the Kraft sum is exact.
@@ -130,6 +141,12 @@ std::vector<std::uint8_t> huffman_code_lengths(std::span<const std::uint64_t> fr
       k += gain;
     }
   }
+}
+
+std::vector<std::uint8_t> huffman_code_lengths(std::span<const std::uint64_t> freqs,
+                                               unsigned max_bits) {
+  std::vector<std::uint8_t> lengths(freqs.size());
+  huffman_code_lengths(freqs, max_bits, lengths);
   return lengths;
 }
 
@@ -151,7 +168,8 @@ HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths,
   }
   total_symbols_ = std::accumulate(std::begin(count), std::end(count), 0u);
   // The first bit read is the lowest bit of a stream-order code.
-  const std::vector<std::uint16_t> reversed = stream_order_codes(lengths);
+  const CanonicalCode code = canonical_code(lengths);
+  const auto& reversed = code.reversed;
 
   root_bits_ = std::min(max_len, kMaxRootBits);
   root_mask_ = (1u << root_bits_) - 1;

@@ -1,7 +1,9 @@
-// Canonical Huffman utilities shared by the block writers and the inflate
-// decoder.
+// Huffman code-length construction for the dynamic block writer, and the
+// canonical Huffman table decoder inflate uses. Both take their canonical
+// codes from canonical_code() (deflate/fixed_tables.hpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -10,19 +12,35 @@
 
 namespace lzss::deflate {
 
-/// Computes canonical code values for the given code lengths (RFC 1951
-/// section 3.2.2). lengths[i] == 0 means "symbol absent".
-[[nodiscard]] std::vector<std::uint16_t> canonical_codes(std::span<const std::uint8_t> lengths);
-
-/// canonical_codes() bit-reversed into stream order. Deflate sends a
-/// Huffman code MSB first into an LSB-first stream, so the block writers put
-/// these values with put_bits and the table decoder indexes by them.
-[[nodiscard]] std::vector<std::uint16_t> stream_order_codes(std::span<const std::uint8_t> lengths);
+/// The largest alphabet huffman_code_lengths() takes: a symbol fits in
+/// 9 bits of a 64-bit sort key...
+inline constexpr std::size_t kMaxHuffmanSymbols = 512;
+/// ...and a frequency in the other 55 bits. 512 of them sum below 2^64.
+inline constexpr std::uint64_t kMaxHuffmanFreq = (std::uint64_t{1} << 55) - 1;
 
 /// Computes length-limited Huffman code lengths for the given symbol
-/// frequencies. Zero-frequency symbols get length 0. Uses a standard Huffman
-/// build followed by zlib-style depth-overflow correction so no code exceeds
-/// @p max_bits.
+/// frequencies into @p lengths, one per frequency. Zero-frequency symbols
+/// get length 0, and a lone used symbol gets length 1.
+///
+/// The tree is built in linear time after one sort: the used symbols are
+/// sorted by (freq, symbol) and merged two at a time from two queues, the
+/// sorted leaves and a FIFO of merged nodes, whose weights come out in
+/// ascending order. A leaf wins a tie against a merged node, and among
+/// equals the earlier one goes first. That is the pop order of a
+/// (freq, node index) min-heap whose leaves are numbered by symbol ahead of
+/// every merged node, so the lengths are the heap build's. One reverse pass
+/// over the parent links gives every depth. A depth past @p max_bits is
+/// clamped and then repaired zlib-style: the rarest symbols are lengthened
+/// until the Kraft sum fits, and the most frequent shortened into any slack.
+///
+/// Throws std::invalid_argument when @p freqs has more than
+/// kMaxHuffmanSymbols entries, a frequency is above kMaxHuffmanFreq, or
+/// @p lengths differs from @p freqs in size; std::logic_error when more
+/// than 2^max_bits symbols are used.
+void huffman_code_lengths(std::span<const std::uint64_t> freqs, unsigned max_bits,
+                          std::span<std::uint8_t> lengths);
+
+/// huffman_code_lengths() into a new vector.
 [[nodiscard]] std::vector<std::uint8_t> huffman_code_lengths(std::span<const std::uint64_t> freqs,
                                                              unsigned max_bits);
 
@@ -36,8 +54,9 @@ namespace lzss::deflate {
 /// that follow its symbol's code, so one shift consumes both.
 class HuffmanDecoder {
  public:
-  /// @param lengths per-symbol code lengths; 0 = absent. Throws on an
-  /// over-subscribed code; incomplete codes are accepted (RFC allows the
+  /// @param lengths per-symbol code lengths; 0 = absent. Throws
+  /// std::invalid_argument on an over-subscribed code, a length over 15 or
+  /// more than 288 symbols; incomplete codes are accepted (RFC allows the
   /// single-symbol distance code case) and their unused codes throw when
   /// met in a stream.
   /// @param extra_bits per-symbol count of the extra bits that follow the

@@ -133,6 +133,19 @@ TEST(ReverseBits, KnownValues) {
   EXPECT_EQ(reverse_bits(0x1, 16), 0x8000u);
 }
 
+TEST(ReverseBits, MatchesABitwiseReferenceAtEveryWidth) {
+  // Bits above the low n are ignored; width 0 gives 0 and 32 the whole word.
+  rng::Xoshiro256 rng(5);
+  for (unsigned n = 0; n <= 32; ++n) {
+    for (int i = 0; i < 64; ++i) {
+      const auto v = static_cast<std::uint32_t>(rng.next());
+      std::uint32_t want = 0;
+      for (unsigned b = 0; b < n; ++b) want |= ((v >> b) & 1u) << (n - 1 - b);
+      ASSERT_EQ(reverse_bits(v, n), want) << "v=" << v << " n=" << n;
+    }
+  }
+}
+
 TEST(BitReader, ReadsBackLsbFirst) {
   BitWriter w;
   w.put_bits(0b101, 3);

@@ -12,6 +12,7 @@
 
 #include "common/bitio.hpp"
 #include "common/prng.hpp"
+#include "deflate/fixed_tables.hpp"
 
 namespace lzss::deflate {
 namespace {
@@ -19,14 +20,14 @@ namespace {
 TEST(CanonicalCodes, Rfc1951WorkedExample) {
   // RFC 1951 section 3.2.2 example: lengths (3,3,3,3,3,2,4,4) for A..H.
   const std::uint8_t lengths[] = {3, 3, 3, 3, 3, 2, 4, 4};
-  const auto codes = canonical_codes(lengths);
+  const auto codes = canonical_code(lengths).code;
   const std::uint16_t expected[] = {0b010, 0b011, 0b100, 0b101, 0b110, 0b00, 0b1110, 0b1111};
   for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(codes[i], expected[i]) << i;
 }
 
 TEST(CanonicalCodes, SkipsAbsentSymbols) {
   const std::uint8_t lengths[] = {0, 1, 0, 1};
-  const auto codes = canonical_codes(lengths);
+  const auto codes = canonical_code(lengths).code;
   EXPECT_EQ(codes[1], 0u);
   EXPECT_EQ(codes[3], 1u);
 }
@@ -250,6 +251,31 @@ TEST(HuffmanLengths, MatchesHeapReference) {
   EXPECT_GT(repaired[1], 50u);
 }
 
+TEST(HuffmanLengths, AlphabetPastTheSortKeyThrows) {
+  // A symbol takes 9 bits of the packed (freq, symbol) sort key.
+  std::vector<std::uint64_t> freqs(kMaxHuffmanSymbols, 1);
+  const auto lengths = huffman_code_lengths(freqs, 15);
+  EXPECT_TRUE(std::all_of(lengths.begin(), lengths.end(), [](auto l) { return l == 9; }));
+  freqs.push_back(0);
+  EXPECT_THROW((void)huffman_code_lengths(freqs, 15), std::invalid_argument);
+}
+
+TEST(HuffmanLengths, FrequencyPastTheSortKeyThrows) {
+  // A frequency takes the key's other 55 bits; 512 of the largest still sum
+  // inside 64 bits.
+  std::vector<std::uint64_t> freqs(kMaxHuffmanSymbols, kMaxHuffmanFreq);
+  const auto lengths = huffman_code_lengths(freqs, 15);
+  EXPECT_TRUE(std::all_of(lengths.begin(), lengths.end(), [](auto l) { return l == 9; }));
+  freqs[3] = kMaxHuffmanFreq + 1;
+  EXPECT_THROW((void)huffman_code_lengths(freqs, 15), std::invalid_argument);
+}
+
+TEST(HuffmanLengths, LengthsSpanOfAnotherSizeThrows) {
+  const std::uint64_t freqs[] = {3, 1, 2};
+  std::uint8_t lengths[2];
+  EXPECT_THROW(huffman_code_lengths(freqs, 15, lengths), std::invalid_argument);
+}
+
 TEST(HuffmanLengths, FrequentSymbolsGetShorterCodes) {
   const std::uint64_t freqs[] = {1000, 1, 1, 1};
   const auto lengths = huffman_code_lengths(freqs, 15);
@@ -259,7 +285,7 @@ TEST(HuffmanLengths, FrequentSymbolsGetShorterCodes) {
 TEST(HuffmanDecoder, DecodesCanonicalStream) {
   const std::uint8_t lengths[] = {2, 2, 2, 2};
   HuffmanDecoder dec(lengths);
-  const auto codes = canonical_codes(lengths);
+  const auto codes = canonical_code(lengths).code;
   for (unsigned sym = 0; sym < 4; ++sym) {
     bits::BitWriter w;
     w.put_huffman(codes[sym], 2);
@@ -275,7 +301,7 @@ TEST(HuffmanDecoder, MixedLengthRoundtrip) {
   std::vector<std::uint64_t> freqs(40);
   for (auto& f : freqs) f = 1 + rng.next_below(500);
   const auto lengths = huffman_code_lengths(freqs, 15);
-  const auto codes = canonical_codes(lengths);
+  const auto codes = canonical_code(lengths).code;
   HuffmanDecoder dec(lengths);
 
   std::vector<unsigned> symbols(3000);
@@ -302,7 +328,7 @@ TEST(HuffmanDecoder, FifteenBitCodesRoundTrip) {
   freqs[1] = 3;
   const auto lengths = huffman_code_lengths(freqs, 15);
   ASSERT_EQ(*std::max_element(lengths.begin(), lengths.end()), 15);
-  const auto codes = canonical_codes(lengths);
+  const auto codes = canonical_code(lengths).code;
   HuffmanDecoder dec(lengths);
 
   rng::Xoshiro256 rng(15);
@@ -327,7 +353,7 @@ TEST(HuffmanDecoder, ExtraBitsAreConsumedWithTheCode) {
   const std::uint8_t lengths[] = {2, 2, 2, 2};
   const std::uint8_t extra_bits[] = {0, 3, 13};  // symbol 3: past the end, none
   HuffmanDecoder dec(lengths, extra_bits);
-  const auto codes = canonical_codes(lengths);
+  const auto codes = canonical_code(lengths).code;
   const std::pair<unsigned, std::uint32_t> stream[] = {{1, 5}, {0, 0}, {2, 0x1ABC}, {3, 0}, {2, 0}};
   bits::BitWriter w;
   for (const auto& [sym, extra] : stream) {
@@ -378,6 +404,14 @@ TEST(HuffmanDecoder, AcceptsIncompleteCode) {
 TEST(HuffmanDecoder, RejectsTooLongLengths) {
   const std::uint8_t bad[] = {16};
   EXPECT_THROW(HuffmanDecoder{bad}, std::invalid_argument);
+}
+
+TEST(HuffmanDecoder, RejectsMoreThan288Symbols) {
+  std::vector<std::uint8_t> lengths(289, 0);
+  lengths[0] = lengths[1] = 1;
+  EXPECT_THROW(HuffmanDecoder{lengths}, std::invalid_argument);
+  lengths.pop_back();
+  EXPECT_NO_THROW(HuffmanDecoder{lengths});
 }
 
 TEST(HuffmanDecoder, EmptyFlag) {
