@@ -22,16 +22,17 @@ inline constexpr std::uint64_t kMaxHuffmanFreq = (std::uint64_t{1} << 55) - 1;
 /// frequencies into @p lengths, one per frequency. Zero-frequency symbols
 /// get length 0, and a lone used symbol gets length 1.
 ///
-/// The tree is built in linear time after one sort: the used symbols are
-/// sorted by (freq, symbol) and merged two at a time from two queues, the
-/// sorted leaves and a FIFO of merged nodes, whose weights come out in
-/// ascending order. A leaf wins a tie against a merged node, and among
-/// equals the earlier one goes first. That is the pop order of a
-/// (freq, node index) min-heap whose leaves are numbered by symbol ahead of
-/// every merged node, so the lengths are the heap build's. One reverse pass
-/// over the parent links gives every depth. A depth past @p max_bits is
-/// clamped and then repaired zlib-style: the rarest symbols are lengthened
-/// until the Kraft sum fits, and the most frequent shortened into any slack.
+/// The tree is built in linear time. The used symbols are sorted by
+/// (freq, symbol) with a stable radix sort over the frequency bytes, then
+/// merged two at a time from two queues: the sorted leaves and a FIFO of
+/// merged nodes, whose weights come out in ascending order. A leaf wins a
+/// tie against a merged node, and among equals the earlier one goes first.
+/// That is the pop order of a (freq, node index) min-heap whose leaves are
+/// numbered by symbol ahead of every merged node, so the lengths are the
+/// heap build's. One reverse pass over the parent links gives every depth.
+/// A depth past @p max_bits is clamped and then repaired zlib-style: the
+/// rarest symbols are lengthened until the Kraft sum fits, and the most
+/// frequent shortened into any slack.
 ///
 /// Throws std::invalid_argument when @p freqs has more than
 /// kMaxHuffmanSymbols entries, a frequency is above kMaxHuffmanFreq, or
