@@ -14,7 +14,6 @@
 #include "fault/fault.hpp"
 #include "hw/functional.hpp"
 #include "lzss/mf_encoder.hpp"
-#include "parallel/stripe.hpp"
 
 namespace lzss::container {
 
@@ -31,19 +30,18 @@ std::vector<std::uint8_t> stored_record(std::span<const std::uint8_t> raw, std::
 
 /// The record builder both token sources share: CRC-32 of the raw bytes,
 /// the stored fallback and the header. @p deflate returns the block's
-/// Deflate stream and may fill in the census.
+/// Deflate stream.
 template <typename Deflate>
 BlockEncodeResult make_record(std::span<const std::uint8_t> raw, Deflate deflate) {
   BlockEncodeResult out;
   const std::uint32_t crc = checksum::crc32(raw);
   std::vector<std::uint8_t> deflated;
   try {
-    deflated = deflate(out);
+    deflated = deflate();
   } catch (const std::exception&) {
     // Degradation, not error: a stored record always round-trips, so one
     // failing block never fails the whole container.
     out.stored = true;
-    out.census_valid = false;
     out.record = stored_record(raw, crc);
     return out;
   }
@@ -90,20 +88,15 @@ void for_each_block(std::size_t blocks, const BlockRunner& run, RawLen raw_len, 
 
 }  // namespace
 
-BlockEncodeResult encode_block(const hw::HwConfig& cfg, hw::Compressor* model,
-                               std::span<const std::uint8_t> raw) {
-  return make_record(raw, [&](BlockEncodeResult& out) {
-    if (model == nullptr) return deflate::deflate_fixed(hw::compress_tokens(cfg, raw));
-    auto result = model->compress(raw);
-    out.census = result.stats;
-    out.census_valid = true;
-    return deflate::deflate_fixed(result.tokens);
-  });
+BlockEncodeResult encode_block(const hw::HwConfig& cfg, std::span<const std::uint8_t> raw,
+                               hw::CycleStats* census) {
+  return make_record(raw,
+                     [&] { return deflate::deflate_fixed(hw::compress_tokens(cfg, raw, census)); });
 }
 
 BlockEncodeResult encode_block(const core::MatchParams& params,
                                std::span<const std::uint8_t> raw) {
-  return make_record(raw, [&](BlockEncodeResult&) {
+  return make_record(raw, [&] {
     core::MatchFinderEncoder encoder(params);
     return deflate::deflate_dynamic(encoder.encode(raw));
   });
@@ -136,12 +129,13 @@ void decode_block(const BlockView& block, std::span<std::uint8_t> out) {
 
 std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> input,
                                          const BlockCodecConfig& config, EncodeReport* report,
-                                         const BlockRunner& run, const BlockEncoder& encode) {
-  // The hw source takes the stripe clamp; a software archive keeps the
-  // requested size, which is its seek granularity.
+                                         const BlockRunner& run,
+                                         std::vector<hw::CycleStats>* census) {
+  // The hw source rounds blocks up to the dictionary; a software archive
+  // keeps the requested size, which is its seek granularity.
   const auto* hw_source = std::get_if<hw::HwConfig>(&config.tokens);
   const std::size_t block_bytes =
-      hw_source != nullptr ? par::clamp_block_bytes(config.block_bytes, hw_source->dict_size())
+      hw_source != nullptr ? std::max<std::size_t>(config.block_bytes, hw_source->dict_size())
                            : config.block_bytes;
   if (block_bytes == 0 || block_bytes > kMaxBlockSize)
     throw std::invalid_argument("block_compress: block size outside (0, kMaxBlockSize]");
@@ -150,10 +144,13 @@ std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> input,
     const std::size_t begin = i * block_bytes;
     return input.subspan(begin, std::min(block_bytes, input.size() - begin));
   };
-  const auto encode_raw = [&](std::span<const std::uint8_t> raw) {
-    if (encode) return encode(raw);
-    if (hw_source != nullptr) return encode_block(*hw_source, nullptr, raw);
-    return encode_block(std::get<core::MatchParams>(config.tokens), raw);
+  // One census slot per block, sized before any block runs: each block
+  // writes only its own slot, whichever thread runs it.
+  if (census != nullptr) census->assign(hw_source != nullptr ? blocks : 0, hw::CycleStats{});
+  const auto encode_raw = [&](std::size_t i) {
+    if (hw_source == nullptr)
+      return encode_block(std::get<core::MatchParams>(config.tokens), raw_block(i));
+    return encode_block(*hw_source, raw_block(i), census ? &(*census)[i] : nullptr);
   };
   std::vector<std::vector<std::uint8_t>> records(blocks);
   std::atomic<std::size_t> stored_blocks{0};
@@ -161,7 +158,7 @@ std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> input,
   // ran the block.
   for_each_block(blocks, run, [&](std::size_t i) { return raw_block(i).size(); },
                  [&](std::size_t i) {
-                   auto result = encode_raw(raw_block(i));
+                   auto result = encode_raw(i);
                    if (result.stored) stored_blocks.fetch_add(1, std::memory_order_relaxed);
                    records[i] = std::move(result.record);
                  });

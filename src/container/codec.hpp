@@ -2,14 +2,16 @@
 // parallel decode, and seeking reads. This is the only code that splits,
 // assembles, parses and slice-decodes LZBC.
 //
-// block_compress / block_decompress are one block driver with two hooks: a
-// BlockRunner decides where the blocks run, and a BlockEncoder how a block
-// is compressed. Standalone callers (tools, benches, tests) leave both empty
-// and get the local runner (container/scheduler.hpp: run_fanout with helper
-// threads) and the config's token source; the service passes a runner over
-// its worker queue and an encoder that samples the cycle model's census.
-// read_range decodes only the blocks a byte range overlaps, which makes the
-// container the seekable file archive too (lzsszip -f archive).
+// block_compress / block_decompress share one block loop with one hook: a
+// BlockRunner decides where the blocks run. Standalone callers (tools,
+// benches, tests) leave it empty and get the local runner
+// (container/scheduler.hpp: run_fanout with helper threads); the service
+// passes a runner over its worker queue. block_compress is also the only
+// code that splits input across engines: pass it a census vector and every
+// block runs on the cycle model, one census per block, which is what the
+// engine-bank bench (bench/ext_multi_engine) reads. read_range decodes only
+// the blocks a byte range overlaps, which makes the container the seekable
+// file archive too (lzsszip -f archive).
 //
 // Two token sources feed one record builder:
 //  * hw::HwConfig — the cycle model's tokens (its functional twin, or the
@@ -35,7 +37,6 @@
 #include <vector>
 
 #include "container/format.hpp"
-#include "hw/compressor.hpp"
 #include "hw/config.hpp"
 #include "hw/cycle_stats.hpp"
 #include "lzss/params.hpp"
@@ -61,16 +62,16 @@ struct EncodeReport {
 struct BlockEncodeResult {
   std::vector<std::uint8_t> record;
   bool stored = false;
-  bool census_valid = false;  ///< set only when the cycle model ran
-  hw::CycleStats census{};
 };
 
-/// Compresses one raw block into a full LZBC block record. The tokens come
-/// from the functional twin for @p cfg (hw/functional.hpp); pass a
-/// caller-owned @p model built for @p cfg to run the cycle model instead and
-/// get its census. Both give the same record.
-[[nodiscard]] BlockEncodeResult encode_block(const hw::HwConfig& cfg, hw::Compressor* model,
-                                             std::span<const std::uint8_t> raw);
+/// Compresses one raw block into a full LZBC block record from
+/// hw::compress_tokens(@p cfg, @p raw, @p census): the functional twin with
+/// a null @p census, the cycle model otherwise. Both give the same record.
+/// *@p census is written only when the model run completes; a block whose
+/// model run threw falls back to stored and leaves it as it was.
+[[nodiscard]] BlockEncodeResult encode_block(const hw::HwConfig& cfg,
+                                             std::span<const std::uint8_t> raw,
+                                             hw::CycleStats* census = nullptr);
 
 /// Compresses one raw block into a full LZBC block record from
 /// MatchFinderEncoder tokens under @p params, packed with dynamic Huffman.
@@ -97,20 +98,21 @@ using BlockFn = std::function<BlockOutcome(std::size_t index)>;
 /// returns when all calls have returned. Empty = run_local.
 using BlockRunner = std::function<void(std::size_t blocks, const BlockFn& block)>;
 
-/// Builds one block's record from its raw bytes; may run on any thread.
-/// Empty = encode_block for BlockCodecConfig::tokens (the hw source runs the
-/// functional twin).
-using BlockEncoder = std::function<BlockEncodeResult(std::span<const std::uint8_t> raw)>;
-
 /// Splits, compresses each block through @p run, reassembles in order. With
-/// the hw source the block size is clamped up to the dictionary (the stripe
-/// clamp; the report carries the effective value). A block size of 0 or
-/// beyond kMaxBlockSize throws std::invalid_argument.
-[[nodiscard]] std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> input,
-                                                       const BlockCodecConfig& config,
-                                                       EncodeReport* report = nullptr,
-                                                       const BlockRunner& run = {},
-                                                       const BlockEncoder& encode = {});
+/// the hw source the block size is clamped up to the dictionary, since a
+/// smaller block restarts the dictionary without buying parallelism (the
+/// report carries the effective value). A block size of 0 or beyond
+/// kMaxBlockSize throws std::invalid_argument.
+///
+/// A non-null @p census with the hw source runs every block on the cycle
+/// model and resizes *@p census to one entry per block, in block order; a
+/// block whose model run threw keeps a value-initialized entry
+/// (total_cycles == 0). With the MatchParams source *@p census is cleared.
+/// The bytes are the same with or without a census.
+[[nodiscard]] std::vector<std::uint8_t> block_compress(
+    std::span<const std::uint8_t> input, const BlockCodecConfig& config,
+    EncodeReport* report = nullptr, const BlockRunner& run = {},
+    std::vector<hw::CycleStats>* census = nullptr);
 
 struct DecodeReport {
   std::size_t blocks = 0;

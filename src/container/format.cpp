@@ -2,34 +2,11 @@
 
 #include <cstring>
 
+#include "common/le.hpp"
+
 namespace lzss::container {
 
 namespace {
-
-void put_le16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_le32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_le64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t get_le32(const std::uint8_t* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-std::uint64_t get_le64(const std::uint8_t* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
 
 [[noreturn]] void fail(ContainerError::Kind kind, const std::string& what) {
   throw ContainerError(kind, what);
@@ -47,21 +24,21 @@ void append_superframe_header(std::vector<std::uint8_t>& out, std::uint32_t bloc
   for (const std::uint8_t b : kMagic) out.push_back(b);
   out.push_back(kFormatVersion);
   out.push_back(0);
-  put_le16(out, 0);
-  put_le32(out, block_size);
-  put_le32(out, block_count);
-  put_le64(out, raw_total);
+  le::put16(out, 0);
+  le::put32(out, block_size);
+  le::put32(out, block_count);
+  le::put64(out, raw_total);
 }
 
 void append_block_header(std::vector<std::uint8_t>& out, Method method, std::uint32_t crc32,
                          std::uint32_t raw_len, std::uint32_t comp_len) {
   out.reserve(out.size() + kBlockHeaderSize);
-  put_le32(out, comp_len);
-  put_le32(out, raw_len);
+  le::put32(out, comp_len);
+  le::put32(out, raw_len);
   out.push_back(static_cast<std::uint8_t>(method));
   out.push_back(0);
-  put_le16(out, 0);
-  put_le32(out, crc32);
+  le::put16(out, 0);
+  le::put32(out, crc32);
 }
 
 SuperframeView parse(std::span<const std::uint8_t> bytes, std::size_t max_raw_total) {
@@ -75,9 +52,9 @@ SuperframeView parse(std::span<const std::uint8_t> bytes, std::size_t max_raw_to
     fail(ContainerError::Kind::kBadVersion, "reserved header bytes set");
 
   SuperframeView view;
-  view.block_size = get_le32(bytes.data() + 8);
-  const std::uint32_t block_count = get_le32(bytes.data() + 12);
-  view.raw_total = get_le64(bytes.data() + 16);
+  view.block_size = le::get32(bytes.data() + 8);
+  const std::uint32_t block_count = le::get32(bytes.data() + 12);
+  view.raw_total = le::get64(bytes.data() + 16);
 
   if (view.raw_total > max_raw_total)
     fail(ContainerError::Kind::kTooLarge,
@@ -115,8 +92,8 @@ SuperframeView parse(std::span<const std::uint8_t> bytes, std::size_t max_raw_to
            "block " + std::to_string(i) + " header truncated");
     const std::uint8_t* h = bytes.data() + off;
     BlockView block;
-    const std::uint32_t comp_len = get_le32(h);
-    block.raw_len = get_le32(h + 4);
+    const std::uint32_t comp_len = le::get32(h);
+    block.raw_len = le::get32(h + 4);
     if (h[8] > static_cast<std::uint8_t>(Method::kStored))
       fail(ContainerError::Kind::kBadMethod,
            "block " + std::to_string(i) + " method " + std::to_string(h[8]));
@@ -124,7 +101,7 @@ SuperframeView parse(std::span<const std::uint8_t> bytes, std::size_t max_raw_to
     if (h[9] != 0 || h[10] != 0 || h[11] != 0)
       fail(ContainerError::Kind::kBadMethod,
            "block " + std::to_string(i) + " reserved bytes set");
-    block.crc32 = get_le32(h + 12);
+    block.crc32 = le::get32(h + 12);
 
     // Fixed split: every block is exactly block_size except a shorter (but
     // non-empty) final block. This is what makes raw offsets computable up

@@ -31,6 +31,8 @@ struct CycleStats {
   std::uint64_t output_stall_cycles = 0;  ///< subset of `output`: sink backpressure
   std::uint64_t prefetch_hits = 0;        ///< WaitData skipped thanks to hash prefetch
 
+  friend bool operator==(const CycleStats&, const CycleStats&) = default;
+
   [[nodiscard]] std::uint64_t tokens() const noexcept { return literals + matches; }
   [[nodiscard]] double cycles_per_byte() const noexcept {
     return bytes_in == 0 ? 0.0 : static_cast<double>(total_cycles) / static_cast<double>(bytes_in);

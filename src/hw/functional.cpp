@@ -2,12 +2,18 @@
 
 #include <algorithm>
 
+#include "hw/compressor.hpp"
 #include "lzss/simd_compare.hpp"
 
 namespace lzss::hw {
 
 std::vector<core::Token> compress_tokens(const HwConfig& config,
-                                         std::span<const std::uint8_t> input) {
+                                         std::span<const std::uint8_t> input, CycleStats* census) {
+  if (census != nullptr) {
+    auto result = Compressor(config).compress(input);
+    *census = result.stats;
+    return std::move(result.tokens);
+  }
   config.validate();
   const std::uint64_t n = config.dict_size();
   const std::uint64_t n_mask = n - 1;

@@ -11,7 +11,9 @@
 //
 // The model stays the reference (tests/test_hw_twin.cpp pins the two
 // token-identical) and the source of the cycle census; the twin is what
-// serves the hw backend (docs/MATCHFINDER.md).
+// serves the hw backend (docs/MATCHFINDER.md). compress_tokens is the one
+// way to ask for either: pass a census to run the model and receive its
+// cycle accounting, or none for the twin.
 #pragma once
 
 #include <cstdint>
@@ -19,14 +21,18 @@
 #include <vector>
 
 #include "hw/config.hpp"
+#include "hw/cycle_stats.hpp"
 #include "lzss/token.hpp"
 
 namespace lzss::hw {
 
 /// The token stream Compressor(@p config).compress(@p input).tokens would
-/// produce, computed without simulating cycles. Throws std::invalid_argument
-/// on an invalid @p config, like the model's constructor.
+/// produce. With a null @p census it is computed without simulating cycles;
+/// otherwise the model itself runs and its stats land in *@p census, which
+/// is written only when the run completes. Throws std::invalid_argument on
+/// an invalid @p config, like the model's constructor.
 [[nodiscard]] std::vector<core::Token> compress_tokens(const HwConfig& config,
-                                                       std::span<const std::uint8_t> input);
+                                                       std::span<const std::uint8_t> input,
+                                                       CycleStats* census = nullptr);
 
 }  // namespace lzss::hw

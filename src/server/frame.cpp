@@ -3,41 +3,14 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/le.hpp"
+
 namespace lzss::server {
 
 namespace {
 
 constexpr std::uint8_t kRequestMagic[4] = {'L', 'Z', 'R', 'Q'};
 constexpr std::uint8_t kResponseMagic[4] = {'L', 'Z', 'R', 'S'};
-
-void put_le16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_le32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_le64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint16_t get_le16(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint16_t>(p[0] | (std::uint16_t{p[1]} << 8));
-}
-
-std::uint32_t get_le32(const std::uint8_t* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-std::uint64_t get_le64(const std::uint8_t* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
 
 }  // namespace
 
@@ -48,10 +21,10 @@ std::vector<std::uint8_t> encode_request(const RequestFrame& frame) {
   for (const std::uint8_t b : kRequestMagic) out.push_back(b);
   out.push_back(kProtocolVersion);
   out.push_back(static_cast<std::uint8_t>(frame.opcode));
-  put_le16(out, frame.flags);
-  put_le64(out, frame.id);
-  put_le32(out, static_cast<std::uint32_t>(ext + frame.payload.size()));
-  if (ext != 0) put_le64(out, frame.trace_id);
+  le::put16(out, frame.flags);
+  le::put64(out, frame.id);
+  le::put32(out, static_cast<std::uint32_t>(ext + frame.payload.size()));
+  if (ext != 0) le::put64(out, frame.trace_id);
   out.insert(out.end(), frame.payload.begin(), frame.payload.end());
   return out;
 }
@@ -63,11 +36,11 @@ std::vector<std::uint8_t> encode_response(const ResponseFrame& frame) {
   for (const std::uint8_t b : kResponseMagic) out.push_back(b);
   out.push_back(kProtocolVersion);
   out.push_back(static_cast<std::uint8_t>(frame.status));
-  put_le16(out, frame.flags);
-  put_le64(out, frame.id);
-  put_le32(out, frame.adler);
-  put_le32(out, static_cast<std::uint32_t>(ext + frame.payload.size()));
-  if (ext != 0) put_le64(out, frame.trace_id);
+  le::put16(out, frame.flags);
+  le::put64(out, frame.id);
+  le::put32(out, frame.adler);
+  le::put32(out, static_cast<std::uint32_t>(ext + frame.payload.size()));
+  if (ext != 0) le::put64(out, frame.trace_id);
   out.insert(out.end(), frame.payload.begin(), frame.payload.end());
   return out;
 }
@@ -153,7 +126,7 @@ void FrameAccumulator::validate_prefix() {
 
 std::uint32_t FrameAccumulator::payload_length() const noexcept {
   // Both frame kinds store the payload length in the last 4 header bytes.
-  return get_le32(buf_.data() + header_size_ - 4);
+  return le::get32(buf_.data() + header_size_ - 4);
 }
 
 bool FrameAccumulator::header_ready() {
@@ -206,8 +179,8 @@ RequestParser::RequestParser(std::size_t max_payload) noexcept
 ParseError RequestParser::validate_header(std::span<const std::uint8_t> header) const {
   if (header[5] > static_cast<std::uint8_t>(Opcode::kVerify))
     return ParseError::kBadOpcode;
-  const std::uint16_t flags = get_le16(header.data() + 6);
-  if (get_le32(header.data() + 16) < trace_extension_size(flags))
+  const std::uint16_t flags = le::get16(header.data() + 6);
+  if (le::get32(header.data() + 16) < trace_extension_size(flags))
     return ParseError::kBadTrace;
   return ParseError::kNone;
 }
@@ -218,8 +191,8 @@ std::optional<RequestFrame> RequestParser::next() {
     const auto hdr = header_bytes();
     RequestFrame f;
     f.opcode = static_cast<Opcode>(hdr[5]);
-    f.flags = get_le16(hdr.data() + 6);
-    f.id = get_le64(hdr.data() + 8);
+    f.flags = le::get16(hdr.data() + 6);
+    f.id = le::get64(hdr.data() + 8);
     const std::uint32_t len = payload_length();
     if (!gate_(f, len)) {
       skip_payload();
@@ -233,10 +206,10 @@ std::optional<RequestFrame> RequestParser::next() {
   gate_passed_ = false;
   RequestFrame f;
   f.opcode = static_cast<Opcode>(bytes[5]);
-  f.flags = get_le16(bytes.data() + 6);
-  f.id = get_le64(bytes.data() + 8);
+  f.flags = le::get16(bytes.data() + 6);
+  f.id = le::get64(bytes.data() + 8);
   const std::size_t ext = trace_extension_size(f.flags);  // length >= ext (validated)
-  if (ext != 0) f.trace_id = get_le64(bytes.data() + kRequestHeaderSize);
+  if (ext != 0) f.trace_id = le::get64(bytes.data() + kRequestHeaderSize);
   f.payload.assign(bytes.begin() + static_cast<std::ptrdiff_t>(kRequestHeaderSize + ext),
                    bytes.end());
   return f;
@@ -248,8 +221,8 @@ ResponseParser::ResponseParser(std::size_t max_payload) noexcept
 ParseError ResponseParser::validate_header(std::span<const std::uint8_t> header) const {
   if (header[5] > static_cast<std::uint8_t>(Status::kDeadlineExceeded))
     return ParseError::kBadStatus;
-  const std::uint16_t flags = get_le16(header.data() + 6);
-  if (get_le32(header.data() + 20) < trace_extension_size(flags))
+  const std::uint16_t flags = le::get16(header.data() + 6);
+  if (le::get32(header.data() + 20) < trace_extension_size(flags))
     return ParseError::kBadTrace;
   return ParseError::kNone;
 }
@@ -259,11 +232,11 @@ std::optional<ResponseFrame> ResponseParser::next() {
   const auto bytes = consume_frame();
   ResponseFrame f;
   f.status = static_cast<Status>(bytes[5]);
-  f.flags = get_le16(bytes.data() + 6);
-  f.id = get_le64(bytes.data() + 8);
-  f.adler = get_le32(bytes.data() + 16);
+  f.flags = le::get16(bytes.data() + 6);
+  f.id = le::get64(bytes.data() + 8);
+  f.adler = le::get32(bytes.data() + 16);
   const std::size_t ext = trace_extension_size(f.flags);  // length >= ext (validated)
-  if (ext != 0) f.trace_id = get_le64(bytes.data() + kResponseHeaderSize);
+  if (ext != 0) f.trace_id = le::get64(bytes.data() + kResponseHeaderSize);
   f.payload.assign(bytes.begin() + static_cast<std::ptrdiff_t>(kResponseHeaderSize + ext),
                    bytes.end());
   return f;

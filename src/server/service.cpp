@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <functional>
 #include <limits>
-#include <optional>
 #include <thread>
 #include <span>
 #include <stdexcept>
@@ -14,6 +13,7 @@
 
 #include "common/bitio.hpp"
 #include "common/checksum.hpp"
+#include "common/le.hpp"
 #include "container/codec.hpp"
 #include "container/format.hpp"
 #include "container/scheduler.hpp"
@@ -22,7 +22,6 @@
 #include "deflate/inflate.hpp"
 #include "estimator/presets.hpp"
 #include "fault/fault.hpp"
-#include "hw/compressor.hpp"
 #include "hw/functional.hpp"
 #include "hw/metrics.hpp"
 #include "lzss/mf_encoder.hpp"
@@ -128,8 +127,6 @@ void ServiceConfig::validate() const {
     throw std::invalid_argument("ServiceConfig: block_bytes exceeds the protocol cap");
   if (max_payload > kMaxPayload)
     throw std::invalid_argument("ServiceConfig: max_payload exceeds the protocol cap");
-  if (!(stored_fallback_ratio > 0.0))
-    throw std::invalid_argument("ServiceConfig: stored_fallback_ratio must be positive");
   hw.validate();
 }
 
@@ -606,8 +603,7 @@ ResponseFrame Service::do_log_append(const RequestFrame& request) {
   try {
     const std::uint64_t seq = store_->append(request.payload);
     resp.adler = checksum::adler32(request.payload);
-    for (int i = 0; i < 8; ++i)
-      resp.payload.push_back(static_cast<std::uint8_t>(seq >> (8 * i)));
+    le::put64(resp.payload, seq);
   } catch (const store::IoError&) {
     // Disk failure: the record was NOT appended (LogStore's contract) — the
     // client may retry without creating a duplicate.
@@ -628,8 +624,7 @@ ResponseFrame Service::do_log_read(const RequestFrame& request) {
     resp.status = Status::kBadRequest;
     return resp;
   }
-  std::uint64_t seq = 0;
-  for (int i = 7; i >= 0; --i) seq = (seq << 8) | request.payload[static_cast<std::size_t>(i)];
+  const std::uint64_t seq = le::get64(request.payload.data());
   try {
     resp.payload = store_->read(seq);
     resp.adler = checksum::adler32(resp.payload);
@@ -656,9 +651,7 @@ ResponseFrame Service::do_scrub(const RequestFrame& request) {
   if (request.payload.empty()) {
     ids = store_->sealed_segment_ids();
   } else if (request.payload.size() == 8) {
-    std::uint64_t id = 0;
-    for (int i = 7; i >= 0; --i) id = (id << 8) | request.payload[static_cast<std::size_t>(i)];
-    ids.push_back(id);
+    ids.push_back(le::get64(request.payload.data()));
   } else {
     resp.status = Status::kBadRequest;
     return resp;
@@ -716,11 +709,8 @@ ResponseFrame Service::do_verify(const RequestFrame& request) {
       resp.status = Status::kBadRequest;
       return resp;
     }
-    std::uint64_t first = 0, count = 0;
-    for (int i = 7; i >= 0; --i)
-      first = (first << 8) | request.payload[static_cast<std::size_t>(i)];
-    for (int i = 7; i >= 0; --i)
-      count = (count << 8) | request.payload[static_cast<std::size_t>(8 + i)];
+    const std::uint64_t first = le::get64(request.payload.data());
+    const std::uint64_t count = le::get64(request.payload.data() + 8);
     constexpr std::uint64_t kMaxVerifyRecords = 65536;
     if (count == 0 || count > kMaxVerifyRecords) {
       resp.status = Status::kBadRequest;
@@ -888,13 +878,8 @@ ResponseFrame Service::do_compress(const RequestFrame& request, const hw::HwConf
       fm.bytes_in->add(input.size());
       fm.probes->add(fs.probes);
       fm.compare_bytes->add(fs.compare_bytes);
-    } else if (!sampled) {
-      tokens = hw::compress_tokens(cfg, input);
     } else {
-      hw::Compressor model(cfg);
-      auto result = model.compress(input);
-      census = result.stats;
-      tokens = std::move(result.tokens);
+      tokens = hw::compress_tokens(cfg, input, sampled ? &census : nullptr);
     }
     resp.payload = raw ? core::raw_container_pack(tokens, cfg.dict_bits, input.size())
                        : deflate::zlib_wrap(deflate::deflate_fixed(tokens), resp.adler,
@@ -912,11 +897,9 @@ ResponseFrame Service::do_compress(const RequestFrame& request, const hw::HwConf
   // backends have no cycles; the latter count in the matchfinder_* counters.
   if (sampled) hw::export_cycle_stats(*registry_, census);
 
-  // Ratio guard: a payload incompressible past the configured ratio degrades
-  // to the stored form when that is actually smaller (GPULZ-style fallback).
-  if (!input.empty() &&
-      static_cast<double>(resp.payload.size()) >
-          static_cast<double>(input.size()) * cfg_.stored_fallback_ratio) {
+  // Ratio guard: a payload larger than its input degrades to the stored form
+  // when that is actually smaller (GPULZ-style fallback).
+  if (!input.empty() && resp.payload.size() > input.size()) {
     auto stored = fallback_container(input, resp.adler, raw, cfg);
     if (stored.size() < resp.payload.size()) {
       resp.payload = std::move(stored);
@@ -966,22 +949,19 @@ ResponseFrame Service::do_compress_blocked(const RequestFrame& request, const hw
     return resp;
   }
 
-  // A census sample runs every block on the cycle model, built per block;
-  // otherwise the blocks take the functional twin's tokens. encode_block
-  // never throws: a bad block degrades to a stored record, so it can only
-  // cost ratio, never the request.
+  // A census sample runs every block on the cycle model; otherwise the
+  // blocks take the functional twin's tokens. A bad block degrades to a
+  // stored record, so it can only cost ratio, never the request.
   const bool sampled = census_due();
   container::EncodeReport report;
+  std::vector<hw::CycleStats> census;
   const container::BlockRunner run =
       std::bind_front(&Service::run_blocks, this, BlockOp::kCompress);
-  resp.payload = container::block_compress(
-      input, {cfg_.block_bytes, cfg}, &report, run, [&](std::span<const std::uint8_t> raw) {
-        std::optional<hw::Compressor> model;
-        if (sampled) model.emplace(cfg);
-        auto result = container::encode_block(cfg, model ? &*model : nullptr, raw);
-        if (result.census_valid) hw::export_cycle_stats(*registry_, result.census);
-        return result;
-      });
+  resp.payload = container::block_compress(input, {cfg_.block_bytes, cfg}, &report, run,
+                                           sampled ? &census : nullptr);
+  // A block whose model run threw left its slot empty: no cycle accounting.
+  for (const hw::CycleStats& block : census)
+    if (block.total_cycles != 0) hw::export_cycle_stats(*registry_, block);
   block_fallbacks_c_->add(report.stored_blocks);
   return resp;
 }

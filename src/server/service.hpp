@@ -12,8 +12,8 @@
 // tokens from its untimed functional twin (hw/functional.hpp), one token
 // stream and one Deflate block per COMPRESS whatever its size. The first
 // hw-backend COMPRESS / COMPRESS_BLOCKED and every 64th after it run the
-// cycle model itself — a hw::Compressor built for that request's
-// configuration (one per block for COMPRESS_BLOCKED) — and export its
+// cycle model itself — hw::compress_tokens with a census for that request's
+// configuration (one run per block for COMPRESS_BLOCKED) — and export the
 // census; the response bytes are the same either way.
 // COMPRESS_BLOCKED builds an LZBC block container with the codec's
 // block_compress (container/codec.hpp), and DECOMPRESS sniffs the LZBC magic
@@ -35,7 +35,7 @@
 //    and a replacement worker is spawned, so one wedged request never takes
 //    a pool slot down with it.
 //  * Graceful degradation — when the model path throws, or the output would
-//    expand past the stored-fallback ratio guard, COMPRESS falls back to a
+//    be larger than the input (the ratio guard), COMPRESS falls back to a
 //    stored (uncompressed-block) container instead of erroring; the
 //    `fallbacks` counter in STATS counts these.
 // Every in-flight request carries an answered flag, so the worker and the
@@ -109,14 +109,11 @@ struct ServiceConfig {
   unsigned workers = 2;                  ///< data-plane worker threads
   std::size_t queue_depth = 64;          ///< bounded MPMC queue capacity
   /// COMPRESS_BLOCKED split size (clamped up to the dictionary size, see
-  /// parallel/stripe.hpp); lzssd exposes it as --block-kb.
+  /// container::block_compress); lzssd exposes it as --block-kb.
   std::size_t block_bytes = 256 * 1024;
   std::size_t max_payload = kMaxPayload; ///< per-request payload cap
   std::uint32_t request_timeout_ms = 0;  ///< 0 = no per-request deadline
   std::uint32_t hung_worker_ms = 0;      ///< 0 = no hung/dead worker recovery
-  /// COMPRESS falls back to a stored container when the compressed payload
-  /// exceeds input_size * this ratio and the stored form is smaller.
-  double stored_fallback_ratio = 1.0;
   /// Metrics sink. Null = the service creates and owns a private registry
   /// (tests and benches stay isolated); non-null = report into a shared one
   /// (lzssd shares a registry across the service, the store, and the hw

@@ -8,6 +8,7 @@
 #include <filesystem>
 
 #include "common/checksum.hpp"
+#include "common/le.hpp"
 #include "deflate/container.hpp"
 #include "deflate/inflate.hpp"
 #include "fault/fault.hpp"
@@ -32,35 +33,15 @@ constexpr const char* kIndexTmpName = "index.lzsx.tmp";
 /// so a crash before the rename leaves only the old image visible.
 constexpr const char* kCompactionTmpSuffix = ".cmp";
 
-void put_le32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_le64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t get_le32(const std::uint8_t* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-std::uint64_t get_le64(const std::uint8_t* p) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
 std::vector<std::uint8_t> encode_segment_header(std::uint64_t id, std::uint64_t base_sequence) {
   std::vector<std::uint8_t> out;
   out.reserve(kSegmentHeaderSize);
   out.insert(out.end(), std::begin(kSegmentMagic), std::end(kSegmentMagic));
-  put_le32(out, kFormatVersion);
-  put_le64(out, id);
-  put_le64(out, base_sequence);
-  put_le32(out, checksum::crc32(std::span(out.data(), out.size())));
-  put_le32(out, 0);  // reserved
+  le::put32(out, kFormatVersion);
+  le::put64(out, id);
+  le::put64(out, base_sequence);
+  le::put32(out, checksum::crc32(std::span(out.data(), out.size())));
+  le::put32(out, 0);  // reserved
   return out;
 }
 
@@ -79,11 +60,11 @@ bool parse_record_header(std::span<const std::uint8_t> buf, std::uint64_t off,
   if (off + kRecordHeaderSize > buf.size()) return false;
   const std::uint8_t* p = buf.data() + off;
   if (std::memcmp(p, kRecordMagic, 4) != 0) return false;
-  out.sequence = get_le64(p + 4);
-  out.raw_length = get_le32(p + 12);
-  out.stored_length = get_le32(p + 16);
-  out.flags = get_le32(p + 20);
-  out.crc = get_le32(p + 24);
+  out.sequence = le::get64(p + 4);
+  out.raw_length = le::get32(p + 12);
+  out.stored_length = le::get32(p + 16);
+  out.flags = le::get32(p + 20);
+  out.crc = le::get32(p + 24);
   if (out.stored_length > kMaxRecordBytes || out.raw_length > kMaxRecordBytes) return false;
   if ((out.flags & ~(kFlagZlib | kFlagSkip)) != 0) return false;
   if (out.flags == (kFlagZlib | kFlagSkip)) return false;
@@ -140,11 +121,11 @@ SegScan scan_segment(const std::string& path) {
   // carries nothing recoverable — the caller decides whether that is a torn
   // tail (last segment) or a whole-segment gap.
   if (buf.size() >= kSegmentHeaderSize && std::memcmp(buf.data(), kSegmentMagic, 4) == 0 &&
-      get_le32(buf.data() + 4) == kFormatVersion &&
-      get_le32(buf.data() + 24) == checksum::crc32(std::span(buf.data(), 24))) {
+      le::get32(buf.data() + 4) == kFormatVersion &&
+      le::get32(buf.data() + 24) == checksum::crc32(std::span(buf.data(), 24))) {
     out.header_ok = true;
-    out.id = get_le64(buf.data() + 8);
-    out.base_sequence = get_le64(buf.data() + 16);
+    out.id = le::get64(buf.data() + 8);
+    out.base_sequence = le::get64(buf.data() + 16);
   } else {
     out.data_end = 0;
     out.trailing_bad_bytes = out.file_size;
@@ -159,7 +140,7 @@ SegScan scan_segment(const std::string& path) {
       if ((h.flags & kFlagSkip) != 0) {
         // A tombstone: compaction's durable stand-in for sequences that were
         // already quarantined. The chain resumes past the recorded count.
-        const std::uint64_t count = get_le64(buf.data() + off + kRecordHeaderSize);
+        const std::uint64_t count = le::get64(buf.data() + off + kRecordHeaderSize);
         if (count != 0) {
           Gap gap;
           gap.segment_id = out.id;
@@ -225,14 +206,14 @@ void append_record_image(std::vector<std::uint8_t>& image, std::uint64_t sequenc
                          std::span<const std::uint8_t> payload) {
   const std::size_t start = image.size();
   image.insert(image.end(), std::begin(kRecordMagic), std::end(kRecordMagic));
-  put_le64(image, sequence);
-  put_le32(image, raw_length);
-  put_le32(image, static_cast<std::uint32_t>(payload.size()));
-  put_le32(image, flags);
+  le::put64(image, sequence);
+  le::put32(image, raw_length);
+  le::put32(image, static_cast<std::uint32_t>(payload.size()));
+  le::put32(image, flags);
   checksum::Crc32 crc;
   crc.update(std::span(image.data() + start, kRecordHeaderSize - 4));
   crc.update(payload);
-  put_le32(image, crc.value());
+  le::put32(image, crc.value());
   image.insert(image.end(), payload.begin(), payload.end());
 }
 
@@ -253,34 +234,34 @@ std::vector<std::uint8_t> encode_index(std::span<const IndexEntry> entries,
                                        std::uint64_t next_sequence) {
   std::vector<std::uint8_t> out;
   out.insert(out.end(), std::begin(kIndexMagic), std::end(kIndexMagic));
-  put_le32(out, kFormatVersion);
-  put_le32(out, static_cast<std::uint32_t>(entries.size()));
-  put_le64(out, next_sequence);
+  le::put32(out, kFormatVersion);
+  le::put32(out, static_cast<std::uint32_t>(entries.size()));
+  le::put64(out, next_sequence);
   for (const IndexEntry& e : entries) {
-    put_le64(out, e.id);
-    put_le64(out, e.base_sequence);
-    put_le64(out, e.record_count);
-    put_le64(out, e.data_end);
-    put_le64(out, e.end_sequence);
+    le::put64(out, e.id);
+    le::put64(out, e.base_sequence);
+    le::put64(out, e.record_count);
+    le::put64(out, e.data_end);
+    le::put64(out, e.end_sequence);
   }
-  put_le32(out, checksum::crc32(std::span(out.data(), out.size())));
+  le::put32(out, checksum::crc32(std::span(out.data(), out.size())));
   return out;
 }
 
 bool decode_index(std::span<const std::uint8_t> buf, std::vector<IndexEntry>& entries,
                   std::uint64_t& next_sequence) {
   if (buf.size() < 24 || std::memcmp(buf.data(), kIndexMagic, 4) != 0) return false;
-  if (get_le32(buf.data() + 4) != kFormatVersion) return false;
-  const std::uint32_t count = get_le32(buf.data() + 8);
+  if (le::get32(buf.data() + 4) != kFormatVersion) return false;
+  const std::uint32_t count = le::get32(buf.data() + 8);
   const std::size_t body = 20 + static_cast<std::size_t>(count) * 40;
   if (buf.size() != body + 4) return false;
-  if (get_le32(buf.data() + body) != checksum::crc32(buf.first(body))) return false;
-  next_sequence = get_le64(buf.data() + 12);
+  if (le::get32(buf.data() + body) != checksum::crc32(buf.first(body))) return false;
+  next_sequence = le::get64(buf.data() + 12);
   entries.clear();
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint8_t* p = buf.data() + 20 + static_cast<std::size_t>(i) * 40;
-    entries.push_back({get_le64(p), get_le64(p + 8), get_le64(p + 16), get_le64(p + 24),
-                       get_le64(p + 32)});
+    entries.push_back({le::get64(p), le::get64(p + 8), le::get64(p + 16), le::get64(p + 24),
+                       le::get64(p + 32)});
     if (entries.back().end_sequence < entries.back().base_sequence) return false;
   }
   return true;
@@ -977,7 +958,7 @@ CompactionReport LogStore::compact_segment(std::uint64_t id) {
       gap.sequence_count = count;
       gap.tombstone = true;
       std::vector<std::uint8_t> skip_payload;
-      put_le64(skip_payload, count);
+      le::put64(skip_payload, count);
       append_record_image(image, first, 0, kFlagSkip, skip_payload);
       new_gaps.push_back(gap);
     };

@@ -536,7 +536,6 @@ TEST(Chaos, ModelFailureDegradesToStoredContainer) {
 
 TEST(Chaos, IncompressibleInputTripsTheRatioGuard) {
   ServiceConfig cfg = chaos_config();
-  cfg.stored_fallback_ratio = 1.0;  // never ship output larger than input
   Service service(cfg);
   server::LoopbackClient client(service);
 

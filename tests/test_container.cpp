@@ -10,7 +10,7 @@
 #include "container/format.hpp"
 #include "container/scheduler.hpp"
 #include "deflate/container.hpp"
-#include "parallel/stripe.hpp"
+#include "hw/compressor.hpp"
 #include "workloads/corpus.hpp"
 
 namespace lzss::container {
@@ -185,14 +185,43 @@ TEST(ContainerCodec, RunnerSeesEveryBlockAndItsOutcome) {
 }
 
 TEST(ContainerCodec, BlockSizeClampedUpToDictionary) {
-  // A block smaller than the dictionary would waste the window; the shared
-  // stripe clamp (parallel/stripe.hpp) raises it, visibly in the report.
+  // A block smaller than the dictionary would waste the window; the codec
+  // raises it, visibly in the report.
   auto cfg = small_blocks(1024);
   const auto data = wl::make_corpus("wiki", 32 * 1024);
   EncodeReport report;
   const auto packed = block_compress(data, cfg, &report);
   EXPECT_EQ(report.effective_block_bytes, std::get<hw::HwConfig>(cfg.tokens).dict_size());
   EXPECT_EQ(block_decompress(packed, data.size()), data);
+}
+
+TEST(ContainerCodec, CensusHasOneEntryPerBlock) {
+  // A census runs every block on the cycle model: one slot per block, in
+  // block order, each equal to a fresh model run on that block, and the
+  // bytes are those of a call without a census.
+  auto cfg = small_blocks();
+  const auto data = wl::make_corpus("mixed", 40 * 1024 + 123);
+  EncodeReport report;
+  std::vector<hw::CycleStats> census;
+  const auto packed = block_compress(data, cfg, &report, threaded, &census);
+  ASSERT_EQ(report.blocks, 3u);
+  ASSERT_EQ(census.size(), report.blocks);
+  std::uint64_t bytes_in = 0;
+  for (std::size_t i = 0; i < census.size(); ++i) {
+    const std::size_t begin = i * report.effective_block_bytes;
+    const auto block = std::span(data).subspan(
+        begin, std::min(report.effective_block_bytes, data.size() - begin));
+    EXPECT_EQ(census[i], hw::Compressor(std::get<hw::HwConfig>(cfg.tokens)).compress(block).stats)
+        << i;
+    bytes_in += census[i].bytes_in;
+  }
+  EXPECT_EQ(bytes_in, data.size());
+  EXPECT_EQ(packed, block_compress(data, cfg));
+
+  // The software source has no cycle model: the vector comes back empty.
+  cfg.tokens = core::MatchParams::speed_optimized();
+  (void)block_compress(data, cfg, nullptr, {}, &census);
+  EXPECT_TRUE(census.empty());
 }
 
 TEST(ContainerCodec, SoftwareSourceKeepsTheRequestedBlockSize) {
@@ -264,7 +293,7 @@ TEST(ContainerCodec, EncodeBlockNeverThrowsOnPathologicalInput) {
   const auto cfg = hw::HwConfig::speed_optimized();
   for (const char* kind : {"random", "zeros", "wiki"}) {
     const auto data = wl::make_corpus(kind, 8 * 1024);
-    const auto result = encode_block(cfg, nullptr, data);
+    const auto result = encode_block(cfg, data);
     ASSERT_GE(result.record.size(), kBlockHeaderSize);
     const std::uint32_t comp_len = static_cast<std::uint32_t>(result.record[0]) |
                                    (static_cast<std::uint32_t>(result.record[1]) << 8) |
@@ -466,17 +495,6 @@ TEST(ContainerFanout, ZeroBlocksIsANoOp) {
       [](std::function<void()>) { return true; });
   EXPECT_EQ(report.blocks, 0u);
   EXPECT_EQ(report.helpers_enqueued, 0u);
-}
-
-// ---------------------------------------------------------- stripe clamp --
-
-TEST(StripeClamp, EngineCountAndBlockBytes) {
-  EXPECT_EQ(par::clamp_stripe_count(64 * 1024, 4096, 4), 4u);
-  EXPECT_EQ(par::clamp_stripe_count(6 * 1024, 4096, 16), 1u);   // < 2 dictionaries
-  EXPECT_EQ(par::clamp_stripe_count(16 * 1024, 4096, 16), 4u);  // data-bound
-  EXPECT_EQ(par::clamp_stripe_count(1024, 4096, 0), 1u);        // floor of one
-  EXPECT_EQ(par::clamp_block_bytes(1024, 4096), 4096u);
-  EXPECT_EQ(par::clamp_block_bytes(256 * 1024, 4096), 256u * 1024);
 }
 
 }  // namespace

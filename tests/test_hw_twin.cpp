@@ -112,6 +112,19 @@ TEST(HwTwin, MatchesModelOnTimingOnlyKnobs) {
   expect_parity(mult, data, "multiplicative");
 }
 
+TEST(HwTwin, CensusRunIsTheModel) {
+  // With a census, compress_tokens runs the model itself: its tokens and
+  // its whole cycle accounting.
+  const HwConfig cfg = HwConfig::speed_optimized();
+  for (const std::string& corpus : wl::corpus_names()) {
+    const auto data = wl::make_corpus(corpus, 32 * 1024, 42);
+    const auto expected = Compressor(cfg).compress(data);
+    CycleStats census;
+    EXPECT_EQ(compress_tokens(cfg, data, &census), expected.tokens) << corpus;
+    EXPECT_EQ(census, expected.stats) << corpus;
+  }
+}
+
 TEST(HwTwin, RejectsInvalidConfigLikeTheModel) {
   HwConfig bad = HwConfig::speed_optimized();
   bad.dict_bits = 20;

@@ -95,6 +95,17 @@ TEST(RawContainer, TokensPastTheDeclaredSizeAreCorrupt) {
   }
 }
 
+TEST(RawContainer, TokenCountPastThePayloadIsCorrupt) {
+  // One literal (16 bits at window 8) under a token count of 2^60 + 1: the
+  // count's bit total, 2^64 + 16, wraps to the payload's 16 bits in 64-bit
+  // arithmetic. The count must be refused before any token is reserved.
+  auto c = raw_container_pack(std::vector<Token>{Token::literal('x')}, 8, 1);
+  ASSERT_EQ(c.size(), 23u);
+  const std::uint64_t count = (std::uint64_t{1} << 60) + 1;
+  for (int i = 0; i < 8; ++i) c[13 + i] = static_cast<std::uint8_t>(count >> (8 * i));
+  EXPECT_THROW((void)raw_container_unpack(c, 1u << 20), DecodeError);
+}
+
 TEST(RawContainer, ImplausibleWindowRejected) {
   const std::vector<Token> tokens{Token::literal('x')};
   auto c = raw_container_pack(tokens, 12, 1);

@@ -784,6 +784,21 @@ TEST(ServerService, RawDecompressPastDeclaredSizeAnswersCorrupt) {
   EXPECT_NE(json.find("\"corrupt\":1"), std::string::npos) << json;
 }
 
+TEST(ServerService, RawTokenCountPastThePayloadAnswersCorrupt) {
+  // A 23-byte LZS1 container (window 8, one literal) declaring 2^60 + 1
+  // tokens, whose bit total wraps to the payload's 16 bits: CORRUPT.
+  auto c = core::raw_container_pack(std::vector<core::Token>{core::Token::literal('x')}, 8, 1);
+  const std::uint64_t count = (std::uint64_t{1} << 60) + 1;
+  for (int i = 0; i < 8; ++i) c[13 + i] = static_cast<std::uint8_t>(count >> (8 * i));
+  Service service(small_config());
+  LoopbackClient client(service);
+  RequestFrame req = decompress_request(1, std::move(c));
+  req.flags = kFlagRawContainer;
+  const auto resp = client.call(req);
+  EXPECT_EQ(resp.status, Status::kCorrupt);
+  EXPECT_TRUE(resp.payload.empty());
+}
+
 TEST(ServerService, RawDecompressDeclaringMoreThanTheCapAnswersTooLarge) {
   ServiceConfig cfg = small_config();
   cfg.max_payload = 1024 * 1024;
