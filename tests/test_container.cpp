@@ -224,6 +224,38 @@ TEST(ContainerCodec, CensusHasOneEntryPerBlock) {
   EXPECT_TRUE(census.empty());
 }
 
+// A bank of E compressor units is block_compress with ceil(size / E)-byte
+// blocks and a census: one cycle-model run per unit.
+std::vector<hw::CycleStats> run_bank(std::span<const std::uint8_t> data, unsigned engines,
+                                     std::vector<std::uint8_t>* packed = nullptr) {
+  const BlockCodecConfig cfg{(data.size() + engines - 1) / engines,
+                             hw::HwConfig::speed_optimized()};
+  std::vector<hw::CycleStats> census;
+  auto bytes = block_compress(data, cfg, nullptr, threaded, &census);
+  if (packed != nullptr) *packed = std::move(bytes);
+  return census;
+}
+
+TEST(MultiEngine, SingleEngineMatchesPlainCompressor) {
+  const auto data = wl::make_corpus("wiki", 64 * 1024);
+  std::vector<std::uint8_t> packed;
+  const auto census = run_bank(data, 1, &packed);
+  ASSERT_EQ(census.size(), 1u);
+  const auto res = hw::Compressor(hw::HwConfig::speed_optimized()).compress(data);
+  EXPECT_EQ(census[0].total_cycles, res.stats.total_cycles);
+  EXPECT_EQ(census[0], res.stats);
+  EXPECT_EQ(block_decompress(packed, data.size()), data);
+}
+
+TEST(MultiEngine, PerEngineStatsCoverAllBytes) {
+  const auto data = wl::make_corpus("x2e", 300 * 1024);
+  const auto census = run_bank(data, 3);
+  ASSERT_EQ(census.size(), 3u);
+  std::uint64_t bytes = 0;
+  for (const auto& e : census) bytes += e.bytes_in;
+  EXPECT_EQ(bytes, data.size());
+}
+
 TEST(ContainerCodec, SoftwareSourceKeepsTheRequestedBlockSize) {
   // An archive's block size is its seek granularity: no clamp to the window.
   auto cfg = small_blocks(16 * 1024);
