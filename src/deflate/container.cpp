@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/checksum.hpp"
+#include "common/le.hpp"
 #include "deflate/dynamic_encoder.hpp"
 #include "deflate/encoder.hpp"
 #include "lzss/mf_encoder.hpp"
@@ -46,10 +47,8 @@ std::vector<std::uint8_t> gzip_wrap(std::span<const std::uint8_t> deflate_stream
   // on inserting a fixed array into a fresh vector.
   for (const std::uint8_t b : header) out.push_back(b);
   out.insert(out.end(), deflate_stream.begin(), deflate_stream.end());
-  for (int shift = 0; shift <= 24; shift += 8)  // CRC32 then ISIZE, little-endian
-    out.push_back(static_cast<std::uint8_t>((crc >> shift) & 0xFF));
-  for (int shift = 0; shift <= 24; shift += 8)
-    out.push_back(static_cast<std::uint8_t>((input_size >> shift) & 0xFF));
+  le::put32(out, crc);  // CRC32 then ISIZE
+  le::put32(out, input_size);
   return out;
 }
 

@@ -52,6 +52,32 @@ unsigned container_window_bits(const hw::HwConfig& cfg) noexcept {
 /// 12 alternating pairs: 23.5 vs 22.3, 22.8 vs 19.5 and 34.0 vs 30.6 MB/s),
 /// for a ratio within 1.4%.
 constexpr std::size_t kAutoHwBytes = 256 * 1024;
+/// kAuto sends payloads below this size to the greedy finder, and the rest
+/// below kAutoHwBytes to the hash chain.
+constexpr std::size_t kAutoGreedyBytes = 16 * 1024;
+
+/// The one map from a decode failure to a status, called inside a catch of
+/// std::exception. Damage in what the client sent is CORRUPT, and a size
+/// cap it passes is TOO_LARGE. Anything else, such as an allocation failure
+/// or an injected fault, is the server's own failure: INTERNAL.
+Status decode_failure_status() noexcept {
+  try {
+    throw;
+  } catch (const container::ContainerError& e) {
+    return e.kind() == container::ContainerError::Kind::kTooLarge ? Status::kTooLarge
+                                                                  : Status::kCorrupt;
+  } catch (const core::RawTooLargeError&) {
+    return Status::kTooLarge;
+  } catch (const deflate::InflateBombError&) {
+    return Status::kTooLarge;
+  } catch (const core::DecodeError&) {
+    return Status::kCorrupt;
+  } catch (const deflate::InflateError&) {
+    return Status::kCorrupt;
+  } catch (...) {
+    return Status::kInternal;
+  }
+}
 
 /// The software encoder mirrors the hw model's knobs: same window, hash
 /// spec, chain bound and insert policy, so backend choice changes search
@@ -773,14 +799,15 @@ ResponseFrame Service::do_verify(const RequestFrame& request) {
     try {
       content_adler = checksum::adler32(
           container::block_decompress(request.payload, cfg_.max_payload, nullptr, verdicts));
-    } catch (const container::ContainerError& e) {
-      if (!parsed && e.kind() == container::ContainerError::Kind::kTooLarge) {
-        resp.status = Status::kTooLarge;
+    } catch (const std::exception&) {
+      // Past the parse, a decode failure is a damaged block the runner
+      // already counted; a block stream that outgrows its raw_len is one.
+      const Status status = decode_failure_status();
+      if (status == Status::kInternal || (!parsed && status == Status::kTooLarge)) {
+        resp.status = status;
         return resp;
       }
       parse_error = !parsed;
-    } catch (const std::exception&) {
-      // A damaged block: already counted by the runner.
     }
   } else {
     const bool raw = (request.flags & kFlagRawContainer) != 0;
@@ -792,13 +819,12 @@ ResponseFrame Service::do_verify(const RequestFrame& request) {
       raw_bytes = output.size();
       content_adler = checksum::adler32(output);
       marks.push_back('.');
-    } catch (const deflate::InflateBombError&) {
-      resp.status = Status::kTooLarge;
-      return resp;
-    } catch (const core::RawTooLargeError&) {
-      resp.status = Status::kTooLarge;
-      return resp;
     } catch (const std::exception&) {
+      const Status status = decode_failure_status();
+      if (status != Status::kCorrupt) {
+        resp.status = status;
+        return resp;
+      }
       corrupt_blocks = 1;
       marks.push_back('X');
     }
@@ -857,8 +883,8 @@ ResponseFrame Service::do_compress(const RequestFrame& request, const hw::HwConf
     case MatchBackend::kAuto:
       if (input.size() >= kAutoHwBytes) break;
       use_sw = true;
-      kind = input.size() < cfg_.small_threshold ? core::MatchFinderKind::kGreedy
-                                                 : core::MatchFinderKind::kHashChain;
+      kind = input.size() < kAutoGreedyBytes ? core::MatchFinderKind::kGreedy
+                                             : core::MatchFinderKind::kHashChain;
       break;
   }
 
@@ -924,14 +950,8 @@ ResponseFrame Service::do_decompress(const RequestFrame& request) {
     // raw_container_unpack on the declared size before any token runs.
     resp.payload = raw ? core::raw_container_unpack(request.payload, cfg_.max_payload)
                        : deflate::zlib_decompress(request.payload, cfg_.max_payload, &resp.adler);
-  } catch (const deflate::InflateBombError&) {
-    resp.status = Status::kTooLarge;
-    return resp;
-  } catch (const core::RawTooLargeError&) {
-    resp.status = Status::kTooLarge;
-    return resp;
   } catch (const std::exception&) {
-    resp.status = Status::kCorrupt;
+    resp.status = decode_failure_status();
     return resp;
   }
   if (raw) resp.adler = checksum::adler32(resp.payload);
@@ -974,14 +994,14 @@ ResponseFrame Service::do_decompress_blocked(const RequestFrame& request) {
     const container::BlockRunner run =
         std::bind_front(&Service::run_blocks, this, BlockOp::kDecompress);
     resp.payload = container::block_decompress(request.payload, cfg_.max_payload, nullptr, run);
-  } catch (const container::ContainerError& e) {
-    resp.status = e.kind() == container::ContainerError::Kind::kTooLarge ? Status::kTooLarge
-                                                                         : Status::kCorrupt;
+  } catch (const deflate::InflateBombError&) {
+    // Inside a block, a stream that inflates past its raw_len is damage to
+    // that block (parse already held raw_total to the cap). The whole
+    // request fails — never a partial-success payload.
+    resp.status = Status::kCorrupt;
     return resp;
   } catch (const std::exception&) {
-    // A bad Deflate stream or a per-block bomb: corruption of that block.
-    // The whole request fails — never a partial-success payload.
-    resp.status = Status::kCorrupt;
+    resp.status = decode_failure_status();
     return resp;
   }
   resp.adler = checksum::adler32(resp.payload);

@@ -135,10 +135,9 @@ struct ServiceConfig {
   obs::EventLog* events = nullptr;
   hw::HwConfig hw = hw::HwConfig::speed_optimized();
   /// COMPRESS match pipeline when the request doesn't pin one (lzssd
-  /// --matchfinder). Auto-class threshold: payloads below small_threshold
-  /// count as "small" for MatchBackend::kAuto.
+  /// --matchfinder). MatchBackend::kAuto classes by payload size: greedy
+  /// below 16 KiB, hash chain below 256 KiB, hw from there on.
   MatchBackend match_backend = MatchBackend::kHw;
-  std::size_t small_threshold = 16 * 1024;
 
   void validate() const;  ///< throws std::invalid_argument when inconsistent
 };

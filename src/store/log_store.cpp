@@ -88,114 +88,6 @@ bool validate_record_at(std::span<const std::uint8_t> buf, std::uint64_t off,
   return crc.value() == out.crc;
 }
 
-/// Everything one pass over a segment file can know.
-struct SegScan {
-  bool header_ok = false;
-  std::uint64_t id = 0;
-  std::uint64_t base_sequence = 0;
-  std::uint64_t file_size = 0;
-  std::uint64_t data_end = kSegmentHeaderSize;  ///< offset past last valid record
-  std::uint64_t trailing_bad_bytes = 0;         ///< damage running to EOF
-  std::uint64_t next_expected = 0;              ///< sequence after the last record
-  std::uint64_t payload_bytes = 0;
-  std::vector<Gap> gaps;
-  // RecordRef mirrors LogStore's private struct; scan results are converted.
-  struct Rec {
-    std::uint64_t sequence;
-    std::uint64_t offset;
-    std::uint32_t raw_length;
-    std::uint32_t stored_length;
-    std::uint32_t flags;
-  };
-  std::vector<Rec> records;
-};
-
-SegScan scan_segment(const std::string& path) {
-  SegScan out;
-  File f = File::open_ro(path);
-  out.file_size = f.size();
-  std::vector<std::uint8_t> buf(out.file_size);
-  if (!buf.empty()) f.pread(0, buf);
-
-  // Segment header: magic, version, and its own CRC. A file that fails here
-  // carries nothing recoverable — the caller decides whether that is a torn
-  // tail (last segment) or a whole-segment gap.
-  if (buf.size() >= kSegmentHeaderSize && std::memcmp(buf.data(), kSegmentMagic, 4) == 0 &&
-      le::get32(buf.data() + 4) == kFormatVersion &&
-      le::get32(buf.data() + 24) == checksum::crc32(std::span(buf.data(), 24))) {
-    out.header_ok = true;
-    out.id = le::get64(buf.data() + 8);
-    out.base_sequence = le::get64(buf.data() + 16);
-  } else {
-    out.data_end = 0;
-    out.trailing_bad_bytes = out.file_size;
-    return out;
-  }
-
-  std::uint64_t off = kSegmentHeaderSize;
-  std::uint64_t expected = out.base_sequence;
-  while (off < buf.size()) {
-    RecordHeader h{};
-    if (validate_record_at(buf, off, h) && h.sequence == expected) {
-      if ((h.flags & kFlagSkip) != 0) {
-        // A tombstone: compaction's durable stand-in for sequences that were
-        // already quarantined. The chain resumes past the recorded count.
-        const std::uint64_t count = le::get64(buf.data() + off + kRecordHeaderSize);
-        if (count != 0) {
-          Gap gap;
-          gap.segment_id = out.id;
-          gap.offset = off;
-          gap.bytes = kRecordHeaderSize + h.stored_length;
-          gap.first_sequence = h.sequence;
-          gap.sequence_count = count;
-          gap.tombstone = true;
-          out.gaps.push_back(gap);
-          off += kRecordHeaderSize + h.stored_length;
-          out.data_end = off;
-          expected = h.sequence + count;
-          continue;
-        }
-        // A zero-count skip marker is nothing compaction writes: fall
-        // through to damage handling.
-      } else {
-        out.records.push_back({h.sequence, off, h.raw_length, h.stored_length, h.flags});
-        out.payload_bytes += h.raw_length;
-        off += kRecordHeaderSize + h.stored_length;
-        out.data_end = off;
-        expected = h.sequence + 1;
-        continue;
-      }
-    }
-    // Damage starting at `off`: resync by scanning for the next frame that
-    // fully validates (magic + bounds + CRC + a later sequence).
-    std::uint64_t cand = off + 1;
-    bool resynced = false;
-    for (; cand + kRecordHeaderSize <= buf.size(); ++cand) {
-      if (std::memcmp(buf.data() + cand, kRecordMagic, 4) != 0) continue;
-      RecordHeader h2{};
-      if (validate_record_at(buf, cand, h2) && h2.sequence >= expected) {
-        Gap gap;
-        gap.segment_id = out.id;
-        gap.offset = off;
-        gap.bytes = cand - off;
-        gap.first_sequence = expected;
-        gap.sequence_count = h2.sequence - expected;
-        out.gaps.push_back(gap);
-        expected = h2.sequence;
-        off = cand;
-        resynced = true;
-        break;
-      }
-    }
-    if (!resynced) {
-      out.trailing_bad_bytes = buf.size() - off;
-      break;
-    }
-  }
-  out.next_expected = expected;
-  return out;
-}
-
 std::string two_part_path(const std::string& dir, const char* name) {
   return dir + "/" + name;
 }
@@ -297,7 +189,126 @@ void render_gaps(std::string& out, const std::vector<Gap>& gaps) {
   }
 }
 
+/// Damage that ran to the end of a sealed segment lost every sequence up to
+/// where the next segment starts, the one place that count is known.
+/// Recovery and the offline verify both pin through here.
+void pin_open_gap(Gap& gap, std::uint64_t next_base) noexcept {
+  if (next_base > gap.first_sequence) gap.sequence_count = next_base - gap.first_sequence;
+}
+
 }  // namespace
+
+struct LogStore::SegScan {
+  bool header_ok = false;
+  /// gaps.back() runs to EOF (the whole file when the header rotted); its
+  /// sequence count stays 0 until pin_open_gap knows the next base.
+  bool open_end = false;
+  std::uint64_t base_sequence = 0;  ///< the header's, or the caller's when it rotted
+  std::uint64_t file_size = 0;
+  std::uint64_t data_end = kSegmentHeaderSize;  ///< offset past last valid record
+  std::uint64_t next_expected = 0;              ///< sequence after the last record
+  std::vector<RecordRef> records;
+  std::vector<Gap> gaps;
+
+  /// In the tail, damage running to EOF is a torn write rather than a gap:
+  /// drops it and returns its bytes, for the caller to truncate or reset.
+  std::uint64_t take_torn_tail() {
+    if (!open_end) return 0;
+    open_end = false;
+    const std::uint64_t bytes = gaps.back().bytes;
+    gaps.pop_back();
+    return bytes;
+  }
+};
+
+LogStore::SegScan LogStore::scan_segment(const std::string& path, std::uint64_t id,
+                                         std::uint64_t expected_base) {
+  SegScan out;
+  File f = File::open_ro(path);
+  out.file_size = f.size();
+  std::vector<std::uint8_t> buf(out.file_size);
+  if (!buf.empty()) f.pread(0, buf);
+  const auto damage = [&](std::uint64_t off, std::uint64_t bytes, std::uint64_t first,
+                          std::uint64_t count) {
+    out.gaps.push_back({id, off, bytes, first, count});
+  };
+
+  // Segment header: magic, version, and its own CRC. A file that fails here
+  // carries nothing recoverable: one gap over the whole file.
+  if (buf.size() < kSegmentHeaderSize || std::memcmp(buf.data(), kSegmentMagic, 4) != 0 ||
+      le::get32(buf.data() + 4) != kFormatVersion ||
+      le::get32(buf.data() + 24) != checksum::crc32(std::span(buf.data(), 24))) {
+    out.base_sequence = out.next_expected = expected_base;
+    damage(0, out.file_size, expected_base, 0);
+    out.open_end = true;
+    return out;
+  }
+  out.header_ok = true;
+  out.base_sequence = le::get64(buf.data() + 16);
+
+  std::uint64_t off = kSegmentHeaderSize;
+  std::uint64_t expected = out.base_sequence;
+  while (off < buf.size()) {
+    RecordHeader h{};
+    if (validate_record_at(buf, off, h) && h.sequence == expected) {
+      if ((h.flags & kFlagSkip) != 0) {
+        // A tombstone: compaction's durable stand-in for sequences that were
+        // already quarantined. The chain resumes past the recorded count.
+        const std::uint64_t count = le::get64(buf.data() + off + kRecordHeaderSize);
+        if (count != 0) {
+          out.gaps.push_back({id, off, kRecordHeaderSize + h.stored_length, h.sequence, count,
+                              /*tombstone=*/true});
+          off += kRecordHeaderSize + h.stored_length;
+          out.data_end = off;
+          expected = h.sequence + count;
+          continue;
+        }
+        // A zero-count skip marker is nothing compaction writes: fall
+        // through to damage handling.
+      } else {
+        out.records.push_back({h.sequence, off, h.raw_length, h.stored_length, h.flags});
+        off += kRecordHeaderSize + h.stored_length;
+        out.data_end = off;
+        expected = h.sequence + 1;
+        continue;
+      }
+    }
+    // Damage starting at `off`: resync by scanning for the next frame that
+    // fully validates (magic + bounds + CRC + a later sequence).
+    std::uint64_t cand = off + 1;
+    for (; cand + kRecordHeaderSize <= buf.size(); ++cand) {
+      RecordHeader h2{};
+      if (std::memcmp(buf.data() + cand, kRecordMagic, 4) == 0 &&
+          validate_record_at(buf, cand, h2) && h2.sequence >= expected) {
+        damage(off, cand - off, expected, h2.sequence - expected);
+        expected = h2.sequence;
+        break;
+      }
+    }
+    if (cand + kRecordHeaderSize > buf.size()) {
+      damage(off, buf.size() - off, expected, 0);
+      out.open_end = true;
+      break;
+    }
+    off = cand;
+  }
+  out.next_expected = expected;
+  return out;
+}
+
+void LogStore::Segment::adopt(SegScan&& scan) {
+  records = std::move(scan.records);
+  gaps = std::move(scan.gaps);
+  record_count = records.size();
+  data_end = scan.data_end;
+  loaded = true;
+}
+
+void LogStore::Segment::vouch() noexcept {
+  vouched_records = record_count;
+  vouched_gaps = static_cast<std::uint64_t>(
+      std::count_if(gaps.begin(), gaps.end(), [](const Gap& g) { return !g.tombstone; }));
+}
 
 const char* fsync_policy_name(FsyncPolicy p) noexcept {
   switch (p) {
@@ -395,101 +406,47 @@ LogStore::LogStore(std::string dir, StoreOptions options, RecoveryReport* report
   rep.index_rebuilt = !index_usable;
 
   std::uint64_t expected = 1;  // sequence the next segment should start at
+  bool open_gap = false;       // the previous segment's damage ran to its end
   for (std::size_t i = 0; i < found.size(); ++i) {
     const bool last = i + 1 == found.size();
     Segment seg;
     seg.id = found[i].first;
+    bool open_end = false;
 
     if (index_usable && !last) {
       // Sealed segment vouched for by the index: trust the aggregates, defer
       // the per-record scan until a read needs it.
       seg.base_sequence = idx[i].base_sequence;
-      seg.record_count = idx[i].record_count;
+      seg.record_count = seg.vouched_records = idx[i].record_count;
       seg.data_end = idx[i].data_end;
       // The recorded end, NOT base + record_count: a gappy segment holds
       // fewer records than sequences, and recreating a headerless tail from
       // the undercount would re-issue live sequence numbers.
       expected = idx[i].end_sequence;
-      segments_.push_back(std::move(seg));
-      continue;
-    }
-
-    const SegScan scan = scan_segment(found[i].second);
-    if (!scan.header_ok) {
+    } else {
+      SegScan scan = scan_segment(found[i].second, seg.id, expected);
       if (last) {
-        // The tail segment's own header never made it to disk: everything in
-        // the file is torn. Reset it in place and resume appending into it.
-        rep.torn_bytes_discarded += scan.file_size;
-        create_segment_locked(seg.id, expected);
-        segments_.back().base_sequence = expected;
-        continue;
-      }
-      Gap gap;
-      gap.segment_id = seg.id;
-      gap.offset = 0;
-      gap.bytes = scan.file_size;
-      gap.first_sequence = expected;
-      gap.sequence_count = 0;  // unknowable without the header
-      rep.gaps.push_back(gap);
-      seg.gaps.push_back(gap);  // keeps garbage accounting (segment_infos) honest
-      seg.base_sequence = expected;
-      seg.record_count = 0;
-      seg.data_end = kSegmentHeaderSize;
-      seg.loaded = true;  // nothing readable; an empty table is correct
-      segments_.push_back(std::move(seg));
-      continue;
-    }
-
-    seg.base_sequence = scan.base_sequence;
-    seg.record_count = scan.records.size();
-    seg.data_end = scan.data_end;
-    seg.loaded = true;
-    seg.records.reserve(scan.records.size());
-    for (const auto& r : scan.records)
-      seg.records.push_back({r.sequence, r.offset, r.raw_length, r.stored_length, r.flags});
-    seg.gaps = scan.gaps;
-    for (const Gap& g : scan.gaps) rep.gaps.push_back(g);
-    expected = scan.next_expected;
-
-    if (scan.trailing_bad_bytes != 0) {
-      if (last) {
-        // Torn tail: truncate the garbage so appends resume at a clean edge.
-        // Syncing the repair is best-effort: the truncate is effective
-        // regardless, and if it is lost to a crash, recovery simply runs
-        // again — so a flaky disk must not make the store unopenable.
-        rep.torn_bytes_discarded += scan.trailing_bad_bytes;
-        File f = File::open_rw(found[i].second);
-        f.truncate(seg.data_end);
-        try {
-          f.fsync();
-        } catch (const IoError&) {
+        // In the tail, damage running to EOF is a torn write, not a gap: it
+        // is truncated below, where the tail reopens.
+        rep.torn_bytes_discarded += scan.take_torn_tail();
+        if (!scan.header_ok) {
+          // The tail segment's own header never made it to disk: everything
+          // in the file is torn. Reset it in place and resume appending.
+          create_segment_locked(seg.id, expected);
+          continue;
         }
-      } else {
-        // Damage running to the end of a sealed segment; the lost sequence
-        // count is pinned by where the next segment starts.
-        Gap gap;
-        gap.segment_id = seg.id;
-        gap.offset = seg.data_end;
-        gap.bytes = scan.trailing_bad_bytes;
-        gap.first_sequence = expected;
-        gap.sequence_count = 0;  // fixed up below once the next base is known
-        seg.gaps.push_back(gap);
-        rep.gaps.push_back(gap);
       }
+      seg.base_sequence = scan.base_sequence;
+      expected = scan.next_expected;
+      open_end = scan.open_end;
+      seg.adopt(std::move(scan));
+      seg.vouch();
     }
+    if (open_gap) pin_open_gap(segments_.back().gaps.back(), seg.base_sequence);
+    open_gap = open_end;
     segments_.push_back(std::move(seg));
   }
-
-  // Fix up sequence expectations across segment boundaries: a gap that ran
-  // to the end of a sealed segment swallowed every sequence up to the next
-  // segment's base.
-  for (std::size_t i = 0; i + 1 < segments_.size(); ++i) {
-    const std::uint64_t next_base = segments_[i + 1].base_sequence;
-    for (Gap& g : rep.gaps) {
-      if (g.segment_id == segments_[i].id && g.sequence_count == 0 && next_base > g.first_sequence)
-        g.sequence_count = next_base - g.first_sequence;
-    }
-  }
+  for (const Segment& s : segments_) rep.gaps.insert(rep.gaps.end(), s.gaps.begin(), s.gaps.end());
 
   first_sequence_ = segments_.front().base_sequence;
   next_sequence_ = std::max(expected, std::uint64_t{1});
@@ -500,10 +457,15 @@ LogStore::LogStore(std::string dir, StoreOptions options, RecoveryReport* report
     tail_file_ = File::open_rw(found.back().second);
     tail_offset_ = segments_.back().data_end;
     if (tail_file_.size() > tail_offset_) {
-      // Writable-but-unvalidated bytes past the logical end (e.g. a crashed
-      // write that never became a record): clear them now.
-      rep.torn_bytes_discarded += tail_file_.size() - tail_offset_;
+      // Torn tail: truncate the garbage so appends resume at a clean edge.
+      // Syncing the repair is best-effort: the truncate is effective
+      // regardless, and if it is lost to a crash, recovery simply runs
+      // again — so a flaky disk must not make the store unopenable.
       tail_file_.truncate(tail_offset_);
+      try {
+        tail_file_.fsync();
+      } catch (const IoError&) {
+      }
     }
   }
 
@@ -579,6 +541,7 @@ void LogStore::rotate_locked() {
   // being replaced.)
   fsync_tail_io();
   if (m_rotations_ != nullptr) m_rotations_->add(1);
+  segments_.back().vouch();  // sealed from here on: scrub compares against this
   const std::uint64_t next_id = segments_.back().id + 1;
   create_segment_locked(next_id, next_sequence_);
   if (m_segments_g_ != nullptr)
@@ -720,57 +683,57 @@ LogStore::Segment* LogStore::find_segment_locked(std::uint64_t sequence) {
 }
 
 void LogStore::load_segment_locked(Segment& seg) {
-  const SegScan scan = scan_segment(segment_path(seg.id));
-  seg.records.clear();
-  seg.records.reserve(scan.records.size());
-  for (const auto& r : scan.records)
-    seg.records.push_back({r.sequence, r.offset, r.raw_length, r.stored_length, r.flags});
-  seg.gaps = scan.gaps;
-  if (scan.trailing_bad_bytes != 0) {
-    Gap gap;
-    gap.segment_id = seg.id;
-    gap.offset = scan.data_end;
-    gap.bytes = scan.trailing_bad_bytes;
-    gap.first_sequence = scan.next_expected;
-    gap.sequence_count = 0;
-    seg.gaps.push_back(gap);
-  }
-  seg.record_count = seg.records.size();
-  seg.loaded = true;
+  seg.adopt(scan_segment(segment_path(seg.id), seg.id, seg.base_sequence));
 }
 
-std::vector<std::uint8_t> LogStore::read(std::uint64_t sequence) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (sequence < first_sequence_ || sequence >= next_sequence_)
-    throw StoreError(StoreError::Kind::kNotFound,
-                     "sequence " + std::to_string(sequence) + " not in store");
+RecordVerdict LogStore::fetch_record_locked(std::uint64_t sequence, std::uint64_t skip,
+                                            SealedHandle& sealed, RecordRef& ref,
+                                            std::vector<std::uint8_t>& bytes) {
+  if (sequence < first_sequence_ || sequence >= next_sequence_) return RecordVerdict::kNotFound;
   Segment* seg = find_segment_locked(sequence);
-  if (seg == nullptr)
-    throw StoreError(StoreError::Kind::kNotFound,
-                     "sequence " + std::to_string(sequence) + " precedes the store");
+  if (seg == nullptr) return RecordVerdict::kNotFound;
   if (!seg->loaded) load_segment_locked(*seg);
-
   const auto it = std::lower_bound(seg->records.begin(), seg->records.end(), sequence,
                                    [](const RecordRef& r, std::uint64_t s) {
                                      return r.sequence < s;
                                    });
-  if (it == seg->records.end() || it->sequence != sequence)
-    throw StoreError(StoreError::Kind::kGap,
-                     "sequence " + std::to_string(sequence) + " lost to storage damage");
+  if (it == seg->records.end() || it->sequence != sequence) return RecordVerdict::kGap;
+  ref = *it;
 
-  std::vector<std::uint8_t> payload(it->stored_length);
-  const bool is_tail = seg == &segments_.back();
-  if (is_tail) {
-    if (!payload.empty()) tail_file_.pread(it->offset + kRecordHeaderSize, payload);
+  bytes.resize(kRecordHeaderSize + ref.stored_length - skip);
+  if (bytes.empty()) return RecordVerdict::kOk;
+  if (seg == &segments_.back()) {
+    tail_file_.pread(ref.offset + skip, bytes);
   } else {
-    File f = File::open_ro(segment_path(seg->id));
-    if (!payload.empty()) f.pread(it->offset + kRecordHeaderSize, payload);
+    if (!sealed.file.is_open() || sealed.id != seg->id) {
+      sealed.file = File::open_ro(segment_path(seg->id));
+      sealed.id = seg->id;
+    }
+    sealed.file.pread(ref.offset + skip, bytes);
+  }
+  return RecordVerdict::kOk;
+}
+
+std::vector<std::uint8_t> LogStore::read(std::uint64_t sequence) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  SealedHandle sealed;
+  RecordRef ref{};
+  std::vector<std::uint8_t> payload;
+  switch (fetch_record_locked(sequence, kRecordHeaderSize, sealed, ref, payload)) {
+    case RecordVerdict::kNotFound:
+      throw StoreError(StoreError::Kind::kNotFound,
+                       "sequence " + std::to_string(sequence) + " not in store");
+    case RecordVerdict::kGap:
+      throw StoreError(StoreError::Kind::kGap,
+                       "sequence " + std::to_string(sequence) + " lost to storage damage");
+    default:
+      break;
   }
 
-  if ((it->flags & kFlagZlib) == 0) return payload;
+  if ((ref.flags & kFlagZlib) == 0) return payload;
   try {
     // raw_length (bounded by kMaxRecordBytes at parse) sizes the output.
-    std::vector<std::uint8_t> raw(it->raw_length);
+    std::vector<std::uint8_t> raw(ref.raw_length);
     if (deflate::zlib_decompress_into(payload, raw) != raw.size())
       throw StoreError(StoreError::Kind::kCorrupt, "record inflated to the wrong size");
     return raw;
@@ -942,12 +905,11 @@ CompactionReport LogStore::compact_segment(std::uint64_t id) {
   report.bytes_before = bytes_before;
   const std::string path = segment_path(id);
   std::vector<std::uint8_t> image;
-  std::vector<RecordRef> new_refs;
-  std::vector<Gap> new_gaps;
+  SegScan next;  // the new image's table, adopted once the rename lands
   try {
     File old = File::open_ro(path);
     image = encode_segment_header(id, base);
-    new_refs.reserve(refs.size());
+    next.records.reserve(refs.size());
     std::uint64_t expected = base;
     const auto emit_skip = [&](std::uint64_t first, std::uint64_t count) {
       Gap gap;
@@ -960,7 +922,7 @@ CompactionReport LogStore::compact_segment(std::uint64_t id) {
       std::vector<std::uint8_t> skip_payload;
       le::put64(skip_payload, count);
       append_record_image(image, first, 0, kFlagSkip, skip_payload);
-      new_gaps.push_back(gap);
+      next.gaps.push_back(gap);
     };
     for (const RecordRef& r : refs) {
       if (r.sequence > expected) emit_skip(expected, r.sequence - expected);
@@ -977,8 +939,8 @@ CompactionReport LogStore::compact_segment(std::uint64_t id) {
       }
       const std::uint64_t off = image.size();
       append_record_image(image, r.sequence, r.raw_length, flags, payload);
-      new_refs.push_back({r.sequence, off, r.raw_length,
-                          static_cast<std::uint32_t>(payload.size()), flags});
+      next.records.push_back({r.sequence, off, r.raw_length,
+                              static_cast<std::uint32_t>(payload.size()), flags});
       expected = r.sequence + 1;
     }
     if (expected < end) emit_skip(expected, end - expected);
@@ -986,8 +948,8 @@ CompactionReport LogStore::compact_segment(std::uint64_t id) {
     note_failure();
     throw;
   }
-  report.records = new_refs.size();
-  report.bytes_after = image.size();
+  report.records = next.records.size();
+  report.bytes_after = next.data_end = image.size();
 
   // Stage the image next to the old segment. The suffix keeps it invisible
   // to recovery's exact-name listing: a crash anywhere before the rename
@@ -1028,11 +990,8 @@ CompactionReport LogStore::compact_segment(std::uint64_t id) {
     // either side of the rename satisfies the crash contract.
   }
   Segment* seg = find_segment_by_id_locked(id);
-  seg->records = std::move(new_refs);
-  seg->gaps = std::move(new_gaps);
-  seg->record_count = seg->records.size();
-  seg->data_end = image.size();
-  seg->loaded = true;
+  seg->adopt(std::move(next));
+  seg->vouch();
   try {
     write_index_locked();
   } catch (const IoError&) {
@@ -1124,8 +1083,6 @@ ScrubReport LogStore::scrub_segment(std::uint64_t id) {
   ScrubReport report;
   report.segment_id = id;
 
-  std::uint64_t prior_records = 0;
-  std::uint64_t prior_gaps = 0;
   std::uint64_t base = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -1135,14 +1092,7 @@ ScrubReport LogStore::scrub_segment(std::uint64_t id) {
                        "segment " + std::to_string(id) + " not in store");
     if (seg == &segments_.back())
       throw StoreError(StoreError::Kind::kBadFormat, "cannot scrub the active tail segment");
-    // The prior record count comes from what the store already believes
-    // (the index entry or an earlier lazy load) — deliberately NOT from a
-    // fresh read of the file, which would see the very damage this scrub is
-    // trying to detect and report a zero delta.
-    prior_records = seg->record_count;
     base = seg->base_sequence;
-    for (const Gap& g : seg->gaps)
-      if (!g.tombstone) ++prior_gaps;
   }
 
   // Re-read the file end to end outside the locks (sealed == immutable). A
@@ -1151,7 +1101,7 @@ ScrubReport LogStore::scrub_segment(std::uint64_t id) {
   SegScan scan;
   try {
     if (fault::fires("store.scrub.read")) throw IoError("read", segment_path(id), EIO);
-    scan = scan_segment(segment_path(id));
+    scan = scan_segment(segment_path(id), id, base);
   } catch (const IoError&) {
     report.errors = 1;
     if (m_scrub_segments_ != nullptr) {
@@ -1164,43 +1114,19 @@ ScrubReport LogStore::scrub_segment(std::uint64_t id) {
   report.records = scan.records.size();
 
   // Escalate fresh damage: adopt the scan as the segment's authoritative
-  // table, so reads of newly-lost sequences answer kGap from now on.
+  // table, so reads of newly-lost sequences answer kGap from now on. The
+  // delta is taken against the vouched baseline, deliberately NOT against a
+  // lazy load, which may already have run into the very damage this scrub
+  // is here to report. (Other maintenance, the only thing that re-vouches a
+  // sealed segment, is excluded by maintenance_mutex_.)
   const std::lock_guard<std::mutex> lock(mutex_);
   Segment* seg = find_segment_by_id_locked(id);
   if (seg != nullptr && seg != &segments_.back()) {
-    seg->records.clear();
-    seg->gaps.clear();
-    if (scan.header_ok) {
-      seg->records.reserve(scan.records.size());
-      for (const auto& r : scan.records)
-        seg->records.push_back({r.sequence, r.offset, r.raw_length, r.stored_length, r.flags});
-      seg->gaps = scan.gaps;
-      if (scan.trailing_bad_bytes != 0) {
-        Gap gap;
-        gap.segment_id = id;
-        gap.offset = scan.data_end;
-        gap.bytes = scan.trailing_bad_bytes;
-        gap.first_sequence = scan.next_expected;
-        gap.sequence_count = 0;
-        seg->gaps.push_back(gap);
-      }
-      seg->data_end = scan.data_end;
-    } else {
-      // The segment's own header rotted: nothing in the file is readable.
-      Gap gap;
-      gap.segment_id = id;
-      gap.offset = 0;
-      gap.bytes = scan.file_size;
-      gap.first_sequence = base;
-      gap.sequence_count = 0;
-      seg->gaps.push_back(gap);
-    }
-    seg->record_count = seg->records.size();
-    seg->loaded = true;
-    std::uint64_t fresh_gaps = 0;
-    for (const Gap& g : seg->gaps)
-      if (!g.tombstone) ++fresh_gaps;
-    report.new_gaps = fresh_gaps > prior_gaps ? fresh_gaps - prior_gaps : 0;
+    const std::uint64_t prior_records = seg->vouched_records;
+    const std::uint64_t prior_gaps = seg->vouched_gaps;
+    seg->adopt(std::move(scan));
+    seg->vouch();
+    report.new_gaps = seg->vouched_gaps > prior_gaps ? seg->vouched_gaps - prior_gaps : 0;
     report.errors = prior_records > report.records ? prior_records - report.records : 0;
   }
   if (m_scrub_segments_ != nullptr) {
@@ -1215,48 +1141,21 @@ std::vector<RecordVerdict> LogStore::verify_range(std::uint64_t first, std::uint
   std::vector<RecordVerdict> out;
   out.reserve(static_cast<std::size_t>(count));
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t open_id = 0;
-  File sealed;
-  std::vector<std::uint8_t> buf;
+  SealedHandle sealed;
+  RecordRef ref{};
+  std::vector<std::uint8_t> frame;
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t seq = first + i;
-    if (seq < first_sequence_ || seq >= next_sequence_) {
-      out.push_back(RecordVerdict::kNotFound);
-      continue;
-    }
-    Segment* seg = find_segment_locked(seq);
-    if (seg == nullptr) {
-      out.push_back(RecordVerdict::kNotFound);
-      continue;
-    }
-    if (!seg->loaded) load_segment_locked(*seg);
-    const auto it = std::lower_bound(seg->records.begin(), seg->records.end(), seq,
-                                     [](const RecordRef& r, std::uint64_t s) {
-                                       return r.sequence < s;
-                                     });
-    if (it == seg->records.end() || it->sequence != seq) {
-      out.push_back(RecordVerdict::kGap);
-      continue;
-    }
-    buf.resize(kRecordHeaderSize + it->stored_length);
+    RecordVerdict verdict = RecordVerdict::kCorrupt;
     try {
-      if (seg == &segments_.back()) {
-        tail_file_.pread(it->offset, buf);
-      } else {
-        if (!sealed.is_open() || open_id != seg->id) {
-          sealed = File::open_ro(segment_path(seg->id));
-          open_id = seg->id;
-        }
-        sealed.pread(it->offset, buf);
-      }
+      verdict = fetch_record_locked(seq, 0, sealed, ref, frame);
     } catch (const IoError&) {
-      out.push_back(RecordVerdict::kCorrupt);
-      continue;
+      // A record the disk cannot hand back is reported, not thrown: kCorrupt.
     }
     RecordHeader h{};
-    out.push_back(validate_record_at(buf, 0, h) && h.sequence == seq
-                      ? RecordVerdict::kOk
-                      : RecordVerdict::kCorrupt);
+    if (verdict == RecordVerdict::kOk && (!validate_record_at(frame, 0, h) || h.sequence != seq))
+      verdict = RecordVerdict::kCorrupt;
+    out.push_back(verdict);
   }
   return out;
 }
@@ -1266,42 +1165,21 @@ VerifyReport LogStore::verify(const std::string& dir) {
   const auto found = list_segments(dir);
   if (found.empty())
     throw StoreError(StoreError::Kind::kBadFormat, "no segments in " + dir);
-  std::uint64_t expected = 0;
+  // The same chain walk as recovery's rebuild, read-only: the tail's torn
+  // end is counted, not truncated, and every other gap is reported as
+  // recovery reports it.
+  std::uint64_t expected = 1;
+  bool open_gap = false;
   for (std::size_t i = 0; i < found.size(); ++i) {
-    const bool last = i + 1 == found.size();
-    const SegScan scan = scan_segment(found[i].second);
+    SegScan scan = scan_segment(found[i].second, found[i].first, expected);
     ++out.segments;
-    if (!scan.header_ok) {
-      if (last) {
-        out.torn_tail_bytes += scan.file_size;
-      } else {
-        Gap gap;
-        gap.segment_id = found[i].first;
-        gap.offset = 0;
-        gap.bytes = scan.file_size;
-        gap.first_sequence = expected;
-        gap.sequence_count = 0;
-        out.gaps.push_back(gap);
-      }
-      continue;
-    }
+    if (open_gap) pin_open_gap(out.gaps.back(), scan.base_sequence);
+    if (i + 1 == found.size()) out.torn_tail_bytes += scan.take_torn_tail();
+    open_gap = scan.open_end;
     out.records += scan.records.size();
-    out.payload_bytes += scan.payload_bytes;
+    for (const RecordRef& r : scan.records) out.payload_bytes += r.raw_length;
     out.stored_bytes += scan.data_end - kSegmentHeaderSize;
-    for (const Gap& g : scan.gaps) out.gaps.push_back(g);
-    if (scan.trailing_bad_bytes != 0) {
-      if (last) {
-        out.torn_tail_bytes += scan.trailing_bad_bytes;
-      } else {
-        Gap gap;
-        gap.segment_id = found[i].first;
-        gap.offset = scan.data_end;
-        gap.bytes = scan.trailing_bad_bytes;
-        gap.first_sequence = scan.next_expected;
-        gap.sequence_count = 0;
-        out.gaps.push_back(gap);
-      }
-    }
+    out.gaps.insert(out.gaps.end(), scan.gaps.begin(), scan.gaps.end());
     expected = scan.next_expected;
   }
   return out;

@@ -42,10 +42,11 @@
 // Recovery (constructor): the tail segment is always scanned. A record that
 // fails magic/bounds/CRC starts damage handling — scan forward for the next
 // frame that fully validates; if one exists the bad range is quarantined as
-// a Gap (reads of those sequences throw StoreError::Kind::kGap), otherwise
-// the damage reaches EOF and is a torn tail: the file is truncated back to
-// the last good record and appends resume there. A missing, corrupt, or
-// stale sidecar triggers a full rebuild scan of every segment.
+// a Gap (reads of those sequences throw StoreError::Kind::kGap). Damage that
+// reaches EOF is a gap too, except in the tail, where it is torn: the file
+// is truncated back to the last good record and appends resume there. A
+// missing, corrupt, or stale sidecar triggers a full rebuild scan of every
+// segment. Recovery, lazy loads, scrub and verify() share that one scan.
 #pragma once
 
 #include <atomic>
@@ -323,6 +324,9 @@ class LogStore {
     std::uint32_t flags;
   };
 
+  /// One pass over a segment file, already in table shape (log_store.cpp).
+  struct SegScan;
+
   struct Segment {
     std::uint64_t id = 0;
     std::uint64_t base_sequence = 0;
@@ -331,7 +335,30 @@ class LogStore {
     bool loaded = false;                ///< per-record table scanned in
     std::vector<RecordRef> records;     ///< valid when loaded
     std::vector<Gap> gaps;              ///< damage found while scanning
+    /// Scrub's baseline: the readable records and fresh gaps the store last
+    /// vouched for (recovery's scan or the index entry, then rotation, each
+    /// scrub and each compaction). A lazy load fills the table but leaves
+    /// these, so damage that load ran into still counts at the next scrub.
+    std::uint64_t vouched_records = 0;
+    std::uint64_t vouched_gaps = 0;
+
+    /// Takes @p scan as the table: records, gaps, record_count, data_end.
+    void adopt(SegScan&& scan);
+    /// Makes the current table scrub's baseline.
+    void vouch() noexcept;
   };
+
+  /// A sealed segment's read handle, kept open across a run of lookups.
+  struct SealedHandle {
+    std::uint64_t id = 0;
+    File file;
+  };
+
+  /// The one scan from segment bytes to a table. Every damage range comes
+  /// back as a Gap of segment @p id, including a rotted header (the whole
+  /// file, from @p expected_base on) and damage running to EOF.
+  [[nodiscard]] static SegScan scan_segment(const std::string& path, std::uint64_t id,
+                                            std::uint64_t expected_base);
 
   [[nodiscard]] std::string segment_path(std::uint64_t id) const;
   void create_segment_locked(std::uint64_t id, std::uint64_t base_sequence);
@@ -343,6 +370,14 @@ class LogStore {
   /// the counters it touches are atomics / lock-free instruments).
   void fsync_tail_io();
   void load_segment_locked(Segment& seg);
+  /// The one record locator behind read() and verify_range(): resolves
+  /// @p sequence to its segment (lazy-loading the table) and table entry
+  /// @p ref, then preads the record's frame from @p skip bytes in (0 keeps
+  /// the header) into @p bytes, from the tail or through @p sealed. Returns
+  /// kNotFound or kGap without reading; an IoError propagates.
+  RecordVerdict fetch_record_locked(std::uint64_t sequence, std::uint64_t skip,
+                                    SealedHandle& sealed, RecordRef& ref,
+                                    std::vector<std::uint8_t>& bytes);
   Segment* find_segment_locked(std::uint64_t sequence);
   Segment* find_segment_by_id_locked(std::uint64_t id);
   void update_retained_gauge_locked();

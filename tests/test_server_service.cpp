@@ -135,12 +135,12 @@ TEST(ServerService, AutoBackendClassesBySize) {
     return s == nullptr ? std::uint64_t{0} : s->value;
   };
   // Request sizes in order, with the finder counts after each one: below
-  // small_threshold is greedy, below 256 KiB hash chain, the rest hw.
+  // 16 KiB is greedy, below 256 KiB hash chain, the rest hw.
   const struct {
     std::size_t bytes;
     std::uint64_t greedy, hashchain;
   } classes[] = {
-      {cfg.small_threshold - 1, 1, 0},
+      {16 * 1024 - 1, 1, 0},
       {64 * 1024, 1, 1},
       {256 * 1024 - 1, 1, 2},
       {256 * 1024, 1, 2},
@@ -578,6 +578,31 @@ TEST(ServerContainer, CorruptedBlockAnswersCorruptNeverPartial) {
   const auto resp = client.call(decompress_request(2, std::move(mangled)));
   EXPECT_EQ(resp.status, Status::kCorrupt);
   EXPECT_TRUE(resp.payload.empty());
+}
+
+TEST(ServerContainer, ServerSideDecodeFailureAnswersInternal) {
+  // A throw out of the block fan-out while a valid container decodes is the
+  // server's failure, not damage in what the client sent: INTERNAL, never
+  // CORRUPT, and never a partial payload.
+  ServiceConfig cfg = small_config();
+  cfg.workers = 3;
+  cfg.block_bytes = 16 * 1024;
+  Service service(cfg);
+  LoopbackClient client(service);
+  const auto data = wl::make_corpus("wiki", 128 * 1024);
+  const auto packed = client.call(blocked_request(1, data));
+  ASSERT_EQ(packed.status, Status::kOk);
+  {
+    fault::Spec boom;
+    boom.action = fault::Action::kThrow;
+    const fault::ScopedFault guard("container.reassemble.delay", boom);
+    const auto resp = client.call(decompress_request(2, packed.payload));
+    EXPECT_EQ(resp.status, Status::kInternal);
+    EXPECT_TRUE(resp.payload.empty());
+  }
+  const auto resp = client.call(decompress_request(3, packed.payload));
+  ASSERT_EQ(resp.status, Status::kOk);
+  EXPECT_EQ(resp.payload, data);
 }
 
 TEST(ServerContainer, RawTotalBeyondPayloadCapAnswersTooLarge) {

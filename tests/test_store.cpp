@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -705,6 +706,102 @@ TEST(StoreService, ScrubFindsSeededCorruptionAndVerifyReportsGaps) {
   // The scrub tally reached the metrics registry.
   const std::string stats = service.stats_json();
   EXPECT_NE(stats.find("store_scrub_errors_total"), std::string::npos);
+}
+
+/// Two shapes of rot hitting a sealed segment after the index vouched for
+/// it: a rotted segment header, and a 200-byte smear from inside the
+/// segment's second record (its first record stays intact).
+enum class Rot { kHeader, kSmear };
+
+/// A 50-record store, reopened so the index vouches for every sealed
+/// segment, whose segment 2 then rots behind the store's back.
+struct RottedStore {
+  explicit RottedStore(Rot rot) {
+    {
+      LogStore writer(dir.path, small_options());
+      for (std::uint64_t seq = 1; seq <= 50; ++seq) writer.append(record_payload(seq));
+      writer.flush();
+    }
+    const auto segs = segment_files(dir.path);
+    EXPECT_GT(segs.size(), 2u);
+    victim = parse_segment_records(segs[1]);
+    EXPECT_GE(victim.size(), 3u);
+    log = std::make_unique<LogStore>(dir.path, small_options());
+    auto image = slurp(segs[1]);
+    if (rot == Rot::kHeader) {
+      image[3] ^= 0xFF;
+    } else {
+      const std::size_t at = victim[1].offset + kRecordHeaderSize + 4;
+      for (std::size_t i = at; i < at + 200 && i < image.size(); ++i) image[i] = 0x5A;
+    }
+    spit(segs[1], image, image.size());
+  }
+
+  /// A read that lazy-loads the rotted segment; its first record is intact
+  /// unless the header rotted.
+  void read_first() {
+    try {
+      EXPECT_EQ(log->read(victim.front().sequence), record_payload(victim.front().sequence));
+    } catch (const StoreError& e) {
+      EXPECT_EQ(e.kind(), StoreError::Kind::kGap);
+    }
+  }
+
+  static constexpr std::uint64_t kSegment = 2;
+  TempDir dir;
+  std::vector<testutil::ParsedRecord> victim;  ///< segment 2's records before the rot
+  std::unique_ptr<LogStore> log;
+};
+
+TEST(StoreScrub, ReadBeforeScrubStillReportsDamage) {
+  // A lazy load (a read, or the compaction tick's segment_infos()) runs into
+  // the rot first. It must not move the baseline scrub compares against:
+  // the scrub reports the same damage with or without it.
+  for (const Rot rot : {Rot::kHeader, Rot::kSmear}) {
+    SCOPED_TRACE(rot == Rot::kHeader ? "rotted header" : "mid-record smear");
+    ScrubReport alone;
+    {
+      RottedStore store(rot);
+      alone = store.log->scrub_segment(RottedStore::kSegment);
+      EXPECT_EQ(alone.new_gaps, 1u);
+      if (rot == Rot::kHeader) {
+        EXPECT_EQ(alone.errors, store.victim.size());
+      } else {
+        EXPECT_GE(alone.errors, 1u);
+      }
+    }
+    {
+      RottedStore store(rot);
+      store.read_first();
+      const ScrubReport after_read = store.log->scrub_segment(RottedStore::kSegment);
+      EXPECT_EQ(after_read.errors, alone.errors);
+      EXPECT_EQ(after_read.new_gaps, alone.new_gaps);
+      // Reported once: a second scrub finds nothing new.
+      const ScrubReport again = store.log->scrub_segment(RottedStore::kSegment);
+      EXPECT_EQ(again.errors, 0u);
+      EXPECT_EQ(again.new_gaps, 0u);
+    }
+    {
+      RottedStore store(rot);
+      (void)store.log->segment_infos();
+      const ScrubReport after_infos = store.log->scrub_segment(RottedStore::kSegment);
+      EXPECT_EQ(after_infos.errors, alone.errors);
+      EXPECT_EQ(after_infos.new_gaps, alone.new_gaps);
+    }
+    {
+      // Through the opcodes: a LOG_READ first, then SCRUB of every segment.
+      RottedStore store(rot);
+      server::Service service(service_config());
+      service.attach_store(store.log.get());
+      server::LoopbackClient client(service);
+      (void)client.call(log_read_request(1, store.victim.front().sequence));
+      const auto scrub = client.call(scrub_request(2));
+      ASSERT_EQ(scrub.status, server::Status::kOk);
+      const std::string json = as_text(scrub.payload);
+      EXPECT_NE(json.find("\"clean\":false"), std::string::npos) << json;
+      EXPECT_NE(json.find("\"new_gaps\":1,"), std::string::npos) << json;
+    }
+  }
 }
 
 TEST(StoreService, VerifyContainerRoundTrip) {

@@ -349,6 +349,60 @@ TEST(StoreRecovery, SealedSegmentHeaderDestroyedBecomesWholeSegmentGap) {
   EXPECT_EQ(log.append(record_payload(41)), 41u);
 }
 
+TEST(StoreRecovery, OfflineVerifyReportsRecoveryGaps) {
+  // Offline verify and recovery walk the same chain, so the same damage must
+  // read the same in both: damage running to the end of a sealed segment and
+  // a rotted sealed header each lose every sequence up to where the next
+  // segment starts, and both reports pin that count.
+  TempDir dir;
+  build_store(dir.path, 60);
+  const auto segs = segment_files(dir.path);
+  ASSERT_GE(segs.size(), 5u);
+
+  // Trailing damage: smear segment 2 from inside its third-to-last record to
+  // EOF (the file keeps its size), so no later frame resyncs the scan.
+  const auto smeared = parse_segment_records(segs[1]);
+  ASSERT_GE(smeared.size(), 3u);
+  const ParsedRecord& first_lost = smeared[smeared.size() - 3];
+  {
+    auto image = slurp(segs[1]);
+    for (std::size_t i = first_lost.offset + 5; i < image.size(); ++i) image[i] = 0xA5;
+    spit(segs[1], image, image.size());
+  }
+  // A rotted header on segment 4: nothing in it is recoverable.
+  const auto rotted = parse_segment_records(segs[3]);
+  {
+    auto image = slurp(segs[3]);
+    image[3] ^= 0xFF;
+    spit(segs[3], image, image.size());
+  }
+  std::filesystem::remove(dir.path + "/index.lzsx");
+
+  const VerifyReport verify = LogStore::verify(dir.path);
+  RecoveryReport recovery;
+  { LogStore log(dir.path, sweep_options(), &recovery); }
+
+  ASSERT_EQ(recovery.gaps.size(), 2u);
+  EXPECT_EQ(recovery.gaps[0].first_sequence, first_lost.sequence);
+  EXPECT_EQ(recovery.gaps[0].sequence_count, 3u);
+  EXPECT_EQ(recovery.gaps[1].offset, 0u);
+  EXPECT_EQ(recovery.gaps[1].first_sequence, rotted.front().sequence);
+  EXPECT_EQ(recovery.gaps[1].sequence_count, rotted.size());
+
+  ASSERT_EQ(verify.gaps.size(), recovery.gaps.size());
+  for (std::size_t i = 0; i < verify.gaps.size(); ++i) {
+    const Gap& v = verify.gaps[i];
+    const Gap& r = recovery.gaps[i];
+    EXPECT_EQ(v.segment_id, r.segment_id) << "gap " << i;
+    EXPECT_EQ(v.offset, r.offset) << "gap " << i;
+    EXPECT_EQ(v.bytes, r.bytes) << "gap " << i;
+    EXPECT_EQ(v.first_sequence, r.first_sequence) << "gap " << i;
+    EXPECT_EQ(v.sequence_count, r.sequence_count) << "gap " << i;
+    EXPECT_EQ(v.tombstone, r.tombstone) << "gap " << i;
+  }
+  EXPECT_EQ(verify.records, recovery.records);
+}
+
 TEST(StoreRecovery, TornAppendLeavesStoreRetrySafe) {
   // A live torn write: the append throws, logical state is unchanged, the
   // retry lands the same sequence, and the overwritten garbage never

@@ -109,7 +109,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: lzssd [--port p] [--engines n] [--queue-depth d] [--preset name]\n"
                "             [--matchfinder hw|hashchain|greedy|auto]\n"
-               "             [--small-threshold-kb k] [--block-kb k]\n"
+               "             [--block-kb k]\n"
                "             [--request-timeout-ms t] [--hung-worker-ms t]\n"
                "             [--store-dir dir] [--store-fsync policy] [--store-segment-kb k]\n"
                "             [--compact-trigger-garbage-pct p] [--retain-max-bytes b]\n"
@@ -192,8 +192,6 @@ int main(int argc, char** argv) {
       preset = v;
     } else if (arg == "--matchfinder" && (v = next()) != nullptr) {
       if (!server::parse_match_backend(v, cfg.match_backend)) return usage();
-    } else if (arg == "--small-threshold-kb" && (v = next()) != nullptr) {
-      cfg.small_threshold = static_cast<std::size_t>(std::atoi(v)) * 1024;
     } else if (arg == "--block-kb" && (v = next()) != nullptr) {
       cfg.block_bytes = static_cast<std::size_t>(std::atoi(v)) * 1024;
     } else if (arg == "--request-timeout-ms" && (v = next()) != nullptr) {
