@@ -6,6 +6,7 @@
 // Paper anchors: HW ~= 49-50 MB/s, speedup 15-20x, ratios 1.68-1.70.
 #include "bench_util.hpp"
 
+#include "hw/functional.hpp"
 #include "hw/pipeline.hpp"
 #include "lzss/mf_encoder.hpp"
 #include "swmodel/ppc440_model.hpp"
@@ -69,6 +70,17 @@ void BM_HwModel(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * data.size()));
 }
 BENCHMARK(BM_HwModel)->Unit(benchmark::kMillisecond);
+
+// The functional twin that serves hw COMPRESS, on the service's 64 KiB
+// request size: the same tokens as BM_HwModel's simulator, no clock.
+void BM_HwTwin(benchmark::State& state, const char* corpus) {
+  const auto& data = bench::cached_corpus(corpus, 64 * 1024);
+  const hw::HwConfig cfg = hw::HwConfig::speed_optimized();
+  for (auto _ : state) benchmark::DoNotOptimize(hw::compress_tokens(cfg, data).size());
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * data.size()));
+}
+BENCHMARK_CAPTURE(BM_HwTwin, wiki_64k, "wiki")->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_HwTwin, x2e_64k, "x2e")->Unit(benchmark::kMicrosecond);
 
 void BM_SwEncoder(benchmark::State& state) {
   const auto& data = bench::cached_corpus("wiki", 256 * 1024);

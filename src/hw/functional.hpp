@@ -9,6 +9,14 @@
 // head purge schedule. Hash prefetch, bus width, head split and BRAM port
 // timing only move cycle counts, so they have no counterpart here.
 //
+// The twin does less work than the model wherever no token can tell:
+// while the input fits in the 2^(dict_bits+G) position space no age can
+// wrap, so it skips the purge's scan of the head table (the rotation itself
+// still happens, and still drops the short-match inserts of its match);
+// head entries are 16 bits wide whenever positions fit in 16 bits; the loop
+// is compiled once per hash kind; and each candidate's first 8 bytes are
+// compared inline, with simd::match_length taking over past them.
+//
 // The model stays the reference (tests/test_hw_twin.cpp pins the two
 // token-identical) and the source of the cycle census; the twin is what
 // serves the hw backend (docs/MATCHFINDER.md). compress_tokens is the one

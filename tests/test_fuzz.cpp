@@ -441,6 +441,44 @@ TEST(FuzzHwTwin, RandomConfigsMatchTheModel) {
   }
 }
 
+// The twin skips the head purge's scan while the whole input fits in the
+// 2^(dict_bits+G) position space, yet keeps every rotation, since a rotation
+// also drops the short-match inserts of the match it follows. These sizes
+// sit on both sides of that bound and just past the first rotation, on
+// small position spaces and both hash kinds, so rotations land after short
+// matches often.
+TEST(FuzzHwTwin, PurgeSkipBoundary) {
+  rng::Xoshiro256 rng(43);
+  const auto names = wl::corpus_names();
+  for (int trial = 0; trial < 48; ++trial) {
+    hw::HwConfig cfg;
+    // dict_bits 9 is not a valid config: the lookahead (>= 512) must be
+    // smaller than the dictionary.
+    cfg.dict_bits = 10 + static_cast<unsigned>(rng.next_below(2));
+    cfg.generation_bits = static_cast<unsigned>(rng.next_below(4));
+    cfg.hash.bits = 8 + static_cast<unsigned>(rng.next_below(8));
+    cfg.max_chain = 1 + static_cast<std::uint32_t>(rng.next_below(8));
+    cfg.nice_length = 3 + static_cast<std::uint32_t>(rng.next_below(32));
+    cfg.max_insert = 3 + static_cast<std::uint32_t>(rng.next_below(30));
+    const std::size_t space = cfg.position_modulus();
+    const std::size_t first_rotation = cfg.rotation_interval();
+    std::vector<std::size_t> sizes = {first_rotation + 1, space - 1, space, space + 1};
+    for (int extra = 0; extra < 2; ++extra)
+      sizes.push_back(first_rotation + 1 + rng.next_below(space - first_rotation + 1));
+    for (const auto kind : {core::HashKind::kZlibShift, core::HashKind::kMultiplicative}) {
+      cfg.hash.kind = kind;
+      for (const std::size_t size : sizes) {
+        const auto data = wl::make_corpus(names[rng.next_below(names.size())], size,
+                                          900 + static_cast<std::uint64_t>(trial));
+        hw::Compressor model(cfg);
+        ASSERT_EQ(hw::compress_tokens(cfg, data), model.compress(data).tokens)
+            << cfg.describe() << " kind=" << static_cast<int>(kind) << " size=" << size
+            << " trial=" << trial;
+      }
+    }
+  }
+}
+
 // Backend equivalence under fuzzed parameters: every MatchFinder backend
 // must produce a decodable stream that reproduces the input byte-for-byte,
 // whatever the window/hash/effort knobs, the parse and the corpus.
