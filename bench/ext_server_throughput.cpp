@@ -607,7 +607,6 @@ void print_maintenance_tables() {
       std::fputc('!', f);
       std::fclose(f);
     }
-    std::filesystem::remove(std::string(seed_dir) + "/index.lzsx");
   }
 
   std::printf("\n%-22s %12s %9s %12s %9s %9s\n", "mode", "goodput MB/s", "records",

@@ -158,7 +158,6 @@ std::span<const char* const> all_points() noexcept {
       "store.file.short_write",     // store::File::pwrite (half lands, then EIO)
       "store.file.enospc",          // store::File::pwrite (fails before any byte)
       "store.file.fsync",           // store::File::fsync (EIO without syncing)
-      "store.index.rename",         // sidecar publish rename (crash before commit)
       "store.compact.rename",       // compaction's segment swap rename (crash before commit)
       "store.compact.crash",        // compaction, tmp staged but not yet renamed (kill window)
       "store.retain.unlink",        // retention segment unlink (EIO, pass aborts)

@@ -412,13 +412,4 @@ std::string Snapshot::metrics_json_array() const {
   return out;
 }
 
-std::string Snapshot::to_json() const {
-  return "{\"metrics\":" + metrics_json_array() + "}";
-}
-
-Registry& default_registry() {
-  static Registry* instance = new Registry();  // leaked: outlives all users
-  return *instance;
-}
-
 }  // namespace lzss::obs

@@ -194,9 +194,8 @@ class Snapshot {
   /// Prometheus text exposition (# TYPE lines, histogram _bucket/_sum/_count
   /// series with cumulative le edges).
   [[nodiscard]] std::string to_prometheus() const;
-  /// {"metrics":[{"name":...,"labels":{...},"type":...,...}, ...]}
-  [[nodiscard]] std::string to_json() const;
-  /// Just the [...] array, for embedding in a larger JSON document.
+  /// [{"name":...,"labels":{...},"type":...,...}, ...], for embedding in a
+  /// larger JSON document.
   [[nodiscard]] std::string metrics_json_array() const;
 
   /// First sample matching @p name (and, when non-empty, a label pair whose
@@ -237,8 +236,5 @@ class Registry {
   std::map<std::string, Entry> entries_;  ///< keyed by name + serialized labels
   std::vector<std::function<void(Snapshot&)>> collectors_;
 };
-
-/// The process-wide default registry (tools that want exactly one).
-[[nodiscard]] Registry& default_registry();
 
 }  // namespace lzss::obs

@@ -161,9 +161,4 @@ Span::~Span() {
   ring_->record(e);
 }
 
-TraceRing& default_trace() {
-  static TraceRing* instance = new TraceRing(8192);  // leaked: outlives all users
-  return *instance;
-}
-
 }  // namespace lzss::obs

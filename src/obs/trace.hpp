@@ -147,7 +147,4 @@ class Span {
   TraceContext prev_;  ///< restored on destruction (only when ring_ != null)
 };
 
-/// Process-wide default ring (what lzssd exports with --trace-jsonl).
-[[nodiscard]] TraceRing& default_trace();
-
 }  // namespace lzss::obs

@@ -80,12 +80,9 @@ class File {
 
   /// Atomic replace: rename(2) @p from onto @p to. @p fault_point names the
   /// fires-style point that models a crash between writing the temp file and
-  /// publishing it — `store.index.rename` for the index sidecar (the
-  /// default), `store.compact.rename` for compaction's segment swap. Each
-  /// call site keeps its own point so tests can fail one publish path
-  /// without touching the other.
+  /// publishing it (`store.compact.rename` for compaction's segment swap).
   static void rename_file(const std::string& from, const std::string& to,
-                          const char* fault_point = "store.index.rename");
+                          const char* fault_point);
 
   /// fsyncs the directory itself so a rename/creat survives a power cut.
   static void sync_dir(const std::string& dir);

@@ -21,14 +21,14 @@ namespace {
 
 constexpr char kSegmentMagic[4] = {'L', 'Z', 'S', 'G'};
 constexpr char kRecordMagic[4] = {'L', 'Z', 'R', 'C'};
-constexpr char kIndexMagic[4] = {'L', 'Z', 'S', 'X'};
 constexpr std::uint32_t kFlagZlib = 0x1;
 /// Tombstone written by compaction: sequence = first missing number, the
 /// 8-byte payload = LE count of sequences lost to already-quarantined damage.
 constexpr std::uint32_t kFlagSkip = 0x2;
 constexpr std::uint32_t kSkipPayloadSize = 8;
-constexpr const char* kIndexName = "index.lzsx";
-constexpr const char* kIndexTmpName = "index.lzsx.tmp";
+/// Sidecar index files that stores of older versions kept next to their
+/// segments. Nothing reads them any more; opening a store removes them.
+constexpr const char* kRetiredIndexNames[] = {"index.lzsx", "index.lzsx.tmp"};
 /// Compaction's staging suffix. list_segments' exact-name match ignores it,
 /// so a crash before the rename leaves only the old image visible.
 constexpr const char* kCompactionTmpSuffix = ".cmp";
@@ -109,56 +109,6 @@ void append_record_image(std::vector<std::uint8_t>& image, std::uint64_t sequenc
   image.insert(image.end(), payload.begin(), payload.end());
 }
 
-/// The sidecar index image: per-segment aggregates plus a trailing CRC.
-/// end_sequence is the sequence the NEXT segment starts at (it is recorded
-/// explicitly rather than derived as base + record_count, because a segment
-/// with quarantined gaps holds fewer records than sequences — deriving it
-/// would re-issue sequences that still exist as valid records after a gap).
-struct IndexEntry {
-  std::uint64_t id;
-  std::uint64_t base_sequence;
-  std::uint64_t record_count;
-  std::uint64_t data_end;
-  std::uint64_t end_sequence;
-};
-
-std::vector<std::uint8_t> encode_index(std::span<const IndexEntry> entries,
-                                       std::uint64_t next_sequence) {
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), std::begin(kIndexMagic), std::end(kIndexMagic));
-  le::put32(out, kFormatVersion);
-  le::put32(out, static_cast<std::uint32_t>(entries.size()));
-  le::put64(out, next_sequence);
-  for (const IndexEntry& e : entries) {
-    le::put64(out, e.id);
-    le::put64(out, e.base_sequence);
-    le::put64(out, e.record_count);
-    le::put64(out, e.data_end);
-    le::put64(out, e.end_sequence);
-  }
-  le::put32(out, checksum::crc32(std::span(out.data(), out.size())));
-  return out;
-}
-
-bool decode_index(std::span<const std::uint8_t> buf, std::vector<IndexEntry>& entries,
-                  std::uint64_t& next_sequence) {
-  if (buf.size() < 24 || std::memcmp(buf.data(), kIndexMagic, 4) != 0) return false;
-  if (le::get32(buf.data() + 4) != kFormatVersion) return false;
-  const std::uint32_t count = le::get32(buf.data() + 8);
-  const std::size_t body = 20 + static_cast<std::size_t>(count) * 40;
-  if (buf.size() != body + 4) return false;
-  if (le::get32(buf.data() + body) != checksum::crc32(buf.first(body))) return false;
-  next_sequence = le::get64(buf.data() + 12);
-  entries.clear();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint8_t* p = buf.data() + 20 + static_cast<std::size_t>(i) * 40;
-    entries.push_back({le::get64(p), le::get64(p + 8), le::get64(p + 16), le::get64(p + 24),
-                       le::get64(p + 32)});
-    if (entries.back().end_sequence < entries.back().base_sequence) return false;
-  }
-  return true;
-}
-
 std::vector<std::pair<std::uint64_t, std::string>> list_segments(const std::string& dir) {
   std::vector<std::pair<std::uint64_t, std::string>> out;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
@@ -189,19 +139,13 @@ void render_gaps(std::string& out, const std::vector<Gap>& gaps) {
   }
 }
 
-/// Damage that ran to the end of a sealed segment lost every sequence up to
-/// where the next segment starts, the one place that count is known.
-/// Recovery and the offline verify both pin through here.
-void pin_open_gap(Gap& gap, std::uint64_t next_base) noexcept {
-  if (next_base > gap.first_sequence) gap.sequence_count = next_base - gap.first_sequence;
-}
-
 }  // namespace
 
 struct LogStore::SegScan {
+  std::uint64_t id = 0;
   bool header_ok = false;
   /// gaps.back() runs to EOF (the whole file when the header rotted); its
-  /// sequence count stays 0 until pin_open_gap knows the next base.
+  /// sequence count stays 0 until scan_chain knows the next base.
   bool open_end = false;
   std::uint64_t base_sequence = 0;  ///< the header's, or the caller's when it rotted
   std::uint64_t file_size = 0;
@@ -221,9 +165,15 @@ struct LogStore::SegScan {
   }
 };
 
+struct LogStore::ChainScan {
+  std::vector<SegScan> segments;      ///< one per segment file, oldest first
+  std::uint64_t torn_tail_bytes = 0;  ///< taken from the last segment
+};
+
 LogStore::SegScan LogStore::scan_segment(const std::string& path, std::uint64_t id,
                                          std::uint64_t expected_base) {
   SegScan out;
+  out.id = id;
   File f = File::open_ro(path);
   out.file_size = f.size();
   std::vector<std::uint8_t> buf(out.file_size);
@@ -296,18 +246,32 @@ LogStore::SegScan LogStore::scan_segment(const std::string& path, std::uint64_t 
   return out;
 }
 
+LogStore::ChainScan LogStore::scan_chain(const std::string& dir) {
+  ChainScan out;
+  std::uint64_t expected = 1;  // sequence the next segment should start at
+  for (const auto& [id, path] : list_segments(dir)) {
+    SegScan scan = scan_segment(path, id, expected);
+    // Damage that ran to the end of the previous segment lost every
+    // sequence up to where this one starts, the one place that count is
+    // known.
+    if (!out.segments.empty() && out.segments.back().open_end) {
+      Gap& gap = out.segments.back().gaps.back();
+      if (scan.base_sequence > gap.first_sequence)
+        gap.sequence_count = scan.base_sequence - gap.first_sequence;
+    }
+    expected = scan.next_expected;
+    out.segments.push_back(std::move(scan));
+  }
+  // In the tail, damage running to EOF is a torn write, not a gap.
+  if (!out.segments.empty()) out.torn_tail_bytes = out.segments.back().take_torn_tail();
+  return out;
+}
+
 void LogStore::Segment::adopt(SegScan&& scan) {
   records = std::move(scan.records);
   gaps = std::move(scan.gaps);
   record_count = records.size();
   data_end = scan.data_end;
-  loaded = true;
-}
-
-void LogStore::Segment::vouch() noexcept {
-  vouched_records = record_count;
-  vouched_gaps = static_cast<std::uint64_t>(
-      std::count_if(gaps.begin(), gaps.end(), [](const Gap& g) { return !g.tombstone; }));
 }
 
 const char* fsync_policy_name(FsyncPolicy p) noexcept {
@@ -338,9 +302,8 @@ std::string RecoveryReport::render() const {
   char line[160];
   std::snprintf(line, sizeof(line),
                 "recovered %" PRIu64 " records (next seq %" PRIu64 "), %" PRIu64
-                " torn tail bytes discarded, index %s\n",
-                records, next_sequence, torn_bytes_discarded,
-                index_rebuilt ? "rebuilt" : "loaded");
+                " torn tail bytes discarded\n",
+                records, next_sequence, torn_bytes_discarded);
   out += line;
   render_gaps(out, gaps);
   return out;
@@ -363,98 +326,47 @@ LogStore::LogStore(std::string dir, StoreOptions options, RecoveryReport* report
     : dir_(std::move(dir)), opt_(options) {
   opt_.validate();
   std::filesystem::create_directories(dir_);
+  // Best-effort: an older version that opens this directory later then
+  // rebuilds from the segments instead of trusting a stale sidecar.
+  for (const char* name : kRetiredIndexNames) {
+    std::error_code ec;
+    std::filesystem::remove(two_part_path(dir_, name), ec);
+  }
 
   // Recovery findings land in the member first (bind_metrics exports them
   // later); the out-param is a courtesy copy.
   RecoveryReport& rep = recovery_;
   rep = RecoveryReport{};
 
-  const auto found = list_segments(dir_);
-  if (found.empty()) {
+  ChainScan chain = scan_chain(dir_);
+  if (chain.segments.empty()) {
     create_segment_locked(1, 1);
-    write_index_locked();
     rep.next_sequence = next_sequence_;
     if (report != nullptr) *report = recovery_;
     return;
   }
-
-  // Try the sidecar. It is advisory: any inconsistency with the directory —
-  // wrong segment set, a file shorter than its indexed extent — means it is
-  // stale and everything is rebuilt from the segments themselves.
-  std::vector<IndexEntry> idx;
-  std::uint64_t idx_next = 0;
-  bool index_usable = false;
-  try {
-    File f = File::open_ro(two_part_path(dir_, kIndexName));
-    std::vector<std::uint8_t> buf(f.size());
-    if (!buf.empty()) f.pread(0, buf);
-    index_usable = decode_index(buf, idx, idx_next);
-  } catch (const IoError&) {
-    index_usable = false;
-  }
-  if (index_usable && idx.size() == found.size()) {
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      if (idx[i].id != found[i].first ||
-          File::open_ro(found[i].second).size() < idx[i].data_end) {
-        index_usable = false;
-        break;
-      }
+  rep.torn_bytes_discarded = chain.torn_tail_bytes;
+  next_sequence_ = std::max(chain.segments.back().next_expected, std::uint64_t{1});
+  for (SegScan& scan : chain.segments) {
+    if (&scan == &chain.segments.back() && !scan.header_ok) {
+      // The tail segment's own header never made it to disk: everything in
+      // the file is torn. Reset it in place and resume appending.
+      create_segment_locked(scan.id, scan.base_sequence);
+      break;
     }
-  } else {
-    index_usable = false;
-  }
-  rep.index_rebuilt = !index_usable;
-
-  std::uint64_t expected = 1;  // sequence the next segment should start at
-  bool open_gap = false;       // the previous segment's damage ran to its end
-  for (std::size_t i = 0; i < found.size(); ++i) {
-    const bool last = i + 1 == found.size();
+    rep.gaps.insert(rep.gaps.end(), scan.gaps.begin(), scan.gaps.end());
     Segment seg;
-    seg.id = found[i].first;
-    bool open_end = false;
-
-    if (index_usable && !last) {
-      // Sealed segment vouched for by the index: trust the aggregates, defer
-      // the per-record scan until a read needs it.
-      seg.base_sequence = idx[i].base_sequence;
-      seg.record_count = seg.vouched_records = idx[i].record_count;
-      seg.data_end = idx[i].data_end;
-      // The recorded end, NOT base + record_count: a gappy segment holds
-      // fewer records than sequences, and recreating a headerless tail from
-      // the undercount would re-issue live sequence numbers.
-      expected = idx[i].end_sequence;
-    } else {
-      SegScan scan = scan_segment(found[i].second, seg.id, expected);
-      if (last) {
-        // In the tail, damage running to EOF is a torn write, not a gap: it
-        // is truncated below, where the tail reopens.
-        rep.torn_bytes_discarded += scan.take_torn_tail();
-        if (!scan.header_ok) {
-          // The tail segment's own header never made it to disk: everything
-          // in the file is torn. Reset it in place and resume appending.
-          create_segment_locked(seg.id, expected);
-          continue;
-        }
-      }
-      seg.base_sequence = scan.base_sequence;
-      expected = scan.next_expected;
-      open_end = scan.open_end;
-      seg.adopt(std::move(scan));
-      seg.vouch();
-    }
-    if (open_gap) pin_open_gap(segments_.back().gaps.back(), seg.base_sequence);
-    open_gap = open_end;
+    seg.id = scan.id;
+    seg.base_sequence = scan.base_sequence;
+    seg.adopt(std::move(scan));
     segments_.push_back(std::move(seg));
   }
-  for (const Segment& s : segments_) rep.gaps.insert(rep.gaps.end(), s.gaps.begin(), s.gaps.end());
-
   first_sequence_ = segments_.front().base_sequence;
-  next_sequence_ = std::max(expected, std::uint64_t{1});
 
   // Reopen the tail for appending (create_segment_locked already did when the
   // tail was reset above).
   if (!tail_file_.is_open()) {
-    tail_file_ = File::open_rw(found.back().second);
+    tail_file_ = File::open_rw(segment_path(segments_.back().id));
     tail_offset_ = segments_.back().data_end;
     if (tail_file_.size() > tail_offset_) {
       // Torn tail: truncate the garbage so appends resume at a clean edge.
@@ -471,15 +383,6 @@ LogStore::LogStore(std::string dir, StoreOptions options, RecoveryReport* report
 
   rep.next_sequence = next_sequence_;
   for (const Segment& s : segments_) rep.records += s.record_count;
-
-  if (rep.index_rebuilt || rep.torn_bytes_discarded != 0) {
-    // Refresh the sidecar; failure is tolerable (it stays advisory).
-    try {
-      write_index_locked();
-    } catch (const IoError&) {
-      index_dirty_ = true;
-    }
-  }
   if (report != nullptr) *report = recovery_;
 }
 
@@ -507,7 +410,6 @@ void LogStore::create_segment_locked(std::uint64_t id, std::uint64_t base_sequen
   Segment seg;
   seg.id = id;
   seg.base_sequence = base_sequence;
-  seg.loaded = true;
   segments_.push_back(std::move(seg));
   tail_file_ = std::move(f);
   tail_offset_ = kSegmentHeaderSize;
@@ -541,41 +443,11 @@ void LogStore::rotate_locked() {
   // being replaced.)
   fsync_tail_io();
   if (m_rotations_ != nullptr) m_rotations_->add(1);
-  segments_.back().vouch();  // sealed from here on: scrub compares against this
   const std::uint64_t next_id = segments_.back().id + 1;
   create_segment_locked(next_id, next_sequence_);
   if (m_segments_g_ != nullptr)
     m_segments_g_->set(static_cast<std::int64_t>(segments_.size()));
   update_retained_gauge_locked();
-  try {
-    write_index_locked();
-  } catch (const IoError&) {
-    index_dirty_ = true;  // advisory; the next flush/rotation retries
-  }
-}
-
-void LogStore::write_index_locked() {
-  std::vector<IndexEntry> entries;
-  entries.reserve(segments_.size());
-  for (std::size_t i = 0; i < segments_.size(); ++i) {
-    const Segment& s = segments_[i];
-    // A sealed segment's end sequence is pinned by its successor's base;
-    // the tail's is the live next_sequence_. Both stay correct even when
-    // the segment's record_count later shrinks to a lazily-found gap.
-    const std::uint64_t end_sequence =
-        i + 1 < segments_.size() ? segments_[i + 1].base_sequence : next_sequence_;
-    entries.push_back({s.id, s.base_sequence, s.record_count, s.data_end, end_sequence});
-  }
-  const auto image = encode_index(entries, next_sequence_);
-
-  const std::string tmp = two_part_path(dir_, kIndexTmpName);
-  File f = File::create(tmp);
-  f.pwrite(0, image);
-  f.fsync();
-  f.close();
-  File::rename_file(tmp, two_part_path(dir_, kIndexName));
-  File::sync_dir(dir_);
-  index_dirty_ = false;
 }
 
 std::uint64_t LogStore::append(std::span<const std::uint8_t> bytes) {
@@ -682,17 +554,11 @@ LogStore::Segment* LogStore::find_segment_locked(std::uint64_t sequence) {
   return &*std::prev(it);
 }
 
-void LogStore::load_segment_locked(Segment& seg) {
-  seg.adopt(scan_segment(segment_path(seg.id), seg.id, seg.base_sequence));
-}
-
-RecordVerdict LogStore::fetch_record_locked(std::uint64_t sequence, std::uint64_t skip,
-                                            SealedHandle& sealed, RecordRef& ref,
-                                            std::vector<std::uint8_t>& bytes) {
+RecordVerdict LogStore::fetch_record_locked(std::uint64_t sequence, SealedHandle& sealed,
+                                            RecordRef& ref, std::vector<std::uint8_t>& frame) {
   if (sequence < first_sequence_ || sequence >= next_sequence_) return RecordVerdict::kNotFound;
   Segment* seg = find_segment_locked(sequence);
   if (seg == nullptr) return RecordVerdict::kNotFound;
-  if (!seg->loaded) load_segment_locked(*seg);
   const auto it = std::lower_bound(seg->records.begin(), seg->records.end(), sequence,
                                    [](const RecordRef& r, std::uint64_t s) {
                                      return r.sequence < s;
@@ -700,17 +566,18 @@ RecordVerdict LogStore::fetch_record_locked(std::uint64_t sequence, std::uint64_
   if (it == seg->records.end() || it->sequence != sequence) return RecordVerdict::kGap;
   ref = *it;
 
-  bytes.resize(kRecordHeaderSize + ref.stored_length - skip);
-  if (bytes.empty()) return RecordVerdict::kOk;
+  frame.resize(kRecordHeaderSize + ref.stored_length);
   if (seg == &segments_.back()) {
-    tail_file_.pread(ref.offset + skip, bytes);
+    tail_file_.pread(ref.offset, frame);
   } else {
     if (!sealed.file.is_open() || sealed.id != seg->id) {
       sealed.file = File::open_ro(segment_path(seg->id));
       sealed.id = seg->id;
     }
-    sealed.file.pread(ref.offset + skip, bytes);
+    sealed.file.pread(ref.offset, frame);
   }
+  RecordHeader h{};
+  if (!validate_record_at(frame, 0, h) || h.sequence != sequence) return RecordVerdict::kCorrupt;
   return RecordVerdict::kOk;
 }
 
@@ -718,22 +585,29 @@ std::vector<std::uint8_t> LogStore::read(std::uint64_t sequence) {
   const std::lock_guard<std::mutex> lock(mutex_);
   SealedHandle sealed;
   RecordRef ref{};
-  std::vector<std::uint8_t> payload;
-  switch (fetch_record_locked(sequence, kRecordHeaderSize, sealed, ref, payload)) {
+  std::vector<std::uint8_t> frame;
+  switch (fetch_record_locked(sequence, sealed, ref, frame)) {
     case RecordVerdict::kNotFound:
       throw StoreError(StoreError::Kind::kNotFound,
                        "sequence " + std::to_string(sequence) + " not in store");
     case RecordVerdict::kGap:
       throw StoreError(StoreError::Kind::kGap,
                        "sequence " + std::to_string(sequence) + " lost to storage damage");
-    default:
+    case RecordVerdict::kCorrupt:
+      throw StoreError(StoreError::Kind::kCorrupt,
+                       "record " + std::to_string(sequence) + " failed its checksum");
+    case RecordVerdict::kOk:
       break;
   }
 
-  if ((ref.flags & kFlagZlib) == 0) return payload;
+  if ((ref.flags & kFlagZlib) == 0) {
+    frame.erase(frame.begin(), frame.begin() + kRecordHeaderSize);
+    return frame;
+  }
   try {
     // raw_length (bounded by kMaxRecordBytes at parse) sizes the output.
     std::vector<std::uint8_t> raw(ref.raw_length);
+    const auto payload = std::span<const std::uint8_t>(frame).subspan(kRecordHeaderSize);
     if (deflate::zlib_decompress_into(payload, raw) != raw.size())
       throw StoreError(StoreError::Kind::kCorrupt, "record inflated to the wrong size");
     return raw;
@@ -754,14 +628,11 @@ std::uint64_t LogStore::next_sequence() const {
 }
 
 void LogStore::flush() {
-  // Same split as append: the fsync happens under io_mutex_ only, the index
-  // publish under mutex_. tail_file_ is only re-seated under both locks, so
-  // the open check is stable here.
+  // Same as append: the fsync happens under io_mutex_ only. tail_file_ is
+  // only re-seated under both locks, so the open check is stable here.
   const std::lock_guard<std::mutex> io_lock(io_mutex_);
   if (!tail_file_.is_open()) return;
   fsync_tail_io();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  write_index_locked();
 }
 
 void LogStore::bind_metrics(obs::Registry& registry, obs::TraceRing* trace) {
@@ -793,7 +664,6 @@ void LogStore::bind_metrics(obs::Registry& registry, obs::TraceRing* trace) {
   registry.counter("store_recovery_records_total").add(recovery_.records);
   registry.counter("store_recovery_torn_bytes_total").add(recovery_.torn_bytes_discarded);
   registry.counter("store_recovery_gaps_total").add(fresh_gaps);
-  registry.counter("store_recovery_index_rebuilds_total").add(recovery_.index_rebuilt ? 1 : 0);
   // Push-style gauges, not collectors: a collector capturing `this` could
   // outlive the store when the registry is shared.
   m_segments_g_ = &registry.gauge("store_segments");
@@ -833,9 +703,8 @@ std::vector<SegmentInfo> LogStore::segment_infos() {
   out.reserve(segments_.size());
   const auto now = std::filesystem::file_time_type::clock::now();
   for (std::size_t i = 0; i < segments_.size(); ++i) {
-    Segment& s = segments_[i];
+    const Segment& s = segments_[i];
     const bool sealed = i + 1 != segments_.size();
-    if (sealed && !s.loaded) load_segment_locked(s);
     SegmentInfo info;
     info.id = s.id;
     info.base_sequence = s.base_sequence;
@@ -873,7 +742,7 @@ CompactionReport LogStore::compact_segment(std::uint64_t id) {
   // rewrite needs is pinned from here on: sealed segments are immutable
   // (appends touch only the tail, other maintenance is excluded by
   // maintenance_mutex_), and the chain's end sequence is the successor's
-  // base — exactly what the index records.
+  // base.
   std::uint64_t base = 0;
   std::uint64_t end = 0;
   std::uint64_t bytes_before = 0;
@@ -886,7 +755,6 @@ CompactionReport LogStore::compact_segment(std::uint64_t id) {
                        "segment " + std::to_string(id) + " not in store");
     if (seg == &segments_.back())
       throw StoreError(StoreError::Kind::kBadFormat, "cannot compact the active tail segment");
-    if (!seg->loaded) load_segment_locked(*seg);
     base = seg->base_sequence;
     bytes_before = seg->data_end;
     refs = seg->records;
@@ -991,12 +859,6 @@ CompactionReport LogStore::compact_segment(std::uint64_t id) {
   }
   Segment* seg = find_segment_by_id_locked(id);
   seg->adopt(std::move(next));
-  seg->vouch();
-  try {
-    write_index_locked();
-  } catch (const IoError&) {
-    index_dirty_ = true;  // advisory; a stale index is rebuilt on reopen
-  }
   if (m_compactions_ != nullptr) {
     m_compactions_->add(1);
     m_compaction_reclaimed_->add(report.reclaimed());
@@ -1042,10 +904,9 @@ RetentionReport LogStore::apply_retention(const RetentionPolicy& policy) {
       victim_records = segments_.front().record_count;
     }
 
-    // Unlink first, metadata after. A crash in between leaves the directory
-    // and the index out of step, which reopen resolves with a rebuild; a
-    // thrown unlink aborts the pass with everything already deleted still
-    // consistently gone.
+    // Unlink first, metadata after. A crash in between loses nothing: the
+    // next open scans whatever segments remain. A thrown unlink aborts the
+    // pass with everything already deleted still consistently gone.
     const std::string victim_path = segment_path(victim_id);
     if (fault::fires("store.retain.unlink")) throw IoError("unlink", victim_path, EIO);
     std::error_code ec;
@@ -1065,11 +926,6 @@ RetentionReport LogStore::apply_retention(const RetentionPolicy& policy) {
     if (m_retention_segments_ != nullptr) {
       m_retention_segments_->add(1);
       m_retention_bytes_->add(victim_bytes);
-    }
-    try {
-      write_index_locked();
-    } catch (const IoError&) {
-      index_dirty_ = true;
     }
     if (m_segments_g_ != nullptr)
       m_segments_g_->set(static_cast<std::int64_t>(segments_.size()));
@@ -1115,18 +971,21 @@ ScrubReport LogStore::scrub_segment(std::uint64_t id) {
 
   // Escalate fresh damage: adopt the scan as the segment's authoritative
   // table, so reads of newly-lost sequences answer kGap from now on. The
-  // delta is taken against the vouched baseline, deliberately NOT against a
-  // lazy load, which may already have run into the very damage this scrub
-  // is here to report. (Other maintenance, the only thing that re-vouches a
-  // sealed segment, is excluded by maintenance_mutex_.)
+  // delta is taken against the table being replaced: recovery's scan, or
+  // the last scrub's or compaction's (other maintenance is excluded by
+  // maintenance_mutex_, and reads never change a table).
+  const auto fresh_gaps = [](const std::vector<Gap>& gaps) {
+    return static_cast<std::uint64_t>(
+        std::count_if(gaps.begin(), gaps.end(), [](const Gap& g) { return !g.tombstone; }));
+  };
   const std::lock_guard<std::mutex> lock(mutex_);
   Segment* seg = find_segment_by_id_locked(id);
   if (seg != nullptr && seg != &segments_.back()) {
-    const std::uint64_t prior_records = seg->vouched_records;
-    const std::uint64_t prior_gaps = seg->vouched_gaps;
+    const std::uint64_t prior_records = seg->record_count;
+    const std::uint64_t prior_gaps = fresh_gaps(seg->gaps);
     seg->adopt(std::move(scan));
-    seg->vouch();
-    report.new_gaps = seg->vouched_gaps > prior_gaps ? seg->vouched_gaps - prior_gaps : 0;
+    const std::uint64_t gaps = fresh_gaps(seg->gaps);
+    report.new_gaps = gaps > prior_gaps ? gaps - prior_gaps : 0;
     report.errors = prior_records > report.records ? prior_records - report.records : 0;
   }
   if (m_scrub_segments_ != nullptr) {
@@ -1145,42 +1004,32 @@ std::vector<RecordVerdict> LogStore::verify_range(std::uint64_t first, std::uint
   RecordRef ref{};
   std::vector<std::uint8_t> frame;
   for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t seq = first + i;
     RecordVerdict verdict = RecordVerdict::kCorrupt;
     try {
-      verdict = fetch_record_locked(seq, 0, sealed, ref, frame);
+      verdict = fetch_record_locked(first + i, sealed, ref, frame);
     } catch (const IoError&) {
       // A record the disk cannot hand back is reported, not thrown: kCorrupt.
     }
-    RecordHeader h{};
-    if (verdict == RecordVerdict::kOk && (!validate_record_at(frame, 0, h) || h.sequence != seq))
-      verdict = RecordVerdict::kCorrupt;
     out.push_back(verdict);
   }
   return out;
 }
 
 VerifyReport LogStore::verify(const std::string& dir) {
-  VerifyReport out;
-  const auto found = list_segments(dir);
-  if (found.empty())
+  // The same chain walk as recovery, read-only: the tail's torn end is
+  // counted, not truncated, and every other gap is reported as recovery
+  // reports it.
+  const ChainScan chain = scan_chain(dir);
+  if (chain.segments.empty())
     throw StoreError(StoreError::Kind::kBadFormat, "no segments in " + dir);
-  // The same chain walk as recovery's rebuild, read-only: the tail's torn
-  // end is counted, not truncated, and every other gap is reported as
-  // recovery reports it.
-  std::uint64_t expected = 1;
-  bool open_gap = false;
-  for (std::size_t i = 0; i < found.size(); ++i) {
-    SegScan scan = scan_segment(found[i].second, found[i].first, expected);
-    ++out.segments;
-    if (open_gap) pin_open_gap(out.gaps.back(), scan.base_sequence);
-    if (i + 1 == found.size()) out.torn_tail_bytes += scan.take_torn_tail();
-    open_gap = scan.open_end;
+  VerifyReport out;
+  out.segments = chain.segments.size();
+  out.torn_tail_bytes = chain.torn_tail_bytes;
+  for (const SegScan& scan : chain.segments) {
     out.records += scan.records.size();
     for (const RecordRef& r : scan.records) out.payload_bytes += r.raw_length;
     out.stored_bytes += scan.data_end - kSegmentHeaderSize;
     out.gaps.insert(out.gaps.end(), scan.gaps.begin(), scan.gaps.end());
-    expected = scan.next_expected;
   }
   return out;
 }

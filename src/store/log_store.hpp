@@ -10,10 +10,8 @@
 //
 // On-disk layout (docs/STORE.md has the full treatment):
 //
-//   <dir>/seg-XXXXXXXX.lzseg     segment files, append-only, rotated by size
-//   <dir>/index.lzsx             sidecar index, atomically replaced
-//                                (write-to-temp + rename); advisory only —
-//                                everything can be rebuilt from the segments
+//   <dir>/seg-XXXXXXXX.lzseg     segment files, append-only, rotated by size;
+//                                the only files the store reads
 //
 //   segment header (32 bytes)          record (28-byte header + payload)
 //   -------------------------          ---------------------------------
@@ -39,14 +37,16 @@
 // (crash loses the OS cache), kInterval (bounded loss window), kEveryRecord
 // (an acked append survives power loss).
 //
-// Recovery (constructor): the tail segment is always scanned. A record that
-// fails magic/bounds/CRC starts damage handling — scan forward for the next
-// frame that fully validates; if one exists the bad range is quarantined as
-// a Gap (reads of those sequences throw StoreError::Kind::kGap). Damage that
-// reaches EOF is a gap too, except in the tail, where it is torn: the file
-// is truncated back to the last good record and appends resume there. A
-// missing, corrupt, or stale sidecar triggers a full rebuild scan of every
-// segment. Recovery, lazy loads, scrub and verify() share that one scan.
+// Recovery (constructor): every segment is scanned, oldest first, and each
+// scan becomes that segment's table, authoritative until a scrub or a
+// compaction adopts a newer one. A record that fails magic/bounds/CRC starts
+// damage handling — scan forward for the next frame that fully validates;
+// if one exists the bad range is quarantined as a Gap (reads of those
+// sequences throw StoreError::Kind::kGap). Damage that reaches EOF is a gap
+// too, except in the tail, where it is torn: the file is truncated back to
+// the last good record and appends resume there. Recovery, scrub and
+// verify() share that one scan. Reads re-check each record's CRC-32 and
+// throw StoreError::Kind::kCorrupt for bytes that rotted after the scan.
 #pragma once
 
 #include <atomic>
@@ -135,13 +135,12 @@ struct RecoveryReport {
   std::uint64_t records = 0;            ///< readable records after recovery
   std::uint64_t next_sequence = 1;      ///< the next append's sequence
   std::uint64_t torn_bytes_discarded = 0;  ///< tail bytes truncated away
-  bool index_rebuilt = false;           ///< sidecar was missing/corrupt/stale
   std::vector<Gap> gaps;                ///< quarantined mid-segment damage
 
   [[nodiscard]] std::string render() const;
 };
 
-/// Full offline scan result (ignores the sidecar entirely).
+/// Full offline scan result.
 struct VerifyReport {
   std::uint64_t segments = 0;
   std::uint64_t records = 0;
@@ -246,10 +245,12 @@ class LogStore {
   /// @p bytes exceeds kMaxRecordBytes (raw, pre-compression size).
   std::uint64_t append(std::span<const std::uint8_t> bytes);
 
-  /// Reads one record's payload by sequence. Thread-safe.
+  /// Reads one record's payload by sequence. Thread-safe. Throws
+  /// StoreError(kCorrupt) when the stored frame fails its CRC-32 or the
+  /// payload fails to inflate.
   [[nodiscard]] std::vector<std::uint8_t> read(std::uint64_t sequence);
 
-  /// fsyncs the tail segment and rewrites the sidecar index.
+  /// fsyncs the tail segment.
   void flush();
 
   /// Oldest live sequence / the sequence the next append gets. Thread-safe
@@ -280,7 +281,6 @@ class LogStore {
   // sealed segments, which appends never revisit.
 
   /// Aggregate stats for every segment (tail included, marked unsealed).
-  /// Lazy-loads sealed segments so garbage/raw counts are exact.
   [[nodiscard]] std::vector<SegmentInfo> segment_infos();
 
   /// Ids of every sealed segment, oldest first.
@@ -326,26 +326,19 @@ class LogStore {
 
   /// One pass over a segment file, already in table shape (log_store.cpp).
   struct SegScan;
+  /// One pass over a store's whole segment chain (log_store.cpp).
+  struct ChainScan;
 
   struct Segment {
     std::uint64_t id = 0;
     std::uint64_t base_sequence = 0;
     std::uint64_t record_count = 0;
     std::uint64_t data_end = kSegmentHeaderSize;  ///< offset past last record
-    bool loaded = false;                ///< per-record table scanned in
-    std::vector<RecordRef> records;     ///< valid when loaded
+    std::vector<RecordRef> records;     ///< readable records, by sequence
     std::vector<Gap> gaps;              ///< damage found while scanning
-    /// Scrub's baseline: the readable records and fresh gaps the store last
-    /// vouched for (recovery's scan or the index entry, then rotation, each
-    /// scrub and each compaction). A lazy load fills the table but leaves
-    /// these, so damage that load ran into still counts at the next scrub.
-    std::uint64_t vouched_records = 0;
-    std::uint64_t vouched_gaps = 0;
 
     /// Takes @p scan as the table: records, gaps, record_count, data_end.
     void adopt(SegScan&& scan);
-    /// Makes the current table scrub's baseline.
-    void vouch() noexcept;
   };
 
   /// A sealed segment's read handle, kept open across a run of lookups.
@@ -359,25 +352,28 @@ class LogStore {
   /// file, from @p expected_base on) and damage running to EOF.
   [[nodiscard]] static SegScan scan_segment(const std::string& path, std::uint64_t id,
                                             std::uint64_t expected_base);
+  /// The one chain walk behind recovery and verify(): scans every segment
+  /// of @p dir oldest first, each from where its predecessor's chain ended,
+  /// pins a predecessor's gap that ran to EOF with the next segment's base,
+  /// and takes the last segment's torn tail. Read-only.
+  [[nodiscard]] static ChainScan scan_chain(const std::string& dir);
 
   [[nodiscard]] std::string segment_path(std::uint64_t id) const;
   void create_segment_locked(std::uint64_t id, std::uint64_t base_sequence);
   void rotate_locked();
-  void write_index_locked();
   /// The one place the tail is fsynced: counts it, times it, and (when a
   /// trace ring is bound) records a "store.fsync" span. Requires io_mutex_
   /// (NOT mutex_ — appends must not block readers for the fsync's duration;
   /// the counters it touches are atomics / lock-free instruments).
   void fsync_tail_io();
-  void load_segment_locked(Segment& seg);
   /// The one record locator behind read() and verify_range(): resolves
-  /// @p sequence to its segment (lazy-loading the table) and table entry
-  /// @p ref, then preads the record's frame from @p skip bytes in (0 keeps
-  /// the header) into @p bytes, from the tail or through @p sealed. Returns
-  /// kNotFound or kGap without reading; an IoError propagates.
-  RecordVerdict fetch_record_locked(std::uint64_t sequence, std::uint64_t skip,
-                                    SealedHandle& sealed, RecordRef& ref,
-                                    std::vector<std::uint8_t>& bytes);
+  /// @p sequence to its segment and table entry @p ref, preads the record's
+  /// whole frame into @p frame, from the tail or through @p sealed, and
+  /// validates it (magic, bounds, CRC-32, sequence). Returns kNotFound or
+  /// kGap without reading, kCorrupt for a frame that fails validation; an
+  /// IoError propagates.
+  RecordVerdict fetch_record_locked(std::uint64_t sequence, SealedHandle& sealed,
+                                    RecordRef& ref, std::vector<std::uint8_t>& frame);
   Segment* find_segment_locked(std::uint64_t sequence);
   Segment* find_segment_by_id_locked(std::uint64_t id);
   void update_retained_gauge_locked();
@@ -408,7 +404,6 @@ class LogStore {
   std::uint64_t first_sequence_ = 1;
   std::uint64_t next_sequence_ = 1;
   std::uint32_t unsynced_records_ = 0;  ///< guarded by io_mutex_
-  bool index_dirty_ = false;
 
   std::uint64_t stat_appends_ = 0;
   std::atomic<std::uint64_t> stat_fsyncs_{0};  ///< bumped without mutex_

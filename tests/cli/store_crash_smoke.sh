@@ -111,9 +111,14 @@ SEG_COUNT=$(echo "$SEGS" | wc -l)
 # --- flip one payload byte in a sealed segment, quarantine it --------------
 VICTIM=$(echo "$SEGS" | sed -n 2p)
 dd if=/dev/zero of="$VICTIM" bs=1 seek=70 count=1 conv=notrunc 2>/dev/null
-rm -f "$GAPPY/index.lzsx"
 "$STORE" recover "$GAPPY" > "$WORK/recover2" || true  # gaps expected: rc 1
 grep -q 'gap' "$WORK/recover2" || fail "corruption was not quarantined: $(cat "$WORK/recover2")"
+# A plain reopen reports the same quarantined gap again.
+"$STORE" recover "$GAPPY" > "$WORK/recover2b" && fail "reopen lost the gap: $(cat "$WORK/recover2b")"
+grep 'gap' "$WORK/recover2" > "$WORK/gaps2"
+grep 'gap' "$WORK/recover2b" > "$WORK/gaps2b" || true
+cmp -s "$WORK/gaps2" "$WORK/gaps2b" \
+  || fail "reopen reported different gaps: $(cat "$WORK/recover2b")"
 
 # --- snapshot the surviving records; note the first lost sequence ----------
 : > "$WORK/live"

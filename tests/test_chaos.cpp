@@ -353,7 +353,7 @@ fault::Spec sweep_spec(const std::string& point, int iter) {
 // health check on the same instance.
 TEST(Chaos, SweepEveryRegisteredPoint) {
   const auto points = fault::all_points();
-  ASSERT_GE(points.size(), 23u);
+  ASSERT_GE(points.size(), 22u);
   const auto corpus = wl::make_corpus("mixed", 64 * 1024);
   std::vector<std::uint8_t> zlib_body, lzbc_body;
   {

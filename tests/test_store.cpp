@@ -1,5 +1,5 @@
 // Durable log store: append/read round trips, reopen persistence, segment
-// rotation, fsync-policy accounting, index sidecar behaviour, concurrent
+// rotation, fsync-policy accounting, leftover index sidecar removal, concurrent
 // appenders, and the LOG_APPEND / LOG_READ service opcodes over the loopback
 // transport. Crash/corruption recovery lives in test_store_recovery.cpp.
 #include <gtest/gtest.h>
@@ -126,7 +126,6 @@ TEST(Store, ReopenRecoversAllRecords) {
   EXPECT_EQ(report.records, 80u);
   EXPECT_EQ(report.next_sequence, 81u);
   EXPECT_EQ(report.torn_bytes_discarded, 0u);
-  EXPECT_FALSE(report.index_rebuilt);
   EXPECT_TRUE(report.gaps.empty());
   for (std::uint64_t seq = 1; seq <= 80; ++seq) {
     EXPECT_EQ(log.read(seq), record_payload(seq)) << "seq " << seq;
@@ -150,45 +149,28 @@ TEST(Store, SegmentsRotateBySize) {
   }
 }
 
-TEST(Store, MissingIndexIsRebuilt) {
-  TempDir dir;
-  {
-    LogStore log(dir.path, small_options());
-    for (std::uint64_t seq = 1; seq <= 60; ++seq) log.append(record_payload(seq));
-    log.flush();
-  }
-  std::filesystem::remove(dir.path + "/index.lzsx");
-  RecoveryReport report;
-  LogStore log(dir.path, small_options(), &report);
-  EXPECT_TRUE(report.index_rebuilt);
-  EXPECT_EQ(report.records, 60u);
-  for (std::uint64_t seq = 1; seq <= 60; ++seq) {
-    EXPECT_EQ(log.read(seq), record_payload(seq)) << "seq " << seq;
-  }
-  // The rebuild republished the sidecar: a second open loads it cleanly.
-  {
-    LogStore again(dir.path, small_options(), &report);
-    EXPECT_FALSE(report.index_rebuilt);
-  }
-}
-
-TEST(Store, CorruptIndexIsRebuilt) {
+TEST(Store, LeftoverIndexSidecarIsRemoved) {
+  // Older versions kept an index sidecar next to the segments. Opening the
+  // store deletes it (and its staging file), so an older binary that opens
+  // the directory later rebuilds from the segments instead of trusting it.
   TempDir dir;
   {
     LogStore log(dir.path, small_options());
     for (std::uint64_t seq = 1; seq <= 30; ++seq) log.append(record_payload(seq));
-    log.flush();
   }
-  auto idx = testutil::slurp(dir.path + "/index.lzsx");
-  ASSERT_GT(idx.size(), 10u);
-  idx[8] ^= 0xFF;  // segment count field; the trailing CRC catches it
-  testutil::spit(dir.path + "/index.lzsx", idx, idx.size());
+  const std::vector<std::uint8_t> junk(64, 0xAA);
+  testutil::spit(dir.path + "/index.lzsx", junk, junk.size());
+  testutil::spit(dir.path + "/index.lzsx.tmp", junk, junk.size());
 
   RecoveryReport report;
   LogStore log(dir.path, small_options(), &report);
-  EXPECT_TRUE(report.index_rebuilt);
+  EXPECT_FALSE(std::filesystem::exists(dir.path + "/index.lzsx"));
+  EXPECT_FALSE(std::filesystem::exists(dir.path + "/index.lzsx.tmp"));
   EXPECT_EQ(report.records, 30u);
-  EXPECT_EQ(log.read(17), record_payload(17));
+  EXPECT_TRUE(report.gaps.empty());
+  for (std::uint64_t seq = 1; seq <= 30; ++seq) {
+    EXPECT_EQ(log.read(seq), record_payload(seq)) << "seq " << seq;
+  }
 }
 
 TEST(Store, ReadOutOfRangeThrowsNotFound) {
@@ -336,7 +318,6 @@ TEST(StoreMaintenance, CompactsTheGappiestSegmentPerTick) {
   ASSERT_GT(segs.size(), 2u);
   corrupt_record(segs[0], 1);
   corrupt_record(segs[1], 1);
-  std::filesystem::remove(dir.path + "/index.lzsx");
 
   LogStore log(dir.path, small_options());  // recovery quarantines both
   const std::uintmax_t before =
@@ -407,8 +388,8 @@ TEST(StoreMaintenance, ScrubEscalatesSilentCorruptionToQuarantine) {
   const auto segs = segment_files(dir.path);
   ASSERT_GT(segs.size(), 2u);
 
-  // Open FIRST (clean index trusted), then rot a byte behind the store's
-  // back — only a scrub re-read can find this.
+  // Open FIRST (recovery scans a clean store), then rot a byte behind the
+  // store's back — only a scrub re-read can find this.
   LogStore log(dir.path, small_options());
   corrupt_record(segs[1], 1);
   const std::uint64_t damaged_seq = parse_segment_records(segs[1])[1].sequence;
@@ -595,6 +576,50 @@ TEST(StoreService, LogReadRejectsMalformedAndUnknown) {
   EXPECT_EQ(client.call(log_read_request(2, 999)).status, server::Status::kBadRequest);
 }
 
+TEST(StoreService, RottedRecordReadsAsCorrupt) {
+  // Record bytes that rot after recovery scanned them: read() re-checks the
+  // frame's CRC-32 and throws kCorrupt instead of handing back the rotted
+  // bytes, in a sealed segment and in the tail alike, and LOG_READ answers
+  // CORRUPT. Records are stored raw, so nothing but the checksum can notice.
+  TempDir dir;
+  StoreOptions opt = small_options();
+  opt.compress = false;
+  LogStore log(dir.path, opt);
+  for (std::uint64_t seq = 1; seq <= 30; ++seq) log.append(record_payload(seq));
+  const auto segs = segment_files(dir.path);
+  ASSERT_GT(segs.size(), 1u);
+  const auto sealed_records = parse_segment_records(segs.front());
+  const auto tail_records = parse_segment_records(segs.back());
+  ASSERT_GE(sealed_records.size(), 2u);
+  ASSERT_GE(tail_records.size(), 2u);
+  const std::uint64_t sealed_seq = sealed_records[1].sequence;
+  const std::uint64_t tail_seq = tail_records.back().sequence;
+  corrupt_record(segs.front(), 1);
+  corrupt_record(segs.back(), tail_records.size() - 1);
+
+  for (const std::uint64_t seq : {sealed_seq, tail_seq}) {
+    try {
+      const auto bytes = log.read(seq);
+      ADD_FAILURE() << "rotted seq " << seq << " read back " << bytes.size()
+                    << " bytes with no error";
+    } catch (const StoreError& e) {
+      EXPECT_EQ(e.kind(), StoreError::Kind::kCorrupt) << "seq " << seq;
+    }
+  }
+
+  server::Service service(service_config());
+  service.attach_store(&log);
+  server::LoopbackClient client(service);
+  EXPECT_EQ(client.call(log_read_request(1, sealed_seq)).status, server::Status::kCorrupt);
+  EXPECT_EQ(client.call(log_read_request(2, tail_seq)).status, server::Status::kCorrupt);
+
+  // Their neighbours still read.
+  const auto before = client.call(log_read_request(3, sealed_seq - 1));
+  ASSERT_EQ(before.status, server::Status::kOk);
+  EXPECT_EQ(before.payload, record_payload(sealed_seq - 1));
+  EXPECT_EQ(log.read(tail_seq - 1), record_payload(tail_seq - 1));
+}
+
 // ---------------------------------------------------------------------------
 // SCRUB / VERIFY opcodes.
 
@@ -708,13 +733,13 @@ TEST(StoreService, ScrubFindsSeededCorruptionAndVerifyReportsGaps) {
   EXPECT_NE(stats.find("store_scrub_errors_total"), std::string::npos);
 }
 
-/// Two shapes of rot hitting a sealed segment after the index vouched for
-/// it: a rotted segment header, and a 200-byte smear from inside the
-/// segment's second record (its first record stays intact).
+/// Two shapes of rot hitting a sealed segment after recovery scanned it: a
+/// rotted segment header, and a 200-byte smear from inside the segment's
+/// second record (its first record stays intact).
 enum class Rot { kHeader, kSmear };
 
-/// A 50-record store, reopened so the index vouches for every sealed
-/// segment, whose segment 2 then rots behind the store's back.
+/// A 50-record store, reopened so recovery's scan is every sealed segment's
+/// table, whose segment 2 then rots behind the store's back.
 struct RottedStore {
   explicit RottedStore(Rot rot) {
     {
@@ -737,8 +762,8 @@ struct RottedStore {
     spit(segs[1], image, image.size());
   }
 
-  /// A read that lazy-loads the rotted segment; its first record is intact
-  /// unless the header rotted.
+  /// A read from the rotted segment; its first record is intact unless the
+  /// header rotted.
   void read_first() {
     try {
       EXPECT_EQ(log->read(victim.front().sequence), record_payload(victim.front().sequence));
@@ -754,9 +779,9 @@ struct RottedStore {
 };
 
 TEST(StoreScrub, ReadBeforeScrubStillReportsDamage) {
-  // A lazy load (a read, or the compaction tick's segment_infos()) runs into
-  // the rot first. It must not move the baseline scrub compares against:
-  // the scrub reports the same damage with or without it.
+  // A read, or the compaction tick's segment_infos(), reaches the rotted
+  // segment first. It must not move the table scrub compares against: the
+  // scrub reports the same damage with or without it.
   for (const Rot rot : {Rot::kHeader, Rot::kSmear}) {
     SCOPED_TRACE(rot == Rot::kHeader ? "rotted header" : "mid-record smear");
     ScrubReport alone;

@@ -42,8 +42,8 @@ StoreOptions sweep_options() {
   return opt;
 }
 
-/// Builds a multi-segment store with @p records deterministic records and a
-/// published index, and returns the tail segment's path.
+/// Builds a multi-segment store with @p records deterministic records and
+/// returns the tail segment's path.
 std::string build_store(const std::string& dir, std::uint64_t records,
                         StoreOptions opt = sweep_options()) {
   {
@@ -124,7 +124,6 @@ void run_torn_tail_sweep(const char* fault_point) {
   const std::string tail = build_store(dir.path, 40);
   const TailLayout layout = tail_layout(tail);
   const auto tail_image = slurp(tail);
-  const auto index_image = slurp(dir.path + "/index.lzsx");
   const auto original_segs = segment_files(dir.path);
 
   // Sweep every truncation point from the start of the second-to-last record
@@ -132,7 +131,6 @@ void run_torn_tail_sweep(const char* fault_point) {
   const std::uint64_t from = layout.records[layout.records.size() - 2].offset;
   for (std::uint64_t cut = from; cut <= tail_image.size(); ++cut) {
     spit(tail, tail_image, cut);
-    spit(dir.path + "/index.lzsx", index_image, index_image.size());
 
     if (fault_point != nullptr) {
       fault::Spec spec;
@@ -157,15 +155,14 @@ void run_torn_tail_sweep(const char* fault_point) {
 TEST(StoreRecovery, TornTailEveryByteOffsetSweep) { run_torn_tail_sweep(nullptr); }
 
 // One genuinely torn write (half the bytes land, then EIO) per iteration —
-// it hits recovery's index rewrite or the first append, wherever the first
-// pwrite happens. Recovery must still open; the append must succeed on
+// it hits the first append, where the first pwrite happens. Recovery must still open; the append must succeed on
 // retry with the same sequence.
 TEST(StoreRecovery, TornTailSweepWithShortWriteFaultArmed) {
   run_torn_tail_sweep("store.file.short_write");
 }
 
 // One fsync failure (EIO) per iteration. If it lands inside recovery (the
-// torn-tail repair or the index publish) the open still succeeds — repair
+// torn-tail repair) the open still succeeds — repair
 // durability is best-effort and re-converges. If it lands on the first
 // every-record append, the append throws without advancing state and the
 // retry succeeds.
@@ -199,13 +196,10 @@ TEST(StoreRecovery, MidSegmentCorruptionIsQuarantined) {
         kSegmentHeaderSize + next_rand() % (image.size() - kSegmentHeaderSize);
     image[at] ^= static_cast<std::uint8_t>(1u << (next_rand() % 8));
     spit(victim, image, image.size());
-    // Force the rebuild path so the damage is found at open, not read, time.
-    std::filesystem::remove(dir.path + "/index.lzsx");
 
     RecoveryReport report;
     LogStore log(dir.path, sweep_options(), &report);
     ASSERT_FALSE(report.gaps.empty()) << "trial " << trial << " offset " << at;
-    EXPECT_TRUE(report.index_rebuilt);
 
     // Union of readable and quarantined sequences covers 1..40 exactly once.
     std::uint64_t readable = 0, lost = 0;
@@ -252,7 +246,6 @@ TEST(StoreRecovery, StrayFilesAreNotTreatedAsSegments) {
 
   RecoveryReport report;
   LogStore log(dir.path, sweep_options(), &report);
-  EXPECT_FALSE(report.index_rebuilt) << "the real segment set still matches the index";
   EXPECT_TRUE(report.gaps.empty());
   EXPECT_EQ(report.records, 40u);
   for (std::uint64_t seq = 1; seq <= 40; ++seq) {
@@ -262,11 +255,12 @@ TEST(StoreRecovery, StrayFilesAreNotTreatedAsSegments) {
 }
 
 TEST(StoreRecovery, GappySealedSegmentDoesNotReissueSequencesAfterTailHeaderLoss) {
-  // The index must pin each sealed segment's END sequence, not derive it as
-  // base + record_count: after a mid-segment gap is quarantined, the segment
-  // holds fewer records than sequences. If the tail's header is then lost,
-  // a derived (undercounted) base for the recreated tail would re-issue
-  // sequence numbers that still exist as valid records after the gap.
+  // Recovery must take each sealed segment's END sequence from the chain,
+  // not derive it as base + record_count: after a mid-segment gap is
+  // quarantined, the segment holds fewer records than sequences. If the
+  // tail's header is then lost, a derived (undercounted) base for the
+  // recreated tail would re-issue sequence numbers that still exist as
+  // valid records after the gap.
   TempDir dir;
   build_store(dir.path, 40);
   const auto segs = segment_files(dir.path);
@@ -286,13 +280,10 @@ TEST(StoreRecovery, GappySealedSegmentDoesNotReissueSequencesAfterTailHeaderLoss
   }
 
   {
-    // Open with the (still-consistent) index trusted. Reading the damaged
-    // sequence forces the lazy per-record scan that discovers the gap and
-    // shrinks record_count; flush() then republishes the index with that
-    // undercount on disk.
+    // Open once: recovery quarantines the damaged record, so the segment's
+    // record_count is one short of its sequences.
     RecoveryReport report;
     LogStore log(dir.path, sweep_options(), &report);
-    EXPECT_FALSE(report.index_rebuilt);
     EXPECT_THROW((void)log.read(victim_base), StoreError);
     log.flush();
   }
@@ -330,7 +321,6 @@ TEST(StoreRecovery, SealedSegmentHeaderDestroyedBecomesWholeSegmentGap) {
   const std::vector<ParsedRecord> victim_records = parse_segment_records(victim);
   for (std::size_t i = 0; i < kSegmentHeaderSize; ++i) image[i] = 0;
   spit(victim, image, image.size());
-  std::filesystem::remove(dir.path + "/index.lzsx");
 
   RecoveryReport report;
   LogStore log(dir.path, sweep_options(), &report);
@@ -376,7 +366,6 @@ TEST(StoreRecovery, OfflineVerifyReportsRecoveryGaps) {
     image[3] ^= 0xFF;
     spit(segs[3], image, image.size());
   }
-  std::filesystem::remove(dir.path + "/index.lzsx");
 
   const VerifyReport verify = LogStore::verify(dir.path);
   RecoveryReport recovery;
@@ -401,6 +390,57 @@ TEST(StoreRecovery, OfflineVerifyReportsRecoveryGaps) {
     EXPECT_EQ(v.tombstone, r.tombstone) << "gap " << i;
   }
   EXPECT_EQ(verify.records, recovery.records);
+}
+
+TEST(StoreRecovery, ReopenKeepsQuarantinedGaps) {
+  // Damage one open quarantined is quarantined the same way, field for
+  // field, after a plain reopen, and the first scrub after that finds
+  // nothing new: it was reported when it was found, not again per restart.
+  TempDir dir;
+  build_store(dir.path, 60);
+  const auto segs = segment_files(dir.path);
+  ASSERT_GE(segs.size(), 4u);
+
+  // A 200-byte smear from inside segment 2's second record...
+  const auto smeared = parse_segment_records(segs[1]);
+  ASSERT_GE(smeared.size(), 3u);
+  {
+    auto image = slurp(segs[1]);
+    const std::size_t at = smeared[1].offset + kRecordHeaderSize + 4;
+    for (std::size_t i = at; i < at + 200 && i < image.size(); ++i) image[i] = 0x5A;
+    spit(segs[1], image, image.size());
+  }
+  // ...and a rotted header on segment 3.
+  {
+    auto image = slurp(segs[2]);
+    image[3] ^= 0xFF;
+    spit(segs[2], image, image.size());
+  }
+
+  RecoveryReport first;
+  { LogStore log(dir.path, sweep_options(), &first); }
+  ASSERT_EQ(first.gaps.size(), 2u);
+
+  RecoveryReport second;
+  LogStore log(dir.path, sweep_options(), &second);
+  ASSERT_EQ(second.gaps.size(), first.gaps.size());
+  for (std::size_t i = 0; i < first.gaps.size(); ++i) {
+    const Gap& a = first.gaps[i];
+    const Gap& b = second.gaps[i];
+    EXPECT_EQ(b.segment_id, a.segment_id) << "gap " << i;
+    EXPECT_EQ(b.offset, a.offset) << "gap " << i;
+    EXPECT_EQ(b.bytes, a.bytes) << "gap " << i;
+    EXPECT_EQ(b.first_sequence, a.first_sequence) << "gap " << i;
+    EXPECT_EQ(b.sequence_count, a.sequence_count) << "gap " << i;
+    EXPECT_EQ(b.tombstone, a.tombstone) << "gap " << i;
+  }
+  EXPECT_EQ(second.records, first.records);
+
+  for (const Gap& g : first.gaps) {
+    const ScrubReport scrub = log.scrub_segment(g.segment_id);
+    EXPECT_EQ(scrub.errors, 0u) << "segment " << g.segment_id;
+    EXPECT_EQ(scrub.new_gaps, 0u) << "segment " << g.segment_id;
+  }
 }
 
 TEST(StoreRecovery, TornAppendLeavesStoreRetrySafe) {
@@ -446,7 +486,7 @@ TEST(StoreRecovery, TornAppendGarbageTruncatedOnReopen) {
     fault::ScopedFault guard("store.file.short_write", spec);
     EXPECT_THROW(log.append(record_payload(6)), IoError);
     // Simulated crash: no retry, no clean close — the destructor's flush
-    // fsyncs and publishes the index, but never erases the torn bytes.
+    // fsyncs, but never erases the torn bytes.
   }
   RecoveryReport report;
   LogStore log(dir.path, opt, &report);
@@ -511,32 +551,6 @@ TEST(StoreRecovery, FsyncFailureDoesNotAckTheRecord) {
   EXPECT_EQ(log.read(2), record_payload(2));
 }
 
-TEST(StoreRecovery, IndexRenameFaultLeavesStoreRecoverable) {
-  // The sidecar publish rename "crashes": the index stays stale, but it is
-  // advisory — reopen rebuilds and every record survives.
-  TempDir dir;
-  StoreOptions opt = sweep_options();
-  {
-    LogStore log(dir.path, opt);
-    fault::Spec spec;
-    spec.action = fault::Action::kFire;
-    fault::ScopedFault guard("store.index.rename", spec);
-    for (std::uint64_t seq = 1; seq <= 40; ++seq) log.append(record_payload(seq));
-    EXPECT_GT(log.stats().segments, 2u) << "rotations (and index writes) happened under the fault";
-    try {
-      log.flush();
-    } catch (const IoError&) {
-      // flush's index publish may also hit the armed rename; the fsync half
-      // of flush already ran, which is what durability needs.
-    }
-  }
-  RecoveryReport report;
-  LogStore log(dir.path, opt, &report);
-  EXPECT_EQ(report.records, 40u);
-  EXPECT_TRUE(report.gaps.empty());
-  for (std::uint64_t seq = 1; seq <= 40; ++seq) EXPECT_EQ(log.read(seq), record_payload(seq));
-}
-
 // ---------------------------------------------------------------------------
 // Compaction crash safety.
 //
@@ -545,8 +559,7 @@ TEST(StoreRecovery, IndexRenameFaultLeavesStoreRecoverable) {
 // SIGKILL at every byte offset of that staging write: a truncated tmp file is
 // left next to the intact old segment, and recovery must land on exactly one
 // intact copy of every live record — the old one, since the rename never
-// happened. A second test covers the post-rename state (new image in place,
-// index sidecar stale).
+// happened. A second test covers the post-rename state (new image in place).
 // ---------------------------------------------------------------------------
 
 /// Copies every regular file of flat directory @p src into @p dst.
@@ -579,7 +592,6 @@ GappyStore build_gappy_store(const std::string& dir) {
   auto image = slurp(out.victim_path);
   image[recs[recs.size() / 2].offset + kRecordHeaderSize + 1] ^= 0x40;
   spit(out.victim_path, image, image.size());
-  std::filesystem::remove(dir + "/index.lzsx");
 
   RecoveryReport report;
   LogStore log(dir, sweep_options(), &report);
@@ -598,7 +610,7 @@ GappyStore build_gappy_store(const std::string& dir) {
     if (info.sealed && info.garbage_bytes > 0) out.victim_id = info.id;
   }
   EXPECT_NE(out.victim_id, 0u);
-  log.flush();  // publish the index that knows about the gap
+  log.flush();
   return out;
 }
 
@@ -620,7 +632,6 @@ void check_gappy_state(const std::string& dir, const GappyStore& g, const char* 
 void run_compaction_crash_sweep(const char* fault_point) {
   TempDir dir;
   const GappyStore g = build_gappy_store(dir.path);
-  const auto index_image = slurp(dir.path + "/index.lzsx");
 
   // Capture the image compaction would write, by compacting a scratch copy.
   std::vector<std::uint8_t> compacted;
@@ -641,7 +652,6 @@ void run_compaction_crash_sweep(const char* fault_point) {
   const std::string tmp = g.victim_path + ".cmp";
   for (std::uint64_t cut = 0; cut <= compacted.size(); ++cut) {
     spit(tmp, compacted, cut);
-    spit(dir.path + "/index.lzsx", index_image, index_image.size());
     if (fault_point != nullptr) {
       fault::Spec spec;
       spec.action = fault::Action::kFire;
@@ -663,14 +673,10 @@ TEST(StoreCompaction, TmpTruncationSweepWithShortWriteFaultArmed) {
   run_compaction_crash_sweep("store.file.short_write");
 }
 
-TEST(StoreCompaction, TmpTruncationSweepWithIndexRenameFaultArmed) {
-  run_compaction_crash_sweep("store.index.rename");
-}
-
 TEST(StoreCompaction, CrashAfterRenameRecoversNewImage) {
-  // The other side of the atomic rename: the new image IS the segment, the
-  // index sidecar is stale. Reopen must land on the compacted copy — same
-  // live records, same quarantined sequences (now tombstoned), no dupes.
+  // The other side of the atomic rename: the new image IS the segment.
+  // Reopen must land on the compacted copy — same live records, same
+  // quarantined sequences (now tombstoned), no dupes.
   TempDir dir;
   const GappyStore g = build_gappy_store(dir.path);
   std::vector<std::uint8_t> compacted;
@@ -682,13 +688,12 @@ TEST(StoreCompaction, CrashAfterRenameRecoversNewImage) {
     compacted = slurp(scratch.path + "/" +
                       std::filesystem::path(g.victim_path).filename().string());
   }
-  // Simulated crash immediately after rename: new image in place, old index.
+  // Simulated crash immediately after rename: new image in place.
   spit(g.victim_path, compacted, compacted.size());
   check_gappy_state(dir.path, g, "post-rename");
 
-  // And with the index gone entirely (rebuild walks the tombstones).
-  std::filesystem::remove(dir.path + "/index.lzsx");
-  check_gappy_state(dir.path, g, "post-rename rebuild");
+  // And again: the second open walks the same tombstones.
+  check_gappy_state(dir.path, g, "post-rename reopen");
 }
 
 TEST(StoreCompaction, RenameFaultAbortsAndRetrySucceeds) {
@@ -753,7 +758,6 @@ TEST(StoreCompaction, RecompressesRawRecordsAndKeepsTombstones) {
   auto image = slurp(segs[1]);
   image[recs[1].offset + kRecordHeaderSize + 1] ^= 0x40;
   spit(segs[1], image, image.size());
-  std::filesystem::remove(dir.path + "/index.lzsx");
 
   StoreOptions opt = sweep_options();  // compress back on
   LogStore log(dir.path, opt);

@@ -11,8 +11,8 @@
 //                                      surviving record checksums (a torn
 //                                      tail is recoverable damage, reported
 //                                      but not a failure), 1 on gaps
-//   lzss_store recover <dir>           run recovery (truncate the torn tail,
-//                                      rebuild the index sidecar), print the
+//   lzss_store recover <dir>           run recovery (scan every segment,
+//                                      truncate the torn tail), print the
 //                                      report; exits 1 when gaps remain
 //   lzss_store compact <dir>           crash-safely rewrite gappy sealed
 //                                      segments without their quarantined
@@ -99,7 +99,7 @@ int cmd_recover(const std::string& dir) {
   store::StoreOptions opt;
   {
     store::LogStore log(dir, opt, &report);
-    log.flush();  // persist the rebuilt index
+    log.flush();  // make the truncated tail durable
   }
   std::fputs(report.render().c_str(), stdout);
   return report.gaps.empty() ? 0 : 1;
@@ -132,7 +132,7 @@ int cmd_compact(const std::string& dir, std::uint64_t seg, bool have_seg) {
       rc = 1;
     }
   }
-  log.flush();  // persist the updated index sidecar
+  log.flush();
   return rc;
 }
 
