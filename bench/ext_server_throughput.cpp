@@ -367,17 +367,16 @@ void print_tables() {
     server::Service service(cfg);
     const auto r = run_load(service, corpus, /*threads=*/12, chunk,
                             /*requests_per_thread=*/4);
-    const auto stats = service.snapshot();
+    const auto high_water =
+        static_cast<unsigned long long>(service.metrics().gauge("server_queue_high_water").value());
     std::printf("%-12zu %9llu %9llu %11.1f%% %16llu\n", depth,
                 static_cast<unsigned long long>(r.ok),
-                static_cast<unsigned long long>(r.busy), 100 * r.reject_rate,
-                static_cast<unsigned long long>(stats.queue_high_water));
+                static_cast<unsigned long long>(r.busy), 100 * r.reject_rate, high_water);
     std::snprintf(jbuf, sizeof(jbuf),
                   "%s{\"queue_depth\":%zu,\"ok\":%llu,\"busy\":%llu,\"reject_rate\":%.4f,"
                   "\"queue_high_water\":%llu}",
                   depth == 1 ? "" : ",", depth, static_cast<unsigned long long>(r.ok),
-                  static_cast<unsigned long long>(r.busy), r.reject_rate,
-                  static_cast<unsigned long long>(stats.queue_high_water));
+                  static_cast<unsigned long long>(r.busy), r.reject_rate, high_water);
     json += jbuf;
     // Fetch the machine-readable snapshot through the same wire path the
     // loadgen used; the last sweep's payload lands in the JSON artifact.
@@ -468,7 +467,7 @@ void print_tables() {
   json += ",\"overload_sweep\":";
   json += overload_sweep(corpus);
 
-  // The STATS payload is already JSON ({"service":...,"metrics":[...]}) —
+  // The STATS payload is already JSON ({"metrics":[...]}) —
   // embed it verbatim.
   json += ",\"stats\":";
   json += stats_payload.empty() ? "null" : stats_payload;

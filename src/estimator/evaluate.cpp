@@ -5,7 +5,6 @@
 
 #include "deflate/encoder.hpp"
 #include "lzss/decoder.hpp"
-#include "lzss/mf_encoder.hpp"
 
 namespace lzss::est {
 
@@ -44,25 +43,6 @@ Evaluation evaluate(const hw::HwConfig& config, std::span<const std::uint8_t> da
   ev.stats = result.stats;
   ev.compressed_bytes = (fixed_bits(result.tokens) + 7) / 8;
   ev.resources = fpga::estimate_resources(config);
-  return ev;
-}
-
-SoftwareEvaluation evaluate_software(const core::MatchParams& params,
-                                     std::span<const std::uint8_t> data, bool verify) {
-  SoftwareEvaluation ev;
-  ev.params = params;
-  ev.input_bytes = data.size();
-
-  core::MatchFinderEncoder encoder(params);
-  const std::vector<core::Token> tokens = encoder.encode(data);
-  if (verify && !core::tokens_reproduce(tokens, data)) {
-    throw std::runtime_error(std::string("estimator: software token stream does not reproduce "
-                                         "the input for finder=") +
-                             core::finder_name(params.finder));
-  }
-  ev.finder = encoder.finder_stats();
-  ev.tokens = tokens.size();
-  ev.compressed_bytes = (fixed_bits(tokens) + 7) / 8;
   return ev;
 }
 

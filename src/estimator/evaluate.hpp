@@ -14,7 +14,6 @@
 #include "fpga/resource_model.hpp"
 #include "hw/compressor.hpp"
 #include "hw/config.hpp"
-#include "lzss/match_finder.hpp"
 
 namespace lzss::est {
 
@@ -47,30 +46,5 @@ struct Evaluation {
 /// input byte-for-byte; a mismatch throws.
 [[nodiscard]] Evaluation evaluate(const hw::HwConfig& config, std::span<const std::uint8_t> data,
                                   bool verify = true);
-
-/// Software-path counterpart of evaluate(): one MatchFinder backend
-/// (params.finder), one data block, ratio + finder census. No cycle model —
-/// the software path is timed by wall clock (bench/ext_server_throughput's
-/// matchfinder sweep), not estimated; this report carries the
-/// size/effort half of the design space.
-struct SoftwareEvaluation {
-  core::MatchParams params;
-  core::FinderStats finder;
-  std::uint64_t input_bytes = 0;
-  std::uint64_t compressed_bytes = 0;  ///< fixed-Huffman Deflate payload
-  std::uint64_t tokens = 0;
-
-  [[nodiscard]] double ratio() const noexcept {
-    return compressed_bytes == 0 ? 0.0
-                                 : static_cast<double>(input_bytes) /
-                                       static_cast<double>(compressed_bytes);
-  }
-};
-
-/// When @p verify is true the token stream is checked against the input
-/// byte-for-byte; a mismatch throws.
-[[nodiscard]] SoftwareEvaluation evaluate_software(const core::MatchParams& params,
-                                                   std::span<const std::uint8_t> data,
-                                                   bool verify = true);
 
 }  // namespace lzss::est

@@ -52,15 +52,4 @@ std::string MatchParams::describe() const {
          (strategy == Strategy::kSlow ? " lazy" : " fast") + " finder=" + finder_name(finder);
 }
 
-bool parse_finder_name(std::string_view name, MatchFinderKind& out) noexcept {
-  if (name == "hashchain") {
-    out = MatchFinderKind::kHashChain;
-  } else if (name == "greedy") {
-    out = MatchFinderKind::kGreedy;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 }  // namespace lzss::core

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "lzss/hash.hpp"
 
@@ -34,10 +33,6 @@ enum class MatchFinderKind : std::uint8_t {
   }
   return "?";
 }
-
-/// Parses a finder_name() string; returns false (leaving @p out untouched)
-/// on unknown names.
-[[nodiscard]] bool parse_finder_name(std::string_view name, MatchFinderKind& out) noexcept;
 
 struct MatchParams {
   unsigned window_bits = 12;  ///< dictionary is 2^window_bits bytes (4 KB default)

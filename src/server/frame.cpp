@@ -60,6 +60,25 @@ const char* opcode_name(Opcode op) noexcept {
   return "?";
 }
 
+const char* match_backend_name(MatchBackend backend) noexcept {
+  switch (backend) {
+    case MatchBackend::kHw: return "hw";
+    case MatchBackend::kHashChain: return "hashchain";
+    case MatchBackend::kGreedy: return "greedy";
+  }
+  return "?";
+}
+
+bool parse_match_backend(std::string_view name, MatchBackend& out) noexcept {
+  for (const MatchBackend b : {MatchBackend::kHw, MatchBackend::kHashChain, MatchBackend::kGreedy}) {
+    if (name == match_backend_name(b)) {
+      out = b;
+      return true;
+    }
+  }
+  return false;
+}
+
 const char* status_name(Status s) noexcept {
   switch (s) {
     case Status::kOk: return "OK";

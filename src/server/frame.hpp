@@ -38,6 +38,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 namespace lzss::server {
@@ -99,14 +100,26 @@ inline constexpr std::uint16_t kFlagVerifyStore = 0x0002;
 /// trace id prefix (stripped at parse time into the frame's trace_id).
 inline constexpr std::uint16_t kFlagTraced = 0x0004;
 /// COMPRESS match-finder backend selector in flags bits 3..5 (see
-/// docs/MATCHFINDER.md). Every other selector answers UNSUPPORTED,
-/// including 3, which named the retired suffix-array backend.
+/// docs/MATCHFINDER.md): kMatchFinderPolicy or a MatchBackend value. Every
+/// other selector answers UNSUPPORTED, including 3, which named the retired
+/// suffix-array backend.
 inline constexpr unsigned kFlagMatchFinderShift = 3;
 inline constexpr std::uint16_t kFlagMatchFinderMask = 0x0038;
-inline constexpr std::uint8_t kMatchFinderPolicy = 0;     ///< the service's configured policy
-inline constexpr std::uint8_t kMatchFinderHw = 1;         ///< the cycle-accurate hw model
-inline constexpr std::uint8_t kMatchFinderHashChain = 2;  ///< core::MatchFinderKind::kHashChain
-inline constexpr std::uint8_t kMatchFinderGreedy = 4;     ///< core::MatchFinderKind::kGreedy
+inline constexpr std::uint8_t kMatchFinderPolicy = 0;  ///< the service's configured backend
+
+/// COMPRESS match source; each value is its wire selector. kHw emits the
+/// cycle-accurate hardware model's tokens (served by its functional twin,
+/// with the model itself on census samples); the software backends run the
+/// MatchFinderEncoder.
+enum class MatchBackend : std::uint8_t {
+  kHw = 1,
+  kHashChain = 2,  ///< core::MatchFinderKind::kHashChain
+  kGreedy = 4,     ///< core::MatchFinderKind::kGreedy
+};
+
+[[nodiscard]] const char* match_backend_name(MatchBackend backend) noexcept;
+/// Parses hw|hashchain|greedy; false (leaving @p out untouched) on unknown names.
+[[nodiscard]] bool parse_match_backend(std::string_view name, MatchBackend& out) noexcept;
 
 [[nodiscard]] constexpr std::uint16_t flags_with_matchfinder(std::uint16_t flags,
                                                              std::uint8_t selector) noexcept {

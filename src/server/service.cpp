@@ -46,16 +46,6 @@ unsigned container_window_bits(const hw::HwConfig& cfg) noexcept {
   return std::clamp(cfg.dict_bits, 8u, kDeflateDictBits);
 }
 
-/// kAuto sends payloads of this size and up to the hw backend. On 1 MiB
-/// inputs the twin's tokens, fixed-Huffman packed and wrapped, outran the
-/// hash-chain finder on wiki, x2e and mixed data alike (Release build,
-/// 12 alternating pairs: 23.5 vs 22.3, 22.8 vs 19.5 and 34.0 vs 30.6 MB/s),
-/// for a ratio within 1.4%.
-constexpr std::size_t kAutoHwBytes = 256 * 1024;
-/// kAuto sends payloads below this size to the greedy finder, and the rest
-/// below kAutoHwBytes to the hash chain.
-constexpr std::size_t kAutoGreedyBytes = 16 * 1024;
-
 /// The one map from a decode failure to a status, called inside a catch of
 /// std::exception. Damage in what the client sent is CORRUPT, and a size
 /// cap it passes is TOO_LARGE. Anything else, such as an allocation failure
@@ -120,31 +110,6 @@ std::vector<std::uint8_t> fallback_container(std::span<const std::uint8_t> input
 
 }  // namespace
 
-const char* match_backend_name(MatchBackend backend) noexcept {
-  switch (backend) {
-    case MatchBackend::kHw: return "hw";
-    case MatchBackend::kHashChain: return "hashchain";
-    case MatchBackend::kGreedy: return "greedy";
-    case MatchBackend::kAuto: return "auto";
-  }
-  return "?";
-}
-
-bool parse_match_backend(std::string_view name, MatchBackend& out) noexcept {
-  if (name == "hw") {
-    out = MatchBackend::kHw;
-  } else if (name == "hashchain") {
-    out = MatchBackend::kHashChain;
-  } else if (name == "greedy") {
-    out = MatchBackend::kGreedy;
-  } else if (name == "auto") {
-    out = MatchBackend::kAuto;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 void ServiceConfig::validate() const {
   if (workers == 0) throw std::invalid_argument("ServiceConfig: zero workers");
   if (queue_depth == 0) throw std::invalid_argument("ServiceConfig: zero queue depth");
@@ -153,77 +118,15 @@ void ServiceConfig::validate() const {
     throw std::invalid_argument("ServiceConfig: block_bytes exceeds the protocol cap");
   if (max_payload > kMaxPayload)
     throw std::invalid_argument("ServiceConfig: max_payload exceeds the protocol cap");
+  switch (match_backend) {
+    case MatchBackend::kHw:
+    case MatchBackend::kHashChain:
+    case MatchBackend::kGreedy:
+      break;
+    default:
+      throw std::invalid_argument("ServiceConfig: unknown match_backend");
+  }
   hw.validate();
-}
-
-std::string ServiceStats::render() const {
-  std::string out;
-  char line[192];
-  std::snprintf(line, sizeof(line), "%-11s %9s %9s %9s %9s %12s %12s %8s %8s\n", "opcode",
-                "requests", "ok", "busy", "errors", "bytes_in", "bytes_out", "p50_us", "p99_us");
-  out += line;
-  for (std::size_t i = 0; i < per_opcode.size(); ++i) {
-    const OpcodeCounters& c = per_opcode[i];
-    std::snprintf(line, sizeof(line),
-                  "%-11s %9llu %9llu %9llu %9llu %12llu %12llu %8llu %8llu\n",
-                  opcode_name(static_cast<Opcode>(i)),
-                  static_cast<unsigned long long>(c.requests),
-                  static_cast<unsigned long long>(c.ok),
-                  static_cast<unsigned long long>(c.busy),
-                  static_cast<unsigned long long>(c.errors),
-                  static_cast<unsigned long long>(c.bytes_in),
-                  static_cast<unsigned long long>(c.bytes_out),
-                  static_cast<unsigned long long>(c.p50_us),
-                  static_cast<unsigned long long>(c.p99_us));
-    out += line;
-  }
-  std::snprintf(line, sizeof(line), "queue high water: %llu\n",
-                static_cast<unsigned long long>(queue_high_water));
-  out += line;
-  std::snprintf(line, sizeof(line), "deadline exceeded: %llu\n",
-                static_cast<unsigned long long>(deadline_exceeded));
-  out += line;
-  std::snprintf(line, sizeof(line), "fallbacks: %llu\n",
-                static_cast<unsigned long long>(fallbacks));
-  out += line;
-  std::snprintf(line, sizeof(line), "workers respawned: %llu\n",
-                static_cast<unsigned long long>(workers_respawned));
-  out += line;
-  std::snprintf(line, sizeof(line), "latency samples: %llu\n",
-                static_cast<unsigned long long>(latency_samples));
-  out += line;
-  return out;
-}
-
-std::string ServiceStats::to_json() const {
-  std::string out = "{\"opcodes\":{";
-  char buf[256];
-  for (std::size_t i = 0; i < per_opcode.size(); ++i) {
-    const OpcodeCounters& c = per_opcode[i];
-    std::snprintf(buf, sizeof(buf),
-                  "%s\"%s\":{\"requests\":%llu,\"ok\":%llu,\"busy\":%llu,\"errors\":%llu,"
-                  "\"bytes_in\":%llu,\"bytes_out\":%llu,\"p50_us\":%llu,\"p99_us\":%llu}",
-                  i == 0 ? "" : ",", opcode_name(static_cast<Opcode>(i)),
-                  static_cast<unsigned long long>(c.requests),
-                  static_cast<unsigned long long>(c.ok),
-                  static_cast<unsigned long long>(c.busy),
-                  static_cast<unsigned long long>(c.errors),
-                  static_cast<unsigned long long>(c.bytes_in),
-                  static_cast<unsigned long long>(c.bytes_out),
-                  static_cast<unsigned long long>(c.p50_us),
-                  static_cast<unsigned long long>(c.p99_us));
-    out += buf;
-  }
-  std::snprintf(buf, sizeof(buf),
-                "},\"queue_high_water\":%llu,\"deadline_exceeded\":%llu,\"fallbacks\":%llu,"
-                "\"workers_respawned\":%llu,\"latency_samples\":%llu}",
-                static_cast<unsigned long long>(queue_high_water),
-                static_cast<unsigned long long>(deadline_exceeded),
-                static_cast<unsigned long long>(fallbacks),
-                static_cast<unsigned long long>(workers_respawned),
-                static_cast<unsigned long long>(latency_samples));
-  out += buf;
-  return out;
 }
 
 Service::Service(ServiceConfig config) : cfg_(std::move(config)) {
@@ -349,32 +252,34 @@ void Service::submit(RequestFrame&& request, Completion done) {
     return;
   }
 
-  {
-    std::unique_lock<std::mutex> lock(queue_mutex_);
-    if (!stopping_ && queue_.size() < cfg_.queue_depth) {
-      auto job = std::make_shared<Job>();
-      job->request = std::move(request);
-      job->done = std::move(done);
-      job->enqueued_at = t0;
-      job->trace = rt;
-      queue_.push_back(std::move(job));
-      queue_high_water_ = std::max<std::uint64_t>(queue_high_water_, queue_.size());
-      queue_depth_g_->set(static_cast<std::int64_t>(queue_.size()));
-      queue_high_water_g_->set(static_cast<std::int64_t>(queue_high_water_));
-      lock.unlock();
-      queue_cv_.notify_one();
-      return;
-    }
-  }
+  auto job = std::make_shared<Job>();
+  job->request = std::move(request);
+  job->done = std::move(done);
+  job->enqueued_at = t0;
+  job->trace = rt;
+  if (try_enqueue(job)) return;
 
   // Queue full (or service stopping): reject-with-BUSY, the software twin of
   // de-asserting `ready` on a valid/ready link. Counting happens in finish()
   // like every other response, so requests == ok + busy + errors holds.
   ResponseFrame busy;
-  busy.id = request.id;
-  busy.flags = request.flags;
+  busy.id = job->request.id;
+  busy.flags = job->request.flags;
   busy.status = Status::kBusy;
-  finish(op, request, busy, t0, rt, done);
+  finish(op, job->request, busy, t0, rt, job->done);
+}
+
+bool Service::try_enqueue(JobPtr job) {
+  {
+    const std::lock_guard<std::mutex> lock(queue_mutex_);
+    if (stopping_ || queue_.size() >= cfg_.queue_depth) return false;
+    queue_.push_back(std::move(job));
+    const auto depth = static_cast<std::int64_t>(queue_.size());
+    queue_depth_g_->set(depth);
+    if (depth > queue_high_water_g_->value()) queue_high_water_g_->set(depth);
+  }
+  queue_cv_.notify_one();
+  return true;
 }
 
 bool Service::expired(const Job& job, std::chrono::steady_clock::time_point now) const noexcept {
@@ -855,37 +760,24 @@ ResponseFrame Service::do_compress(const RequestFrame& request, const hw::HwConf
 
   const bool raw = (request.flags & kFlagRawContainer) != 0;
 
-  // Resolve the match pipeline: flags bits 3..5 pin a backend per request;
-  // selector 0 defers to the service policy, where kAuto classes by payload
-  // size (docs/MATCHFINDER.md).
-  MatchBackend backend = cfg_.match_backend;
-  switch (matchfinder_of_flags(request.flags)) {
-    case kMatchFinderPolicy: break;
-    case kMatchFinderHw: backend = MatchBackend::kHw; break;
-    case kMatchFinderHashChain: backend = MatchBackend::kHashChain; break;
-    case kMatchFinderGreedy: backend = MatchBackend::kGreedy; break;
+  // Resolve the match source: flags bits 3..5 pin a backend per request;
+  // selector 0 takes the service's configured one (docs/MATCHFINDER.md).
+  const std::uint8_t selector = matchfinder_of_flags(request.flags);
+  bool use_sw = true;
+  core::MatchFinderKind kind = core::MatchFinderKind::kHashChain;
+  switch (selector == kMatchFinderPolicy ? cfg_.match_backend
+                                         : static_cast<MatchBackend>(selector)) {
+    case MatchBackend::kHw:
+      use_sw = false;
+      break;
+    case MatchBackend::kHashChain:
+      break;
+    case MatchBackend::kGreedy:
+      kind = core::MatchFinderKind::kGreedy;
+      break;
     default:
       resp.status = Status::kUnsupported;
       return resp;
-  }
-  bool use_sw = false;
-  core::MatchFinderKind kind = core::MatchFinderKind::kHashChain;
-  switch (backend) {
-    case MatchBackend::kHw:
-      break;
-    case MatchBackend::kHashChain:
-      use_sw = true;
-      break;
-    case MatchBackend::kGreedy:
-      use_sw = true;
-      kind = core::MatchFinderKind::kGreedy;
-      break;
-    case MatchBackend::kAuto:
-      if (input.size() >= kAutoHwBytes) break;
-      use_sw = true;
-      kind = input.size() < kAutoGreedyBytes ? core::MatchFinderKind::kGreedy
-                                             : core::MatchFinderKind::kHashChain;
-      break;
   }
 
   // hw-backend requests take the functional twin's tokens; a census sample
@@ -1043,29 +935,17 @@ void Service::run_blocks(BlockOp op, std::size_t blocks, const container::BlockF
   } waiter(reassembly_waiters_g_);
   const container::FanoutReport rep = container::run_fanout(
       blocks, cfg_.workers > 0 ? cfg_.workers - 1 : 0, work,
-      [this](std::function<void()> task) { return try_enqueue_helper(std::move(task)); });
+      [this](std::function<void()> task) {
+        // Same bounded queue as client requests: a full queue refuses the
+        // helper (per-block BUSY) and the parent absorbs the block itself.
+        auto job = std::make_shared<Job>();
+        job->block_work = std::move(task);
+        job->enqueued_at = std::chrono::steady_clock::now();
+        return try_enqueue(std::move(job));
+      });
   helper_blocks_c_->add(rep.helper_blocks);
   helper_rejects_c_->add(rep.helpers_rejected);
   reassembly_wait_us_->record(rep.reassembly_wait_us);
-}
-
-bool Service::try_enqueue_helper(std::function<void()> work) {
-  const auto t0 = std::chrono::steady_clock::now();
-  {
-    std::unique_lock<std::mutex> lock(queue_mutex_);
-    // Same bounded queue as client requests: a full queue refuses the
-    // helper (per-block BUSY) and the parent absorbs the block itself.
-    if (stopping_ || queue_.size() >= cfg_.queue_depth) return false;
-    auto job = std::make_shared<Job>();
-    job->block_work = std::move(work);
-    job->enqueued_at = t0;
-    queue_.push_back(std::move(job));
-    queue_high_water_ = std::max<std::uint64_t>(queue_high_water_, queue_.size());
-    queue_depth_g_->set(static_cast<std::int64_t>(queue_.size()));
-    queue_high_water_g_->set(static_cast<std::int64_t>(queue_high_water_));
-  }
-  queue_cv_.notify_one();
-  return true;
 }
 
 void Service::bind_metrics() {
@@ -1200,39 +1080,8 @@ void Service::finish(Opcode op, const RequestFrame& request, ResponseFrame& resp
   done(std::move(response));
 }
 
-ServiceStats Service::snapshot() const {
-  ServiceStats out;
-  for (std::size_t i = 0; i < kOpcodeCount; ++i) {
-    const OpInstruments& m = opm_[i];
-    OpcodeCounters& c = out.per_opcode[i];
-    c.requests = m.requests->value();
-    c.ok = m.ok->value();
-    c.busy = m.busy->value();
-    c.errors = m.errors->value();
-    c.bytes_in = m.bytes_in->value();
-    c.bytes_out = m.bytes_out->value();
-    const obs::Histogram::Merged lat = m.latency_us->merged();
-    c.p50_us = lat.quantile(0.50);
-    c.p99_us = lat.quantile(0.99);
-    out.latency_samples += lat.count;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    out.queue_high_water = queue_high_water_;
-  }
-  out.deadline_exceeded = deadline_c_->value();
-  out.fallbacks = fallbacks_c_->value();
-  out.workers_respawned = respawns_c_->value();
-  return out;
-}
-
 std::string Service::stats_json() const {
-  std::string out = "{\"service\":";
-  out += snapshot().to_json();
-  out += ",\"metrics\":";
-  out += registry_->snapshot().metrics_json_array();
-  out += "}";
-  return out;
+  return "{\"metrics\":" + registry_->snapshot().metrics_json_array() + "}";
 }
 
 }  // namespace lzss::server

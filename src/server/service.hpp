@@ -37,7 +37,7 @@
 //  * Graceful degradation — when the model path throws, or the output would
 //    be larger than the input (the ratio guard), COMPRESS falls back to a
 //    stored (uncompressed-block) container instead of erroring; the
-//    `fallbacks` counter in STATS counts these.
+//    server_fallbacks_total counter in STATS counts these.
 // Every in-flight request carries an answered flag, so the worker and the
 // watchdog can race to complete it and exactly one response wins.
 //
@@ -49,7 +49,8 @@
 // drain rescue). Census samples also export the hw model's per-FSM-state
 // cycle census (the paper's fig. 5) into the same registry, and a collector
 // mirrors the fault-point trigger table. The STATS opcode renders the whole
-// registry as a machine-readable JSON snapshot.
+// registry, and nothing else, as a machine-readable JSON snapshot
+// ({"metrics":[...]}); lzssd's shutdown table reads the same registry.
 #pragma once
 
 #include <array>
@@ -62,7 +63,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -84,26 +84,6 @@ class LogStore;
 }
 
 namespace lzss::server {
-
-/// COMPRESS match pipeline policy (docs/MATCHFINDER.md). kHw emits the
-/// cycle-accurate hardware model's tokens (served by its functional twin,
-/// with the model itself on census samples); the two software
-/// backends run the MatchFinderEncoder; kAuto picks per request class by
-/// payload size: small requests take the one-probe greedy finder (lowest
-/// per-request overhead), mid-size requests the hash-chain finder (better
-/// ratio, still cheap), and requests of 256 KiB and up take the hw
-/// backend's twin, which outruns the hash chain there. A request can pin a
-/// backend via frame flags bits 3..5, which overrides this policy.
-enum class MatchBackend : std::uint8_t {
-  kHw = 0,
-  kHashChain,
-  kGreedy,
-  kAuto,
-};
-
-[[nodiscard]] const char* match_backend_name(MatchBackend backend) noexcept;
-/// Parses hw|hashchain|greedy|auto; false on unknown names.
-[[nodiscard]] bool parse_match_backend(std::string_view name, MatchBackend& out) noexcept;
 
 struct ServiceConfig {
   unsigned workers = 2;                  ///< data-plane worker threads
@@ -134,41 +114,11 @@ struct ServiceConfig {
   /// Structured event sink (watchdog respawns, drain rescues); null = off.
   obs::EventLog* events = nullptr;
   hw::HwConfig hw = hw::HwConfig::speed_optimized();
-  /// COMPRESS match pipeline when the request doesn't pin one (lzssd
-  /// --matchfinder). MatchBackend::kAuto classes by payload size: greedy
-  /// below 16 KiB, hash chain below 256 KiB, hw from there on.
+  /// COMPRESS match source when the request does not pin one through its
+  /// frame flags (lzssd --matchfinder; docs/MATCHFINDER.md).
   MatchBackend match_backend = MatchBackend::kHw;
 
   void validate() const;  ///< throws std::invalid_argument when inconsistent
-};
-
-struct OpcodeCounters {
-  std::uint64_t requests = 0;  ///< everything submitted, including rejects
-  std::uint64_t ok = 0;
-  std::uint64_t busy = 0;      ///< rejected by the bounded queue
-  std::uint64_t errors = 0;    ///< non-OK, non-BUSY responses
-  std::uint64_t bytes_in = 0;  ///< request payload bytes accepted (not rejects)
-  std::uint64_t bytes_out = 0; ///< response payload bytes produced
-  std::uint64_t p50_us = 0;    ///< service-time percentiles over recent samples
-  std::uint64_t p99_us = 0;
-};
-
-struct ServiceStats {
-  std::array<OpcodeCounters, kOpcodeCount> per_opcode;  ///< indexed by Opcode
-  std::uint64_t queue_high_water = 0;
-  std::uint64_t deadline_exceeded = 0;   ///< requests failed by the deadline/watchdog
-  std::uint64_t fallbacks = 0;           ///< COMPRESS stored-container degradations
-  std::uint64_t workers_respawned = 0;   ///< dead/hung workers replaced
-  std::uint64_t latency_samples = 0;     ///< total latency observations (histograms
-                                         ///< never drop or overwrite samples)
-
-  [[nodiscard]] const OpcodeCounters& of(Opcode op) const noexcept {
-    return per_opcode[static_cast<std::size_t>(op)];
-  }
-  /// Human-readable table (lzssd's shutdown summary).
-  [[nodiscard]] std::string render() const;
-  /// The {"opcodes":{...},...} object embedded in the STATS payload.
-  [[nodiscard]] std::string to_json() const;
 };
 
 class Service {
@@ -186,9 +136,8 @@ class Service {
   /// complete inline with BUSY when the queue is full.
   void submit(RequestFrame&& request, Completion done);
 
-  [[nodiscard]] ServiceStats snapshot() const;
-  /// The STATS opcode's payload: {"service":{...},"metrics":[...]} — the
-  /// per-opcode table plus every sample in the metrics registry.
+  /// The STATS opcode's payload: {"metrics":[...]}, every sample in the
+  /// metrics registry.
   [[nodiscard]] std::string stats_json() const;
   /// The registry this service reports into (its own unless one was shared
   /// through ServiceConfig::registry).
@@ -265,14 +214,15 @@ class Service {
   /// Which way a blocked request goes: picks the block metrics' op label.
   enum class BlockOp : std::uint8_t { kCompress, kDecompress };
   /// The codec driver's runner (bound to @p op): run_fanout over
-  /// try_enqueue_helper, with what the service adds to every blocked
+  /// try_enqueue, with what the service adds to every blocked
   /// request — the reassembly-waiter gauge, the container_block →
   /// engine.encode/engine.decode spans, the per-block count and latency,
   /// and the helper, reject and wait metrics.
   void run_blocks(BlockOp op, std::size_t blocks, const container::BlockFn& block);
-  /// Offers a container sub-job to the bounded queue; false = queue full or
-  /// stopping (the parent runs the blocks itself — BUSY per block).
-  [[nodiscard]] bool try_enqueue_helper(std::function<void()> work);
+  /// The one way onto the bounded queue, for client requests and container
+  /// sub-jobs alike; false = queue full or stopping (the caller answers BUSY,
+  /// or the parent runs the block itself).
+  [[nodiscard]] bool try_enqueue(JobPtr job);
   [[nodiscard]] ResponseFrame do_log_append(const RequestFrame& request);
   [[nodiscard]] ResponseFrame do_log_read(const RequestFrame& request);
   [[nodiscard]] ResponseFrame do_scrub(const RequestFrame& request);
@@ -297,7 +247,6 @@ class Service {
   std::condition_variable queue_cv_;
   std::deque<JobPtr> queue_;
   bool stopping_ = false;
-  std::uint64_t queue_high_water_ = 0;
 
   mutable std::mutex workers_mutex_;
   std::vector<std::unique_ptr<Worker>> workers_;  ///< live slots + unjoined zombies

@@ -78,12 +78,15 @@ cmp "$WORK/input" "$WORK/back_w9" || fail "-w 9 roundtrip"
 
 # --- lzssd / lzss_client: retired match-finder names are unknown ----------
 # Both reject the name while parsing arguments, before any socket is opened.
-rc=0
-"$LZSSD" --port 0 --matchfinder suffixarray 2> /dev/null || rc=$?
-[ "$rc" -eq 2 ] || fail "lzssd --matchfinder suffixarray must exit 2 (got $rc)"
-rc=0
-"$CLIENT" --port 1 --matchfinder suffixarray ping 2> /dev/null || rc=$?
-[ "$rc" -eq 2 ] || fail "lzss_client --matchfinder suffixarray must exit 2 (got $rc)"
+# "auto" named the retired size-routing policy.
+for name in suffixarray auto; do
+  rc=0
+  timeout 10 "$LZSSD" --port 0 --matchfinder "$name" 2> /dev/null || rc=$?
+  [ "$rc" -eq 2 ] || fail "lzssd --matchfinder $name must exit 2 (got $rc)"
+  rc=0
+  timeout 10 "$CLIENT" --port 1 --matchfinder "$name" ping 2> /dev/null || rc=$?
+  [ "$rc" -eq 2 ] || fail "lzss_client --matchfinder $name must exit 2 (got $rc)"
+done
 
 # --- lzss_estimate ---------------------------------------------------------
 "$ESTIMATE" --corpus wiki --mb 1 | grep -q "cycles/byte" || fail "estimate report"

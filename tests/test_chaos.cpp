@@ -32,6 +32,7 @@
 #include "fault/fault.hpp"
 #include "hw/pipeline.hpp"
 #include "lzss/raw_container.hpp"
+#include "obs/metrics.hpp"
 #include "server/frame.hpp"
 #include "server/service.hpp"
 #include "server/tcp.hpp"
@@ -436,7 +437,7 @@ TEST(Chaos, KilledWorkerAnsweredWithTypedErrorAndRespawned) {
   const auto resp = client.call(compress_request(2, data));
   ASSERT_EQ(resp.status, Status::kOk);
   EXPECT_EQ(deflate::zlib_decompress(resp.payload), data);
-  EXPECT_GE(service.snapshot().workers_respawned, 1u);
+  EXPECT_GE(service.metrics().counter("server_workers_respawned_total").value(), 1u);
 }
 
 TEST(Chaos, QueuedRequestsPastDeadlineAreReaped) {
@@ -475,9 +476,7 @@ TEST(Chaos, QueuedRequestsPastDeadlineAreReaped) {
   EXPECT_EQ(answers[1], Status::kDeadlineExceeded);
   EXPECT_EQ(answers[2], Status::kDeadlineExceeded);
 
-  const auto stats = service.snapshot();
-  EXPECT_GE(stats.deadline_exceeded, 2u);
-  EXPECT_NE(stats.render().find("deadline exceeded"), std::string::npos);
+  EXPECT_GE(service.metrics().counter("server_deadline_exceeded_total").value(), 2u);
 }
 
 TEST(Chaos, HungWorkerIsPoisonedAndReplaced) {
@@ -506,7 +505,7 @@ TEST(Chaos, HungWorkerIsPoisonedAndReplaced) {
   const auto resp2 = client.call(compress_request(2, data));
   ASSERT_EQ(resp2.status, Status::kOk);
   EXPECT_EQ(deflate::zlib_decompress(resp2.payload), data);
-  EXPECT_GE(service.snapshot().workers_respawned, 1u);
+  EXPECT_GE(service.metrics().counter("server_workers_respawned_total").value(), 1u);
 }
 
 TEST(Chaos, ModelFailureDegradesToStoredContainer) {
@@ -529,9 +528,7 @@ TEST(Chaos, ModelFailureDegradesToStoredContainer) {
   ASSERT_EQ(r.status, Status::kOk);
   EXPECT_EQ(core::raw_container_unpack(r.payload), data);
 
-  const auto stats = service.snapshot();
-  EXPECT_GE(stats.fallbacks, 2u);
-  EXPECT_NE(stats.render().find("fallbacks"), std::string::npos);
+  EXPECT_GE(service.metrics().counter("server_fallbacks_total").value(), 2u);
 }
 
 TEST(Chaos, IncompressibleInputTripsTheRatioGuard) {
@@ -546,7 +543,7 @@ TEST(Chaos, IncompressibleInputTripsTheRatioGuard) {
   ASSERT_EQ(resp.status, Status::kOk);
   EXPECT_EQ(deflate::zlib_decompress(resp.payload), data);
   EXPECT_LE(resp.payload.size(), data.size() + 64);  // stored overhead only
-  EXPECT_GE(service.snapshot().fallbacks, 1u);
+  EXPECT_GE(service.metrics().counter("server_fallbacks_total").value(), 1u);
 }
 
 TEST(Chaos, IngressAndEgressFaultsStillAnswerTyped) {

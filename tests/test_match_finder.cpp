@@ -203,15 +203,5 @@ TEST(BackendEquivalence, FindersReportStats) {
   }
 }
 
-TEST(MatchFinderKindNames, RoundTrip) {
-  for (const auto kind : kAllKinds) {
-    MatchFinderKind parsed{};
-    ASSERT_TRUE(parse_finder_name(finder_name(kind), parsed));
-    EXPECT_EQ(parsed, kind);
-  }
-  MatchFinderKind unused{};
-  EXPECT_FALSE(parse_finder_name("bogus", unused));
-}
-
 }  // namespace
 }  // namespace lzss::core

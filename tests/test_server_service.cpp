@@ -45,6 +45,18 @@ ServiceConfig small_config() {
   return cfg;
 }
 
+/// One counter of the service's registry, as STATS reports it.
+std::uint64_t counter_value(const Service& service, std::string_view name,
+                            const obs::Labels& labels = {}) {
+  return service.metrics().counter(name, labels).value();
+}
+
+/// server_responses_total for the compress opcode and @p status.
+std::uint64_t compress_responses(const Service& service, const char* status) {
+  return counter_value(service, "server_responses_total",
+                       {{"opcode", "compress"}, {"status", status}});
+}
+
 RequestFrame compress_request(std::uint64_t id, std::vector<std::uint8_t> data,
                               std::uint16_t flags = 0) {
   RequestFrame req;
@@ -124,42 +136,6 @@ TEST(ServerService, LargeHwCompressIsOneFixedBlock) {
   EXPECT_EQ(twin.payload, expected);
 }
 
-TEST(ServerService, AutoBackendClassesBySize) {
-  ServiceConfig cfg = small_config();
-  cfg.match_backend = MatchBackend::kAuto;
-  Service service(cfg);
-  LoopbackClient client(service);
-  const auto finder_requests = [&](const char* backend) {
-    const auto snap = service.metrics().snapshot();
-    const obs::Sample* s = snap.find("matchfinder_requests_total", backend);
-    return s == nullptr ? std::uint64_t{0} : s->value;
-  };
-  // Request sizes in order, with the finder counts after each one: below
-  // 16 KiB is greedy, below 256 KiB hash chain, the rest hw.
-  const struct {
-    std::size_t bytes;
-    std::uint64_t greedy, hashchain;
-  } classes[] = {
-      {16 * 1024 - 1, 1, 0},
-      {64 * 1024, 1, 1},
-      {256 * 1024 - 1, 1, 2},
-      {256 * 1024, 1, 2},
-      {320 * 1024, 1, 2},
-  };
-  for (const auto& c : classes) {
-    const auto data = wl::make_corpus("wiki", c.bytes);
-    const auto resp = client.call(compress_request(1, data));
-    ASSERT_EQ(resp.status, Status::kOk) << c.bytes;
-    EXPECT_EQ(finder_requests("greedy"), c.greedy) << c.bytes;
-    EXPECT_EQ(finder_requests("hashchain"), c.hashchain) << c.bytes;
-    if (c.bytes >= 256 * 1024) {
-      EXPECT_EQ(resp.payload, hw_zlib_bytes(data)) << c.bytes;
-    } else {
-      EXPECT_EQ(deflate::zlib_decompress(resp.payload), data) << c.bytes;
-    }
-  }
-}
-
 TEST(ServerService, PingEchoesIdAndFlags) {
   Service service(small_config());
   LoopbackClient client(service);
@@ -201,35 +177,62 @@ TEST(ServerService, UnassignedMatchFinderSelectorsAnswerUnsupported) {
   }
 }
 
+// Selector 0 takes the configured backend (greedy here); the others are
+// MatchBackend values and pin their backend.
 TEST(ServerService, MatchFinderSelectorsPickTheirBackends) {
-  Service service(small_config());
+  ServiceConfig cfg = small_config();
+  cfg.match_backend = MatchBackend::kGreedy;
+  Service service(cfg);
   LoopbackClient client(service);
   const auto data = wl::make_corpus("wiki", 16 * 1024);
-  const std::pair<std::uint8_t, const char*> cases[] = {{kMatchFinderHashChain, "hashchain"},
-                                                         {kMatchFinderGreedy, "greedy"}};
-  ASSERT_EQ(kMatchFinderHashChain, 2u);
-  ASSERT_EQ(kMatchFinderGreedy, 4u);
-  for (const auto& [selector, backend] : cases) {
-    const auto resp = client.call(compress_request(1, data, flags_with_matchfinder(0, selector)));
-    ASSERT_EQ(resp.status, Status::kOk) << backend;
-    EXPECT_EQ(deflate::zlib_decompress(resp.payload), data) << backend;
+  ASSERT_EQ(static_cast<unsigned>(MatchBackend::kHw), 1u);
+  ASSERT_EQ(static_cast<unsigned>(MatchBackend::kHashChain), 2u);
+  ASSERT_EQ(static_cast<unsigned>(MatchBackend::kGreedy), 4u);
+  const auto finder_requests = [&](const char* backend) {
     const auto snap = service.metrics().snapshot();
     const obs::Sample* s = snap.find("matchfinder_requests_total", backend);
-    ASSERT_NE(s, nullptr) << backend;
-    EXPECT_EQ(s->value, 1u) << backend;
+    EXPECT_NE(s, nullptr) << backend;
+    return s == nullptr ? std::uint64_t{0} : s->value;
+  };
+  // Each selector, with the finder counts after its request.
+  const struct {
+    std::uint8_t selector;
+    std::uint64_t hashchain, greedy;
+  } cases[] = {{2, 1, 0}, {4, 1, 1}, {kMatchFinderPolicy, 1, 2}, {1, 1, 2}};
+  for (const auto& c : cases) {
+    const auto resp =
+        client.call(compress_request(1, data, flags_with_matchfinder(0, c.selector)));
+    ASSERT_EQ(resp.status, Status::kOk) << int{c.selector};
+    EXPECT_EQ(deflate::zlib_decompress(resp.payload), data) << int{c.selector};
+    EXPECT_EQ(finder_requests("hashchain"), c.hashchain) << int{c.selector};
+    EXPECT_EQ(finder_requests("greedy"), c.greedy) << int{c.selector};
+    if (c.selector == 1) {
+      EXPECT_EQ(resp.payload, hw_zlib_bytes(data));
+    }
   }
 }
 
 TEST(ServerService, MatchBackendNamesRoundTrip) {
-  for (const auto backend :
-       {MatchBackend::kHw, MatchBackend::kHashChain, MatchBackend::kGreedy, MatchBackend::kAuto}) {
+  for (const auto backend : {MatchBackend::kHw, MatchBackend::kHashChain, MatchBackend::kGreedy}) {
     MatchBackend parsed{};
     ASSERT_TRUE(parse_match_backend(match_backend_name(backend), parsed));
     EXPECT_EQ(parsed, backend);
   }
   MatchBackend unused = MatchBackend::kHw;
-  EXPECT_FALSE(parse_match_backend("suffixarray", unused));
-  EXPECT_EQ(unused, MatchBackend::kHw);
+  for (const char* retired : {"suffixarray", "auto"}) {
+    EXPECT_FALSE(parse_match_backend(retired, unused)) << retired;
+    EXPECT_EQ(unused, MatchBackend::kHw) << retired;
+  }
+}
+
+// The configured backend is a wire selector too: 0 defers to the service's
+// backend and 3 and 5 are unassigned, so none of them may configure one.
+TEST(ServerService, ConfigRejectsUnassignedBackends) {
+  for (const unsigned value : {0u, 3u, 5u}) {
+    ServiceConfig cfg = small_config();
+    cfg.match_backend = static_cast<MatchBackend>(value);
+    EXPECT_THROW(Service{cfg}, std::invalid_argument) << "match_backend " << value;
+  }
 }
 
 TEST(ServerService, NamedPresetCompresses) {
@@ -294,14 +297,15 @@ TEST(ServerService, SaturatedQueueAnswersBusy) {
   EXPECT_GT(ok, 0) << "no request made it through";
   EXPECT_EQ(busy + ok, kJobs);
 
-  const auto stats = service.snapshot();
-  const auto& c = stats.of(Opcode::kCompress);
-  EXPECT_EQ(c.requests, static_cast<std::uint64_t>(kJobs));
-  EXPECT_EQ(c.busy, static_cast<std::uint64_t>(busy));
-  EXPECT_EQ(c.ok, static_cast<std::uint64_t>(ok));
+  const std::uint64_t requests =
+      counter_value(service, "server_requests_total", {{"opcode", "compress"}});
+  EXPECT_EQ(requests, static_cast<std::uint64_t>(kJobs));
+  EXPECT_EQ(compress_responses(service, "busy"), static_cast<std::uint64_t>(busy));
+  EXPECT_EQ(compress_responses(service, "ok"), static_cast<std::uint64_t>(ok));
   // A BUSY answer is a reject, not an error — and it is counted exactly once.
-  EXPECT_EQ(c.errors, 0u);
-  EXPECT_EQ(c.requests, c.ok + c.busy + c.errors);
+  EXPECT_EQ(compress_responses(service, "error"), 0u);
+  EXPECT_EQ(requests, compress_responses(service, "ok") + compress_responses(service, "busy") +
+                          compress_responses(service, "error"));
 }
 
 TEST(ServerService, StatsCountersMatchIssuedRequests) {
@@ -322,18 +326,19 @@ TEST(ServerService, StatsCountersMatchIssuedRequests) {
     return r;
   }());
 
-  const auto stats = service.snapshot();
-  const auto& c = stats.of(Opcode::kCompress);
-  EXPECT_EQ(c.requests, static_cast<std::uint64_t>(kRequests));
-  EXPECT_EQ(c.ok, static_cast<std::uint64_t>(kRequests));
-  EXPECT_EQ(c.busy, 0u);
-  EXPECT_EQ(c.errors, 0u);
-  EXPECT_EQ(c.bytes_in, static_cast<std::uint64_t>(kRequests) * data.size());
-  EXPECT_EQ(c.bytes_out, bytes_out);
-  EXPECT_EQ(stats.of(Opcode::kPing).requests, 1u);
+  const obs::Labels compress = {{"opcode", "compress"}};
+  EXPECT_EQ(counter_value(service, "server_requests_total", compress),
+            static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(compress_responses(service, "ok"), static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(compress_responses(service, "busy"), 0u);
+  EXPECT_EQ(compress_responses(service, "error"), 0u);
+  EXPECT_EQ(counter_value(service, "server_bytes_in_total", compress),
+            static_cast<std::uint64_t>(kRequests) * data.size());
+  EXPECT_EQ(counter_value(service, "server_bytes_out_total", compress), bytes_out);
+  EXPECT_EQ(counter_value(service, "server_requests_total", {{"opcode", "ping"}}), 1u);
 
-  // The STATS opcode answers the same numbers as machine-readable JSON:
-  // {"service":{...},"metrics":[...]}. The snapshot is taken before the
+  // The STATS opcode answers the same registry as machine-readable JSON,
+  // {"metrics":[...]} and nothing else. The snapshot is taken before the
   // STATS request itself is counted, so compress still reads exactly 5.
   RequestFrame sreq;
   sreq.opcode = Opcode::kStats;
@@ -341,18 +346,19 @@ TEST(ServerService, StatsCountersMatchIssuedRequests) {
   ASSERT_EQ(sresp.status, Status::kOk);
   const std::string text(sresp.payload.begin(), sresp.payload.end());
   ASSERT_FALSE(text.empty());
-  EXPECT_EQ(text.front(), '{');
+  EXPECT_EQ(text.rfind("{\"metrics\":[", 0), 0u);
   EXPECT_EQ(text.back(), '}');
-  EXPECT_NE(text.find("\"service\":{\"opcodes\":{"), std::string::npos);
-  EXPECT_NE(text.find("\"compress\":{\"requests\":5,\"ok\":5,\"busy\":0,\"errors\":0"),
+  EXPECT_EQ(text.find("\"service\":"), std::string::npos);
+  EXPECT_NE(text.find("{\"name\":\"server_responses_total\",\"labels\":{\"opcode\":"
+                      "\"compress\",\"status\":\"ok\"},\"type\":\"counter\",\"value\":5}"),
             std::string::npos);
-  EXPECT_NE(text.find("\"ping\":{\"requests\":1,\"ok\":1"), std::string::npos);
-  EXPECT_NE(text.find("\"queue_high_water\":"), std::string::npos);
-  // The registry rides along: per-opcode counters from the metrics layer
-  // must agree with the service-level snapshot in the same payload.
-  EXPECT_NE(text.find("\"metrics\":["), std::string::npos);
-  EXPECT_NE(text.find("\"name\":\"server_requests_total\""), std::string::npos);
-  EXPECT_NE(text.find("\"name\":\"server_latency_us\""), std::string::npos);
+  EXPECT_NE(text.find("{\"name\":\"server_requests_total\",\"labels\":{\"opcode\":"
+                      "\"ping\"},\"type\":\"counter\",\"value\":1}"),
+            std::string::npos);
+  EXPECT_NE(text.find("{\"name\":\"server_latency_us\",\"labels\":{\"opcode\":"
+                      "\"compress\"},\"type\":\"histogram\",\"count\":5,"),
+            std::string::npos);
+  EXPECT_NE(text.find("{\"name\":\"server_queue_high_water\","), std::string::npos);
 }
 
 TEST(ServerService, DeadlineExceededCountsAsErrorExactlyOnce) {
@@ -387,14 +393,16 @@ TEST(ServerService, DeadlineExceededCountsAsErrorExactlyOnce) {
   }
   EXPECT_GT(errors, 0) << "1 ms deadline never expired a queued 64 KiB job";
 
-  const auto stats = service.snapshot();
-  const auto& c = stats.of(Opcode::kCompress);
-  EXPECT_EQ(c.requests, static_cast<std::uint64_t>(kJobs));
-  EXPECT_EQ(c.ok, static_cast<std::uint64_t>(ok));
-  EXPECT_EQ(c.busy, static_cast<std::uint64_t>(busy));
-  EXPECT_EQ(c.errors, static_cast<std::uint64_t>(errors));
-  EXPECT_EQ(c.requests, c.ok + c.busy + c.errors);
-  EXPECT_GE(stats.deadline_exceeded, static_cast<std::uint64_t>(errors));
+  const std::uint64_t requests =
+      counter_value(service, "server_requests_total", {{"opcode", "compress"}});
+  EXPECT_EQ(requests, static_cast<std::uint64_t>(kJobs));
+  EXPECT_EQ(compress_responses(service, "ok"), static_cast<std::uint64_t>(ok));
+  EXPECT_EQ(compress_responses(service, "busy"), static_cast<std::uint64_t>(busy));
+  EXPECT_EQ(compress_responses(service, "error"), static_cast<std::uint64_t>(errors));
+  EXPECT_EQ(requests, compress_responses(service, "ok") + compress_responses(service, "busy") +
+                          compress_responses(service, "error"));
+  EXPECT_GE(counter_value(service, "server_deadline_exceeded_total"),
+            static_cast<std::uint64_t>(errors));
 }
 
 TEST(ServerRetry, SleepAccountingSharesTheRngDraw) {
@@ -436,9 +444,10 @@ TEST(ServerService, LatencyPercentilesPopulateAfterTraffic) {
     ASSERT_EQ(client.call(compress_request(static_cast<std::uint64_t>(i), data)).status,
               Status::kOk);
   }
-  const auto stats = service.snapshot();
-  EXPECT_GT(stats.of(Opcode::kCompress).p99_us, 0u);
-  EXPECT_LE(stats.of(Opcode::kCompress).p50_us, stats.of(Opcode::kCompress).p99_us);
+  const auto latency =
+      service.metrics().histogram("server_latency_us", {{"opcode", "compress"}}).merged();
+  EXPECT_GT(latency.quantile(0.99), 0u);
+  EXPECT_LE(latency.quantile(0.50), latency.quantile(0.99));
 }
 
 TEST(ServerService, ConcurrentLoopbackClientsAllRoundTrip) {

@@ -3,7 +3,7 @@
 //   lzss_client [options] <op> [file]
 //     op: compress <file> | compress-blocked <file> | decompress <file> | ping
 //         | stats             (prints the server's machine-readable snapshot:
-//                              {"service":{...},"metrics":[...]} JSON)
+//                              {"metrics":[...]} JSON, the whole registry)
 //         | log-append <file> (prints the durable sequence number)
 //         | log-read <seq>    (prints/-o the stored record)
 //         | scrub [seg-id]    (online integrity walk over the server's sealed
@@ -18,6 +18,8 @@
 //     --port <p>     server port (default 5555)
 //     --raw          raw-LZSS container instead of zlib
 //     --preset <id>  preset id 0..N (0 = server default)
+//     --matchfinder <name>  pin the COMPRESS match source: hw | hashchain |
+//                    greedy (default: the server's --matchfinder)
 //     -o <path>      write the response payload to this file
 //     --no-verify    skip the local round-trip check after compress
 //     --retries <n>       extra attempts after BUSY/DEADLINE_EXCEEDED or a
@@ -44,7 +46,6 @@
 #include <memory>
 #include <random>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/checksum.hpp"
@@ -91,7 +92,7 @@ int main(int argc, char** argv) {
   unsigned port = 5555;
   unsigned preset = 0;
   unsigned retries = 4, retry_base_ms = 50;
-  unsigned matchfinder = 0;  // wire selector: 0 = server policy
+  std::uint8_t matchfinder = server::kMatchFinderPolicy;
   bool raw = false, verify = true, trace = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -111,16 +112,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--retry-base-ms" && (v = next()) != nullptr) {
       retry_base_ms = static_cast<unsigned>(std::atoi(v));
     } else if (arg == "--matchfinder" && (v = next()) != nullptr) {
-      const std::string_view name = v;
-      if (name == "hw") {
-        matchfinder = server::kMatchFinderHw;
-      } else if (name == "hashchain") {
-        matchfinder = server::kMatchFinderHashChain;
-      } else if (name == "greedy") {
-        matchfinder = server::kMatchFinderGreedy;
-      } else {
-        return usage();
-      }
+      server::MatchBackend backend{};
+      if (!server::parse_match_backend(v, backend)) return usage();
+      matchfinder = static_cast<std::uint8_t>(backend);
     } else if (arg == "--raw") {
       raw = true;
     } else if (arg == "--no-verify") {
@@ -146,8 +140,7 @@ int main(int argc, char** argv) {
     req.id = 1;
     req.flags = server::flags_with_preset(raw ? server::kFlagRawContainer : 0,
                                           static_cast<std::uint8_t>(preset));
-    req.flags = server::flags_with_matchfinder(req.flags,
-                                               static_cast<std::uint8_t>(matchfinder));
+    req.flags = server::flags_with_matchfinder(req.flags, matchfinder);
     if (trace) {
       // A client-chosen id always wins over server-side sampling, so this
       // request is traced end to end regardless of the daemon's sample rate.

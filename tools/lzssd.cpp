@@ -6,6 +6,8 @@
 //     --queue-depth <d>   bounded request queue; full => BUSY (default 64)
 //     --preset <name>     service default config from the estimator ladder
 //                         (speed | balanced | ratio | min-bram | baseline-2007)
+//     --matchfinder <m>   COMPRESS match source when a request pins none:
+//                         hw (default) | hashchain | greedy (docs/MATCHFINDER.md)
 //     --block-kb <k>      COMPRESS_BLOCKED block size in KiB; blocks fan out
 //                         across the worker pool (default 256, docs/CONTAINER.md)
 //     --request-timeout-ms <t>  per-request deadline; expired requests answer
@@ -108,7 +110,7 @@ void handle_dump_signal(int) { g_dump_requested.store(true); }
 int usage() {
   std::fprintf(stderr,
                "usage: lzssd [--port p] [--engines n] [--queue-depth d] [--preset name]\n"
-               "             [--matchfinder hw|hashchain|greedy|auto]\n"
+               "             [--matchfinder hw|hashchain|greedy]\n"
                "             [--block-kb k]\n"
                "             [--request-timeout-ms t] [--hung-worker-ms t]\n"
                "             [--store-dir dir] [--store-fsync policy] [--store-segment-kb k]\n"
@@ -383,8 +385,23 @@ int main(int argc, char** argv) {
     dump_stop.store(true);
     dump_thread.join();
 
-    const auto stats = service.snapshot();
-    std::printf("lzssd shutting down\n%s", stats.render().c_str());
+    // The shutdown table: every nonzero service sample, in STATS's names.
+    std::printf("lzssd shutting down\n");
+    for (const obs::Sample& s : registry.snapshot().samples) {
+      if (!s.name.starts_with("server_")) continue;
+      std::string name = s.name;
+      for (std::size_t i = 0; i < s.labels.size(); ++i)
+        name += (i == 0 ? "{" : ",") + s.labels[i].first + "=" + s.labels[i].second;
+      if (!s.labels.empty()) name += "}";
+      if (s.kind == obs::Kind::kHistogram && s.count != 0) {
+        std::printf("%-52s count %" PRIu64 " p50 %" PRIu64 " p99 %" PRIu64 "\n", name.c_str(),
+                    s.count, s.p50, s.p99);
+      } else if (s.kind == obs::Kind::kCounter && s.value != 0) {
+        std::printf("%-52s %" PRIu64 "\n", name.c_str(), s.value);
+      } else if (s.kind == obs::Kind::kGauge && s.gauge != 0) {
+        std::printf("%-52s %" PRId64 "\n", name.c_str(), s.gauge);
+      }
+    }
     if (maintenance) {
       maintenance->stop();
       const auto ms = maintenance->stats();
