@@ -6,6 +6,7 @@
 #include <exception>
 #include <stdexcept>
 
+#include "common/bitio.hpp"
 #include "common/checksum.hpp"
 #include "container/scheduler.hpp"
 #include "deflate/dynamic_encoder.hpp"
@@ -59,7 +60,16 @@ BlockEncodeResult make_record(std::span<const std::uint8_t> raw, Deflate deflate
   return out;
 }
 
-/// The block loop behind block_compress and block_decompress: body(i) runs
+/// The one input splitter: part @p i of @p input cut into @p part_bytes
+/// pieces, the last one short.
+std::span<const std::uint8_t> part_of(std::span<const std::uint8_t> input,
+                                      std::size_t part_bytes, std::size_t i) {
+  const std::size_t begin = i * part_bytes;
+  return input.subspan(begin, std::min(part_bytes, input.size() - begin));
+}
+
+/// The block loop behind block_compress, deflate_in_parts and
+/// block_decompress: body(i) runs
 /// once per block through @p run (run_local when empty), and a block's
 /// exception lands in its own slot. Every block runs; the lowest-index
 /// failure is rethrown afterwards, so a damaged container never yields a
@@ -140,10 +150,7 @@ std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> input,
   if (block_bytes == 0 || block_bytes > kMaxBlockSize)
     throw std::invalid_argument("block_compress: block size outside (0, kMaxBlockSize]");
   const std::size_t blocks = block_count_for(input.size(), block_bytes);
-  const auto raw_block = [&](std::size_t i) {
-    const std::size_t begin = i * block_bytes;
-    return input.subspan(begin, std::min(block_bytes, input.size() - begin));
-  };
+  const auto raw_block = [&](std::size_t i) { return part_of(input, block_bytes, i); };
   // One census slot per block, sized before any block runs: each block
   // writes only its own slot, whichever thread runs it.
   if (census != nullptr) census->assign(hw_source != nullptr ? blocks : 0, hw::CycleStats{});
@@ -175,6 +182,42 @@ std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> input,
     report->stored_blocks = stored_blocks.load();
     report->effective_block_bytes = block_bytes;
   }
+  return out;
+}
+
+std::vector<std::uint8_t> deflate_in_parts(const hw::HwConfig& cfg,
+                                           std::span<const std::uint8_t> input,
+                                           const BlockRunner& run,
+                                           std::vector<hw::CycleStats>* census) {
+  const std::size_t part_bytes =
+      std::max<std::size_t>(32 * 1024, std::size_t{8} * cfg.dict_size());
+  // An empty input is still one part: its block carries the end of stream.
+  const std::size_t parts = std::max<std::size_t>(1, block_count_for(input.size(), part_bytes));
+  if (census != nullptr) census->assign(parts, hw::CycleStats{});
+  std::vector<std::vector<std::uint8_t>> streams(parts);
+  const auto pack_part = [&](std::size_t i) {
+    const bool last = i + 1 == parts;
+    bits::BitWriter w;
+    deflate::write_fixed_block(w,
+                               hw::compress_tokens(cfg, part_of(input, part_bytes, i),
+                                                   census ? &(*census)[i] : nullptr),
+                               last);
+    if (!last) deflate::write_stored_block(w, {}, /*final_block=*/false);
+    streams[i] = w.take();
+  };
+  // One part needs no scheduler, and keeps a small request off the fan-out.
+  if (parts == 1) {
+    pack_part(0);
+    return std::move(streams[0]);
+  }
+  for_each_block(parts, run, [&](std::size_t i) { return part_of(input, part_bytes, i).size(); },
+                 pack_part);
+
+  std::size_t total = 0;
+  for (const auto& s : streams) total += s.size();
+  std::vector<std::uint8_t> out;
+  out.reserve(total);
+  for (const auto& s : streams) out.insert(out.end(), s.begin(), s.end());
   return out;
 }
 

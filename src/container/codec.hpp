@@ -2,16 +2,17 @@
 // parallel decode, and seeking reads. This is the only code that splits,
 // assembles, parses and slice-decodes LZBC.
 //
-// block_compress / block_decompress share one block loop with one hook: a
-// BlockRunner decides where the blocks run. Standalone callers (tools,
-// benches, tests) leave it empty and get the local runner
+// block_compress / block_decompress / deflate_in_parts share one block loop
+// with one hook: a BlockRunner decides where the blocks run. Standalone
+// callers (tools, benches, tests) leave it empty and get the local runner
 // (container/scheduler.hpp: run_fanout with helper threads); the service
-// passes a runner over its worker queue. block_compress is also the only
-// code that splits input across engines: pass it a census vector and every
-// block runs on the cycle model, one census per block, which is what the
-// engine-bank bench (bench/ext_multi_engine) reads. read_range decodes only
-// the blocks a byte range overlaps, which makes the container the seekable
-// file archive too (lzsszip -f archive).
+// passes a runner over its worker queue. This file holds the only input
+// splitter, and the only code that splits input across engines: pass
+// block_compress or deflate_in_parts a census vector and every block runs on
+// the cycle model, one census per block, which is what the engine-bank bench
+// (bench/ext_multi_engine) reads. read_range decodes only the blocks a byte
+// range overlaps, which makes the container the seekable file archive too
+// (lzsszip -f archive).
 //
 // Two token sources feed one record builder:
 //  * hw::HwConfig — the cycle model's tokens (its functional twin, or the
@@ -113,6 +114,26 @@ using BlockRunner = std::function<void(std::size_t blocks, const BlockFn& block)
     std::span<const std::uint8_t> input, const BlockCodecConfig& config,
     EncodeReport* report = nullptr, const BlockRunner& run = {},
     std::vector<hw::CycleStats>* census = nullptr);
+
+/// One raw Deflate stream for @p input, built from independently matched
+/// parts of max(32 KiB, 8 × @p cfg's dictionary) bytes (a part restarts the
+/// dictionary, and at this size that costs about 1% of fixed-Huffman output
+/// on every preset; docs/MATCHFINDER.md): hw::compress_tokens on each part
+/// through @p run (run_local when empty), each part packed as one
+/// fixed-Huffman block. Every non-final part ends with an empty stored block
+/// (zlib's Z_SYNC_FLUSH, as pigz uses it), which byte-aligns it, so the
+/// parts join byte-wise; the last block is final. An input of at most one
+/// part (empty included) is one block, deflate_fixed of its tokens, run on
+/// the calling thread.
+///
+/// A non-null @p census runs every part on the cycle model and resizes
+/// *@p census to one entry per part, in part order. The bytes are the same
+/// with or without a census. A part that throws makes the call throw, the
+/// lowest-index failure first.
+[[nodiscard]] std::vector<std::uint8_t> deflate_in_parts(const hw::HwConfig& cfg,
+                                                       std::span<const std::uint8_t> input,
+                                                       const BlockRunner& run,
+                                                       std::vector<hw::CycleStats>* census);
 
 struct DecodeReport {
   std::size_t blocks = 0;

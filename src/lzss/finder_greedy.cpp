@@ -23,12 +23,12 @@ class GreedyFinder final : public MatchFinder {
  public:
   explicit GreedyFinder(const MatchParams& params) : params_(params) {
     bits_ = std::clamp(params_.hash.bits, 8u, 17u);
-    table_.assign(std::size_t{1} << bits_, kEmpty);
   }
 
   void seed(std::span<const std::uint8_t> block) override {
     in_ = block;
-    std::fill(table_.begin(), table_.end(), kEmpty);
+    // Sized and cleared here only: every parse seeds first.
+    table_.assign(std::size_t{1} << bits_, kEmpty);
     ++stats_.seeds;
   }
 

@@ -20,15 +20,13 @@ namespace {
 class HashChainFinder final : public MatchFinder {
  public:
   explicit HashChainFinder(const MatchParams& params)
-      : params_(params), wmask_(params.window_size() - 1) {
-    head_.assign(params_.hash.table_size(), kNoCandidate);
-    prev_.assign(params_.window_size(), kNoCandidate);
-  }
+      : params_(params), wmask_(params.window_size() - 1) {}
 
   void seed(std::span<const std::uint8_t> block) override {
     in_ = block;
-    std::fill(head_.begin(), head_.end(), kNoCandidate);
-    std::fill(prev_.begin(), prev_.end(), kNoCandidate);
+    // Sized and cleared here only: every parse seeds first.
+    head_.assign(params_.hash.table_size(), kNoCandidate);
+    prev_.assign(params_.window_size(), kNoCandidate);
     ++stats_.seeds;
   }
 

@@ -180,14 +180,15 @@ void FrameAccumulator::skip_payload() {
   validate_prefix();  // whatever follows the skipped frame starts a new one
 }
 
-std::vector<std::uint8_t> FrameAccumulator::consume_frame() {
-  const std::size_t total = header_size_ + payload_length();
-  std::vector<std::uint8_t> frame(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(total));
-  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(total));
+std::vector<std::uint8_t> FrameAccumulator::consume_frame(std::size_t payload_offset) {
+  const auto total = static_cast<std::ptrdiff_t>(header_size_ + payload_length());
+  std::vector<std::uint8_t> payload(buf_.begin() + static_cast<std::ptrdiff_t>(payload_offset),
+                                    buf_.begin() + total);
+  buf_.erase(buf_.begin(), buf_.begin() + total);
   header_checked_ = false;
   validated_ = 0;
   validate_prefix();  // eagerly re-check whatever of the next frame is buffered
-  return frame;
+  return payload;
 }
 
 }  // namespace detail
@@ -221,16 +222,15 @@ std::optional<RequestFrame> RequestParser::next() {
     gate_passed_ = true;
   }
   if (!frame_ready()) return std::nullopt;
-  const auto bytes = consume_frame();
   gate_passed_ = false;
+  const auto bytes = frame_bytes();
   RequestFrame f;
   f.opcode = static_cast<Opcode>(bytes[5]);
   f.flags = le::get16(bytes.data() + 6);
   f.id = le::get64(bytes.data() + 8);
   const std::size_t ext = trace_extension_size(f.flags);  // length >= ext (validated)
   if (ext != 0) f.trace_id = le::get64(bytes.data() + kRequestHeaderSize);
-  f.payload.assign(bytes.begin() + static_cast<std::ptrdiff_t>(kRequestHeaderSize + ext),
-                   bytes.end());
+  f.payload = consume_frame(kRequestHeaderSize + ext);
   return f;
 }
 
@@ -248,7 +248,7 @@ ParseError ResponseParser::validate_header(std::span<const std::uint8_t> header)
 
 std::optional<ResponseFrame> ResponseParser::next() {
   if (!frame_ready()) return std::nullopt;
-  const auto bytes = consume_frame();
+  const auto bytes = frame_bytes();
   ResponseFrame f;
   f.status = static_cast<Status>(bytes[5]);
   f.flags = le::get16(bytes.data() + 6);
@@ -256,8 +256,7 @@ std::optional<ResponseFrame> ResponseParser::next() {
   f.adler = le::get32(bytes.data() + 16);
   const std::size_t ext = trace_extension_size(f.flags);  // length >= ext (validated)
   if (ext != 0) f.trace_id = le::get64(bytes.data() + kResponseHeaderSize);
-  f.payload.assign(bytes.begin() + static_cast<std::ptrdiff_t>(kResponseHeaderSize + ext),
-                   bytes.end());
+  f.payload = consume_frame(kResponseHeaderSize + ext);
   return f;
 }
 

@@ -218,12 +218,20 @@ class FrameAccumulator {
   /// calls. Only valid after header_ready().
   void skip_payload();
 
-  /// Consumes the ready frame's bytes; only valid after frame_ready().
-  [[nodiscard]] std::vector<std::uint8_t> consume_frame();
+  /// Consumes the ready frame and returns its bytes from @p payload_offset
+  /// (counted from the frame's start) to its end; only valid after
+  /// frame_ready(), with @p payload_offset at most the frame's size.
+  [[nodiscard]] std::vector<std::uint8_t> consume_frame(std::size_t payload_offset);
 
   /// The buffered header bytes; only valid after header_ready().
   [[nodiscard]] std::span<const std::uint8_t> header_bytes() const noexcept {
     return {buf_.data(), header_size_};
+  }
+
+  /// The ready frame's bytes, header and payload; only valid after
+  /// frame_ready(), and only until consume_frame().
+  [[nodiscard]] std::span<const std::uint8_t> frame_bytes() const noexcept {
+    return {buf_.data(), header_size_ + payload_length()};
   }
 
   [[nodiscard]] std::uint32_t payload_length() const noexcept;

@@ -782,26 +782,39 @@ ResponseFrame Service::do_compress(const RequestFrame& request, const hw::HwConf
 
   // hw-backend requests take the functional twin's tokens; a census sample
   // runs the cycle model instead, for the same tokens plus its cycle census.
+  // An hw zlib response is one stream of independently matched parts
+  // (container::deflate_in_parts), which fan across the pool through
+  // run_blocks like COMPRESS_BLOCKED's blocks, with one census per part.
   const bool sampled = !use_sw && census_due();
-  hw::CycleStats census;
+  std::vector<hw::CycleStats> census(sampled ? 1 : 0);
   try {
     fault::point("server.worker.compress");
-    std::vector<core::Token> tokens;
-    if (use_sw) {
-      core::MatchFinderEncoder encoder(sw_params_for(cfg, kind));
-      tokens = encoder.encode(input);
-      const core::FinderStats& fs = encoder.finder_stats();
-      const FinderInstruments& fm = mf_[static_cast<std::size_t>(kind)];
-      fm.requests->add(1);
-      fm.bytes_in->add(input.size());
-      fm.probes->add(fs.probes);
-      fm.compare_bytes->add(fs.compare_bytes);
+    std::vector<std::uint8_t> stream;
+    if (!use_sw && !raw) {
+      const container::BlockRunner run =
+          std::bind_front(&Service::run_blocks, this, BlockOp::kCompress);
+      stream = container::deflate_in_parts(cfg, input, run, sampled ? &census : nullptr);
     } else {
-      tokens = hw::compress_tokens(cfg, input, sampled ? &census : nullptr);
+      std::vector<core::Token> tokens;
+      if (use_sw) {
+        core::MatchFinderEncoder encoder(sw_params_for(cfg, kind));
+        tokens = encoder.encode(input);
+        const core::FinderStats& fs = encoder.finder_stats();
+        const FinderInstruments& fm = mf_[static_cast<std::size_t>(kind)];
+        fm.requests->add(1);
+        fm.bytes_in->add(input.size());
+        fm.probes->add(fs.probes);
+        fm.compare_bytes->add(fs.compare_bytes);
+      } else {
+        tokens = hw::compress_tokens(cfg, input, sampled ? census.data() : nullptr);
+      }
+      if (raw) {
+        resp.payload = core::raw_container_pack(tokens, cfg.dict_bits, input.size());
+      } else {
+        stream = deflate::deflate_fixed(tokens);
+      }
     }
-    resp.payload = raw ? core::raw_container_pack(tokens, cfg.dict_bits, input.size())
-                       : deflate::zlib_wrap(deflate::deflate_fixed(tokens), resp.adler,
-                                            container_window_bits(cfg));
+    if (!raw) resp.payload = deflate::zlib_wrap(stream, resp.adler, container_window_bits(cfg));
   } catch (const std::exception&) {
     // Graceful degradation: the match path failed, but a stored container
     // always round-trips — COMPRESS degrades instead of erroring. No census
@@ -811,9 +824,10 @@ ResponseFrame Service::do_compress(const RequestFrame& request, const hw::HwConf
     return resp;
   }
   // A sampled model run completed: fold its per-FSM-state cycle census (the
-  // paper's fig. 5 categories) into the registry. The twin and the software
-  // backends have no cycles; the latter count in the matchfinder_* counters.
-  if (sampled) hw::export_cycle_stats(*registry_, census);
+  // paper's fig. 5 categories) into the registry, once per part. The twin
+  // and the software backends have no cycles; the latter count in the
+  // matchfinder_* counters.
+  for (const hw::CycleStats& part : census) hw::export_cycle_stats(*registry_, part);
 
   // Ratio guard: a payload larger than its input degrades to the stored form
   // when that is actually smaller (GPULZ-style fallback).

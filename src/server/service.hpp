@@ -9,16 +9,17 @@
 // Dispatch policy: PING and STATS are control-plane and answered inline (they
 // never queue, never see BUSY). COMPRESS and DECOMPRESS are data-plane and go
 // through the queue to a worker. The hw backend serves the cycle model's
-// tokens from its untimed functional twin (hw/functional.hpp), one token
-// stream and one Deflate block per COMPRESS whatever its size. The first
-// hw-backend COMPRESS / COMPRESS_BLOCKED and every 64th after it run the
-// cycle model itself — hw::compress_tokens with a census for that request's
-// configuration (one run per block for COMPRESS_BLOCKED) — and export the
-// census; the response bytes are the same either way.
+// tokens from its untimed functional twin (hw/functional.hpp). An hw zlib
+// COMPRESS is one stream of independently matched parts, one fixed-Huffman
+// block each (the codec's deflate_in_parts); a raw LZS1 COMPRESS is one
+// token stream. The first hw-backend COMPRESS / COMPRESS_BLOCKED and every
+// 64th after it run the cycle model itself — hw::compress_tokens with a
+// census for that request's configuration (one run per part or block) —
+// and export the census; the response bytes are the same either way.
 // COMPRESS_BLOCKED builds an LZBC block container with the codec's
 // block_compress (container/codec.hpp), and DECOMPRESS sniffs the LZBC magic
 // and inverts blocked containers with block_decompress. The service hands
-// both its runner, run_blocks: the blocks fan across the pool as internal
+// all three its runner, run_blocks: the blocks fan across the pool as internal
 // sub-jobs on the same bounded queue (container/scheduler.hpp), with the
 // per-block spans and metrics. The parent request's worker always
 // participates in the fan-out, so a saturated queue degrades to

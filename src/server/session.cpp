@@ -1,5 +1,7 @@
 #include "server/session.hpp"
 
+#include <utility>
+
 #include "fault/fault.hpp"
 
 namespace lzss::server {
@@ -41,7 +43,12 @@ void Session::enqueue_response(const ResponseFrame& response) {
   fault::corrupt("server.session.egress", bytes);
   responses_enqueued_.fetch_add(1, std::memory_order_relaxed);
   const std::lock_guard<std::mutex> lock(out_mutex_);
-  outbox_.insert(outbox_.end(), bytes.begin(), bytes.end());
+  // An empty outbox takes the encoded frame's buffer instead of a copy.
+  if (outbox_.empty()) {
+    outbox_ = std::move(bytes);
+  } else {
+    outbox_.insert(outbox_.end(), bytes.begin(), bytes.end());
+  }
 }
 
 std::vector<std::uint8_t> Session::take_outgoing() {

@@ -321,12 +321,17 @@ bool TcpServer::flush_writable(int fd, Conn& conn, Clock::time_point now) {
 
 bool TcpServer::pump_outbox(Conn& conn, Clock::time_point now) {
   if (conn.session->has_outgoing()) {
-    const auto bytes = conn.session->take_outgoing();
-    if (!bytes.empty() && conn.write_buf.empty()) {
-      conn.write_pending = true;
-      conn.write_since = now;
+    auto bytes = conn.session->take_outgoing();
+    if (conn.write_buf.empty()) {
+      // Nothing queued: take the outbox's buffer instead of copying it.
+      if (!bytes.empty()) {
+        conn.write_pending = true;
+        conn.write_since = now;
+      }
+      conn.write_buf = std::move(bytes);
+    } else {
+      conn.write_buf.insert(conn.write_buf.end(), bytes.begin(), bytes.end());
     }
-    conn.write_buf.insert(conn.write_buf.end(), bytes.begin(), bytes.end());
   }
   return config_.max_write_buf_bytes == 0 ||
          conn.write_buf.size() <= config_.max_write_buf_bytes;

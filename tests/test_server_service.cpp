@@ -17,6 +17,7 @@
 #include <string_view>
 #include <thread>
 
+#include "common/bitio.hpp"
 #include "common/checksum.hpp"
 #include "container/codec.hpp"
 #include "container/format.hpp"
@@ -123,17 +124,58 @@ std::vector<std::uint8_t> hw_zlib_bytes(std::span<const std::uint8_t> data) {
                             checksum::adler32(data), 12);
 }
 
-TEST(ServerService, LargeHwCompressIsOneFixedBlock) {
-  Service service(small_config());  // fresh: its first hw request is the census sample
-  LoopbackClient client(service);
-  const auto data = wl::make_corpus("wiki", 320 * 1024);
-  const auto expected = hw_zlib_bytes(data);
-  const auto sampled = client.call(compress_request(1, data));
-  const auto twin = client.call(compress_request(2, data));
-  ASSERT_EQ(sampled.status, Status::kOk);
-  ASSERT_EQ(twin.status, Status::kOk);
-  EXPECT_EQ(sampled.payload, expected);
-  EXPECT_EQ(twin.payload, expected);
+/// A multi-part hw zlib response built by hand: @p data cut into @p part-byte
+/// pieces, each piece's @p tokens_of tokens as one fixed-Huffman block, and
+/// every non-final block followed by an empty stored block (zlib's sync
+/// flush), all in one bit stream and one zlib wrap of @p window_bits.
+template <typename TokensOf>
+std::vector<std::uint8_t> hw_part_bytes(std::span<const std::uint8_t> data, std::size_t part,
+                                        unsigned window_bits, TokensOf tokens_of) {
+  bits::BitWriter w;
+  std::size_t begin = 0;
+  do {
+    const std::size_t len = std::min(part, data.size() - begin);
+    const bool last = begin + len == data.size();
+    deflate::write_fixed_block(w, tokens_of(data.subspan(begin, len)), last);
+    if (!last) deflate::write_stored_block(w, {}, /*final_block=*/false);
+    begin += len;
+  } while (begin < data.size());
+  return deflate::zlib_wrap(w.take(), checksum::adler32(data), window_bits);
+}
+
+TEST(ServerService, HwCompressIsOneFixedBlockPerPart) {
+  // The speed preset's 4 KiB dictionary gives parts of 8 × 4 KiB = 32 KiB.
+  constexpr std::size_t kPart = 32 * 1024;
+  const hw::HwConfig hw = ServiceConfig{}.hw;
+  const auto corpus = wl::make_corpus("wiki", 320 * 1024);
+  for (const std::size_t size :
+       {kPart - 1, kPart, kPart + 1, 2 * kPart, 2 * kPart + 1, corpus.size()}) {
+    const std::span<const std::uint8_t> data(corpus.data(), size);
+    const auto expected = hw_part_bytes(data, kPart, 12, [&](std::span<const std::uint8_t> part) {
+      return hw::compress_tokens(hw, part);
+    });
+    // One part is today's single block, byte for byte.
+    if (size <= kPart) {
+      EXPECT_EQ(expected, hw_zlib_bytes(data)) << size;
+    }
+
+    Service service(small_config());  // fresh: its first hw request is the census sample
+    LoopbackClient client(service);
+    const std::vector<std::uint8_t> payload(data.begin(), data.end());
+    const auto sampled = client.call(compress_request(1, payload));
+    const auto twin = client.call(compress_request(2, payload));
+    ASSERT_EQ(sampled.status, Status::kOk) << size;
+    ASSERT_EQ(twin.status, Status::kOk) << size;
+    EXPECT_EQ(sampled.payload, expected) << size;
+    EXPECT_EQ(twin.payload, expected) << size;
+    EXPECT_EQ(deflate::zlib_decompress(twin.payload), payload) << size;
+    // A multi-part request's parts count as compress blocks; one part never
+    // reaches the fan-out.
+    const std::size_t parts = container::block_count_for(size, kPart);
+    EXPECT_EQ(counter_value(service, "container_blocks_total", {{"op", "compress"}}),
+              parts == 1 ? 0u : 2 * parts)
+        << size;
+  }
 }
 
 TEST(ServerService, PingEchoesIdAndFlags) {
@@ -1245,6 +1287,53 @@ TEST(ServerService, CensusSamplesOneHwRequestIn64) {
   const auto snap = service.metrics().snapshot();
   ASSERT_NE(snap.find("hw_bytes_in_total"), nullptr);
   EXPECT_EQ(snap.find("hw_bytes_in_total")->value, 2 * data.size());
+}
+
+TEST(ServerService, SampledMultiPartCompressRunsTheModelPerPart) {
+  ServiceConfig cfg = small_config();
+  obs::Registry registry;
+  cfg.registry = &registry;
+  Service service(cfg);  // fresh: its first hw request is the census sample
+  LoopbackClient client(service);
+  // Three parts of the speed preset's 32 KiB, the last one short.
+  const auto data = wl::make_corpus("x2e", 80 * 1024);
+  const hw::HwConfig hw = ServiceConfig{}.hw;
+  std::uint64_t cycles = 0;
+  const auto expected = hw_part_bytes(data, 32 * 1024, 12, [&](std::span<const std::uint8_t> part) {
+    hw::Compressor model(hw);
+    auto result = model.compress(part);
+    cycles += result.stats.total_cycles;
+    return std::move(result.tokens);
+  });
+
+  const auto resp = client.call(compress_request(1, data));
+  ASSERT_EQ(resp.status, Status::kOk);
+  EXPECT_EQ(resp.payload, expected);
+  EXPECT_GT(cycles, 0u);
+  EXPECT_EQ(registry.counter("hw_cycles_total").value(), cycles);
+  EXPECT_EQ(registry.counter("hw_bytes_in_total").value(), data.size());
+  EXPECT_EQ(waiters(registry), 0);
+}
+
+TEST(ServerService, RatioPresetCompressOf96KiBIsOnePart) {
+  // Preset 3's dictionary is 32 KiB after the zlib clamp, so its parts are
+  // 8 × 32 KiB = 256 KiB: 96 KiB is one block, as before parts existed.
+  ServiceConfig cfg = small_config();
+  obs::Registry registry;
+  cfg.registry = &registry;
+  Service service(cfg);
+  LoopbackClient client(service);
+  const auto data = wl::make_corpus("wiki", 96 * 1024);
+  const hw::HwConfig hw = blocked_hw(3);
+  ASSERT_EQ(hw.dict_bits, 15u);
+  const auto expected = deflate::zlib_wrap(deflate::deflate_fixed(hw::compress_tokens(hw, data)),
+                                           checksum::adler32(data), 15);
+  for (std::uint64_t id : {1u, 2u}) {  // the census sample, then the twin
+    const auto resp = client.call(compress_request(id, data, flags_with_preset(0, 3)));
+    ASSERT_EQ(resp.status, Status::kOk) << id;
+    EXPECT_EQ(resp.payload, expected) << id;
+  }
+  EXPECT_EQ(registry.counter("container_blocks_total", {{"op", "compress"}}).value(), 0u);
 }
 
 TEST(ServerService, CensusSampleAndTwinResponsesAreByteIdentical) {
