@@ -68,6 +68,18 @@ std::uint32_t adler32(std::span<const std::uint8_t> data) noexcept {
   return a.value();
 }
 
+std::uint32_t adler32_combine(std::uint32_t adler_a, std::uint32_t adler_b,
+                              std::uint64_t len_b) noexcept {
+  // With s1/s2 the low/high halves: B's bytes each add A's s1 - 1 once more
+  // to s2, so s2 = s2_a + s2_b + len_b * (s1_a - 1), and s1 = s1_a + s1_b - 1.
+  const std::uint64_t rem = len_b % kAdlerMod;
+  const std::uint64_t s1_a = adler_a & 0xFFFFu;
+  const std::uint64_t s1 = (s1_a + (adler_b & 0xFFFFu) + kAdlerMod - 1) % kAdlerMod;
+  const std::uint64_t s2 =
+      (rem * s1_a + (adler_a >> 16) + (adler_b >> 16) + kAdlerMod - rem) % kAdlerMod;
+  return static_cast<std::uint32_t>((s2 << 16) | s1);
+}
+
 std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept {
   Crc32 c;
   c.update(data);

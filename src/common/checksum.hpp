@@ -38,6 +38,11 @@ class Crc32 {
 
 /// One-shot helpers.
 [[nodiscard]] std::uint32_t adler32(std::span<const std::uint8_t> data) noexcept;
+/// The Adler-32 of A followed by B, from @p adler_a = adler32(A),
+/// @p adler_b = adler32(B) and @p len_b = B's length (zlib's
+/// adler32_combine), so slices can be checksummed apart and in parallel.
+[[nodiscard]] std::uint32_t adler32_combine(std::uint32_t adler_a, std::uint32_t adler_b,
+                                            std::uint64_t len_b) noexcept;
 [[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data) noexcept;
 
 }  // namespace lzss::checksum

@@ -9,6 +9,7 @@
 #include "common/bitio.hpp"
 #include "common/checksum.hpp"
 #include "container/scheduler.hpp"
+#include "deflate/container.hpp"
 #include "deflate/dynamic_encoder.hpp"
 #include "deflate/encoder.hpp"
 #include "deflate/inflate.hpp"
@@ -185,39 +186,49 @@ std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> input,
   return out;
 }
 
-std::vector<std::uint8_t> deflate_in_parts(const hw::HwConfig& cfg,
-                                           std::span<const std::uint8_t> input,
-                                           const BlockRunner& run,
-                                           std::vector<hw::CycleStats>* census) {
-  const std::size_t part_bytes =
-      std::max<std::size_t>(32 * 1024, std::size_t{8} * cfg.dict_size());
+PartsStream deflate_in_parts(const hw::HwConfig& cfg, std::span<const std::uint8_t> input,
+                             const BlockRunner& run, std::vector<hw::CycleStats>* census) {
   // An empty input is still one part: its block carries the end of stream.
-  const std::size_t parts = std::max<std::size_t>(1, block_count_for(input.size(), part_bytes));
+  const std::size_t parts = std::max<std::size_t>(1, block_count_for(input.size(), kPartBytes));
   if (census != nullptr) census->assign(parts, hw::CycleStats{});
   std::vector<std::vector<std::uint8_t>> streams(parts);
+  std::vector<std::uint32_t> adlers(parts);
   const auto pack_part = [&](std::size_t i) {
+    const std::size_t begin = i * kPartBytes;
+    const std::span<const std::uint8_t> part = part_of(input, kPartBytes, i);
+    adlers[i] = checksum::adler32(part);
     const bool last = i + 1 == parts;
     bits::BitWriter w;
+    // The first part's buffer becomes the response: room for the zlib header.
+    if (i == 0)
+      for (std::size_t b = 0; b < deflate::kZlibHeaderBytes; ++b) w.put_aligned_byte(0);
+    // The engine is primed with the bytes before the part (compress_tokens
+    // keeps the last dictionary of them), so its matches reach back across
+    // the cut as one stream's would.
     deflate::write_fixed_block(w,
-                               hw::compress_tokens(cfg, part_of(input, part_bytes, i),
-                                                   census ? &(*census)[i] : nullptr),
+                               hw::compress_tokens(cfg, input.first(begin + part.size()),
+                                                   census ? &(*census)[i] : nullptr, begin),
                                last);
     if (!last) deflate::write_stored_block(w, {}, /*final_block=*/false);
     streams[i] = w.take();
   };
   // One part needs no scheduler, and keeps a small request off the fan-out.
-  if (parts == 1) {
+  if (parts > 1) {
+    for_each_block(parts, run, [&](std::size_t i) { return part_of(input, kPartBytes, i).size(); },
+                   pack_part);
+  } else {
     pack_part(0);
-    return std::move(streams[0]);
   }
-  for_each_block(parts, run, [&](std::size_t i) { return part_of(input, part_bytes, i).size(); },
-                 pack_part);
 
-  std::size_t total = 0;
+  std::size_t total = deflate::kZlibTrailerBytes;
   for (const auto& s : streams) total += s.size();
-  std::vector<std::uint8_t> out;
-  out.reserve(total);
-  for (const auto& s : streams) out.insert(out.end(), s.begin(), s.end());
+  PartsStream out{std::move(streams[0]), adlers[0]};
+  out.bytes.reserve(total);
+  for (std::size_t i = 1; i < parts; ++i) {
+    out.bytes.insert(out.bytes.end(), streams[i].begin(), streams[i].end());
+    out.adler =
+        checksum::adler32_combine(out.adler, adlers[i], part_of(input, kPartBytes, i).size());
+  }
   return out;
 }
 

@@ -115,14 +115,28 @@ using BlockRunner = std::function<void(std::size_t blocks, const BlockFn& block)
     EncodeReport* report = nullptr, const BlockRunner& run = {},
     std::vector<hw::CycleStats>* census = nullptr);
 
-/// One raw Deflate stream for @p input, built from independently matched
-/// parts of max(32 KiB, 8 × @p cfg's dictionary) bytes (a part restarts the
-/// dictionary, and at this size that costs about 1% of fixed-Huffman output
-/// on every preset; docs/MATCHFINDER.md): hw::compress_tokens on each part
-/// through @p run (run_local when empty), each part packed as one
-/// fixed-Huffman block. Every non-final part ends with an empty stored block
-/// (zlib's Z_SYNC_FLUSH, as pigz uses it), which byte-aligns it, so the
-/// parts join byte-wise; the last block is final. An input of at most one
+/// The part size of deflate_in_parts: a constant, so that no response byte
+/// depends on the worker count or the host.
+inline constexpr std::size_t kPartBytes = 16 * 1024;
+
+/// deflate_in_parts' output.
+struct PartsStream {
+  /// deflate::kZlibHeaderBytes reserved bytes, then the raw Deflate stream:
+  /// what deflate::zlib_wrap_in_place completes without a copy.
+  std::vector<std::uint8_t> bytes;
+  std::uint32_t adler = 1;  ///< Adler-32 of the input, combined from the parts'
+};
+
+/// One raw Deflate stream for @p input, built from parts of kPartBytes
+/// matched independently: hw::compress_tokens on each part through @p run
+/// (run_local when empty), each part packed as one fixed-Huffman block.
+/// Every part after the first is primed with the dictionary before it (the
+/// prefix of compress_tokens), so its matches reach back across the cut and
+/// the parts cost about what one stream does (docs/MATCHFINDER.md). Every
+/// non-final part ends with an empty stored block (zlib's Z_SYNC_FLUSH, as
+/// pigz uses it), which byte-aligns it, so the parts join byte-wise; the
+/// last block is final. Each part also computes the Adler-32 of its own
+/// slice, and the results are combined in order. An input of at most one
 /// part (empty included) is one block, deflate_fixed of its tokens, run on
 /// the calling thread.
 ///
@@ -130,10 +144,10 @@ using BlockRunner = std::function<void(std::size_t blocks, const BlockFn& block)
 /// *@p census to one entry per part, in part order. The bytes are the same
 /// with or without a census. A part that throws makes the call throw, the
 /// lowest-index failure first.
-[[nodiscard]] std::vector<std::uint8_t> deflate_in_parts(const hw::HwConfig& cfg,
-                                                       std::span<const std::uint8_t> input,
-                                                       const BlockRunner& run,
-                                                       std::vector<hw::CycleStats>* census);
+[[nodiscard]] PartsStream deflate_in_parts(const hw::HwConfig& cfg,
+                                           std::span<const std::uint8_t> input,
+                                           const BlockRunner& run,
+                                           std::vector<hw::CycleStats>* census);
 
 struct DecodeReport {
   std::size_t blocks = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "common/checksum.hpp"
 #include "common/le.hpp"
@@ -18,24 +19,32 @@ std::vector<std::uint8_t> encode_tokens(std::span<const core::Token> tokens, Blo
 
 }  // namespace
 
-std::vector<std::uint8_t> zlib_wrap(std::span<const std::uint8_t> deflate_stream,
-                                    std::uint32_t adler, unsigned window_bits) {
+std::vector<std::uint8_t> zlib_wrap_in_place(std::vector<std::uint8_t> framed,
+                                             std::uint32_t adler, unsigned window_bits) {
   if (window_bits < 8 || window_bits > 15)
     throw std::invalid_argument("zlib_wrap: CINFO window must be 8..15 bits");
-  std::vector<std::uint8_t> out;
-  out.reserve(deflate_stream.size() + 6);
+  if (framed.size() < kZlibHeaderBytes)
+    throw std::invalid_argument("zlib_wrap_in_place: no room for the header");
   // CMF: compression method 8 (deflate), CINFO = log2(window) - 8.
   const std::uint8_t cmf = static_cast<std::uint8_t>(8 | ((window_bits - 8) << 4));
   // FLG: no preset dictionary, level hint 0; FCHECK makes (CMF<<8|FLG) % 31 == 0.
   std::uint8_t flg = 0;
   const unsigned rem = (static_cast<unsigned>(cmf) * 256 + flg) % 31;
   if (rem != 0) flg = static_cast<std::uint8_t>(31 - rem);
-  out.push_back(cmf);
-  out.push_back(flg);
-  out.insert(out.end(), deflate_stream.begin(), deflate_stream.end());
+  framed[0] = cmf;
+  framed[1] = flg;
   for (int shift = 24; shift >= 0; shift -= 8)  // Adler-32, big-endian
-    out.push_back(static_cast<std::uint8_t>((adler >> shift) & 0xFF));
-  return out;
+    framed.push_back(static_cast<std::uint8_t>((adler >> shift) & 0xFF));
+  return framed;
+}
+
+std::vector<std::uint8_t> zlib_wrap(std::span<const std::uint8_t> deflate_stream,
+                                    std::uint32_t adler, unsigned window_bits) {
+  std::vector<std::uint8_t> framed;
+  framed.reserve(kZlibHeaderBytes + deflate_stream.size() + kZlibTrailerBytes);
+  framed.resize(kZlibHeaderBytes);
+  framed.insert(framed.end(), deflate_stream.begin(), deflate_stream.end());
+  return zlib_wrap_in_place(std::move(framed), adler, window_bits);
 }
 
 std::vector<std::uint8_t> gzip_wrap(std::span<const std::uint8_t> deflate_stream,

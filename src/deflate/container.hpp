@@ -4,6 +4,7 @@
 // "compatible with the ZLib library" as the paper requires.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -19,6 +20,19 @@ namespace lzss::deflate {
 /// largest distance used).
 [[nodiscard]] std::vector<std::uint8_t> zlib_wrap(std::span<const std::uint8_t> deflate_stream,
                                                   std::uint32_t adler, unsigned window_bits);
+
+/// The zlib container's header and trailer (Adler-32) sizes.
+inline constexpr std::size_t kZlibHeaderBytes = 2;
+inline constexpr std::size_t kZlibTrailerBytes = 4;
+
+/// zlib_wrap without the copy: @p framed holds kZlibHeaderBytes reserved
+/// bytes, then the raw Deflate stream. Fills the header in place, appends
+/// the trailer and returns the buffer. A distinct name, not an overload: a
+/// vector taken by value would also capture every zlib_wrap(vector, ...)
+/// call.
+[[nodiscard]] std::vector<std::uint8_t> zlib_wrap_in_place(std::vector<std::uint8_t> framed,
+                                                           std::uint32_t adler,
+                                                           unsigned window_bits);
 
 /// Wraps @p deflate_stream in a gzip container.
 [[nodiscard]] std::vector<std::uint8_t> gzip_wrap(std::span<const std::uint8_t> deflate_stream,

@@ -42,6 +42,7 @@ void Compressor::reset() {
   in_ = {};
   fill_pos_ = 0;
   pos_ = 0;
+  preload_end_ = 0;
   state_ = State::kWaitData;
   prefetch_valid_ = false;
   best_len_ = best_dist_ = 0;
@@ -54,15 +55,26 @@ void Compressor::reset() {
   stats_ = CycleStats{};
 }
 
-void Compressor::set_input(std::span<const std::uint8_t> input) {
+void Compressor::set_input(std::span<const std::uint8_t> input, std::size_t prefix) {
+  if (prefix > input.size() || prefix > n_)
+    throw std::invalid_argument("hw::Compressor: preload longer than the input or the dictionary");
   in_ = input;
-  stats_.bytes_in = input.size();
-  if (input.empty()) state_ = State::kDone;
+  stats_.bytes_in = input.size() - prefix;
+  preload_end_ = prefix;
+  // Prefix positions from size - 2 on have no 3 bytes to hash.
+  ins_end_ = input.size() < 2 ? 0 : std::min<std::uint64_t>(prefix, input.size() - 2);
+  if (input.size() == prefix) {
+    state_ = State::kDone;
+  } else if (ins_end_ > 0) {
+    state_ = State::kPreload;
+  } else {
+    pos_ = prefix;
+  }
 }
 
-CompressResult Compressor::compress(std::span<const std::uint8_t> input) {
+CompressResult Compressor::compress(std::span<const std::uint8_t> input, std::size_t prefix) {
   reset();
-  set_input(input);
+  set_input(input, prefix);
   // Generous runaway guard: even a 1-byte bus with a deep chain stays far
   // below this; exceeding it means the model wedged.
   const std::uint64_t guard =
@@ -351,6 +363,25 @@ void Compressor::fsm_step() {
       return;
     }
 
+    case State::kPreload: {
+      // pos_ is the position being inserted, so the filler runs its usual
+      // fill-ahead window in front of it.
+      if (pos_ + core::kMinMatch > fill_pos_) {
+        ++stats_.fetching;  // its 3 bytes are not in yet
+        return;
+      }
+      ++stats_.updating;
+      ++stats_.preloaded;
+      (void)hash_cache_->read(Port::A, pos_ & la_mask_);
+      chain_insert(pos_, hash_at(pos_));
+      if (++pos_ >= ins_end_) {
+        pos_ = preload_end_;
+        ins_end_ = 0;
+        state_ = State::kWaitData;
+      }
+      return;
+    }
+
     case State::kDone:
       return;
   }
@@ -365,8 +396,8 @@ void Compressor::tick_memories() {
 }
 
 Compressor::DebugView Compressor::debug_view() const noexcept {
-  static constexpr const char* kNames[] = {"WaitData", "MatchPrep", "Matching", "Output",
-                                           "HashUpdate", "Rotate", "Done"};
+  static constexpr const char* kNames[] = {"WaitData",   "MatchPrep", "Matching", "Output",
+                                           "HashUpdate", "Rotate",    "Done",     "Preload"};
   const auto code = static_cast<unsigned>(state_);
   return DebugView{kNames[code], code,       pos_,     fill_pos_,
                    occupancy(),  best_len_,  chain_left_, cand_len_};

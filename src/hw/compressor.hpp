@@ -9,7 +9,8 @@
 //     candidate, bus-width bytes afterwards, with the next-table read
 //     overlapped), Output (one D/L pair, stalling on sink backpressure),
 //     HashUpdate (one chain insertion per cycle for short matches) or
-//     Rotate (head-table purge pass, M sub-memories in parallel);
+//     Rotate (head-table purge pass, M sub-memories in parallel) or, before
+//     a primed part's first token, Preload (one prefix insertion per cycle);
 //   * every memory's ports are re-armed.
 //
 // Functional data (the actual bytes and chain contents) is held in shadow
@@ -44,8 +45,11 @@ class Compressor {
   explicit Compressor(HwConfig config);
 
   /// One-shot: feeds @p input, runs the clock until the FSM drains, returns
-  /// the token stream and the cycle census. No sink backpressure.
-  [[nodiscard]] CompressResult compress(std::span<const std::uint8_t> input);
+  /// the token stream and the cycle census. No sink backpressure. With a
+  /// nonzero @p prefix the first @p prefix bytes are a dictionary preload
+  /// (see set_input) and get no tokens.
+  [[nodiscard]] CompressResult compress(std::span<const std::uint8_t> input,
+                                        std::size_t prefix = 0);
 
   /// Word-interface variant matching the paper's input port: "the compressor
   /// consumes 32-bit words (LSBF/MSBF format can be selected)". @p byte_count
@@ -57,7 +61,16 @@ class Compressor {
   /// Restarts the machine (clears rings, tables, statistics).
   void reset();
   /// Provides the input buffer. The span must stay alive until done().
-  void set_input(std::span<const std::uint8_t> input);
+  ///
+  /// A nonzero @p prefix (at most dict_size() and the input's length, else
+  /// std::invalid_argument) primes the engine with the bytes before a part:
+  /// the Preload state inserts each of the first @p prefix positions that
+  /// has 3 bytes to hash into head/next at one HashUpdate cycle (`updating`,
+  /// counted in `preloaded` too) while the filler streams them into the
+  /// rings at its beat; a cycle spent waiting for the filler counts as
+  /// `fetching`. Tokens start at position @p prefix, and `bytes_in` counts
+  /// only those bytes. An empty part skips the preload.
+  void set_input(std::span<const std::uint8_t> input, std::size_t prefix = 0);
   /// Routes tokens into @p channel instead of the internal vector; the
   /// Output state stalls while the channel is full.
   void set_output_channel(stream::Channel<core::Token>* channel) { out_channel_ = channel; }
@@ -73,7 +86,7 @@ class Compressor {
   /// debugging (see hw/trace.hpp for the VCD dumper built on it).
   struct DebugView {
     const char* state_name;
-    unsigned state_code;  ///< stable encoding, 0..6
+    unsigned state_code;  ///< stable encoding, 0..7
     std::uint64_t pos;
     std::uint64_t fill_pos;
     std::uint64_t occupancy;
@@ -99,6 +112,7 @@ class Compressor {
     kHashUpdate,
     kRotate,
     kDone,
+    kPreload,  ///< dictionary preload of a primed part (after kDone: codes stay stable)
   };
 
   void filler_step();
@@ -151,6 +165,7 @@ class Compressor {
   std::span<const std::uint8_t> in_;
   std::uint64_t fill_pos_ = 0;
   std::uint64_t pos_ = 0;
+  std::uint64_t preload_end_ = 0;  // first position that gets a token
 
   // FSM registers.
   State state_ = State::kWaitData;

@@ -30,6 +30,9 @@ struct CycleStats {
   std::uint64_t rotation_passes = 0;
   std::uint64_t output_stall_cycles = 0;  ///< subset of `output`: sink backpressure
   std::uint64_t prefetch_hits = 0;        ///< WaitData skipped thanks to hash prefetch
+  /// Prefix positions a primed part's preload inserted, one `updating`
+  /// cycle each (its waits on the filler count as `fetching`).
+  std::uint64_t preloaded = 0;
 
   friend bool operator==(const CycleStats&, const CycleStats&) = default;
 

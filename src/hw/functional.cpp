@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <stdexcept>
 
 #include "hw/compressor.hpp"
 #include "lzss/simd_compare.hpp"
@@ -29,7 +30,8 @@ std::uint32_t prefix_length(const std::uint8_t* a, const std::uint8_t* b, std::s
 /// The twin with its head-entry width (uint16_t whenever positions fit in
 /// 16 bits) and hash kind fixed at compile time.
 template <typename Entry, core::HashKind Kind>
-std::vector<core::Token> twin_tokens(const HwConfig& config, std::span<const std::uint8_t> input) {
+std::vector<core::Token> twin_tokens(const HwConfig& config, std::span<const std::uint8_t> input,
+                                     std::size_t prefix) {
   const core::HashSpec hash{.bits = config.hash.bits, .kind = Kind};
   const std::uint32_t n_mask = config.dict_size() - 1;
   const auto pos_mask = static_cast<std::uint32_t>(config.position_modulus() - 1);
@@ -65,10 +67,15 @@ std::vector<core::Token> twin_tokens(const HwConfig& config, std::span<const std
   // itself still happens: it drops the short-match inserts of its match.
   const bool purge = size > config.position_modulus();
 
+  // The preload: every prefix position with 3 bytes to hash goes into
+  // head/next, and none gets a token. The prefix is at most one dictionary,
+  // which ends before the first rotation.
+  for (std::uint64_t k = 0; k < prefix && k + 2 < size; ++k) (void)insert(k);
+
   std::vector<core::Token> tokens;
-  tokens.reserve(size / 2 + 1);
+  tokens.reserve((size - prefix) / 2 + 1);
   std::uint64_t next_rotation = rotation_interval;
-  std::uint64_t pos = 0;
+  std::uint64_t pos = prefix;
   while (pos < size) {
     // Match search (MatchPrep + Matching). The filler always runs at least
     // min(262, remaining) bytes ahead here, so the candidate cap is
@@ -128,12 +135,13 @@ std::vector<core::Token> twin_tokens(const HwConfig& config, std::span<const std
 }
 
 template <typename Entry>
-std::vector<core::Token> twin_tokens(const HwConfig& config, std::span<const std::uint8_t> input) {
+std::vector<core::Token> twin_tokens(const HwConfig& config, std::span<const std::uint8_t> input,
+                                     std::size_t prefix) {
   switch (config.hash.kind) {
     case core::HashKind::kZlibShift:
-      return twin_tokens<Entry, core::HashKind::kZlibShift>(config, input);
+      return twin_tokens<Entry, core::HashKind::kZlibShift>(config, input, prefix);
     case core::HashKind::kMultiplicative:
-      return twin_tokens<Entry, core::HashKind::kMultiplicative>(config, input);
+      return twin_tokens<Entry, core::HashKind::kMultiplicative>(config, input, prefix);
   }
   return {};  // unreachable
 }
@@ -141,15 +149,21 @@ std::vector<core::Token> twin_tokens(const HwConfig& config, std::span<const std
 }  // namespace
 
 std::vector<core::Token> compress_tokens(const HwConfig& config,
-                                         std::span<const std::uint8_t> input, CycleStats* census) {
+                                         std::span<const std::uint8_t> input, CycleStats* census,
+                                         std::size_t prefix) {
+  if (prefix > input.size())
+    throw std::invalid_argument("compress_tokens: prefix longer than the input");
+  // Only the last dictionary of the prefix fits the dictionary memory.
+  const std::size_t clipped = std::min<std::size_t>(prefix, config.dict_size());
+  input = input.subspan(prefix - clipped);
   if (census != nullptr) {
-    auto result = Compressor(config).compress(input);
+    auto result = Compressor(config).compress(input, clipped);
     *census = result.stats;
     return std::move(result.tokens);
   }
   config.validate();
-  return config.position_bits() <= 16 ? twin_tokens<std::uint16_t>(config, input)
-                                      : twin_tokens<std::uint32_t>(config, input);
+  return config.position_bits() <= 16 ? twin_tokens<std::uint16_t>(config, input, clipped)
+                                      : twin_tokens<std::uint32_t>(config, input, clipped);
 }
 
 }  // namespace lzss::hw

@@ -21,7 +21,9 @@
 // token-identical) and the source of the cycle census; the twin is what
 // serves the hw backend (docs/MATCHFINDER.md). compress_tokens is the one
 // way to ask for either: pass a census to run the model and receive its
-// cycle accounting, or none for the twin.
+// cycle accounting, or none for the twin. Both can be primed with the bytes
+// before a part (a dictionary preload), which is how the parts of one hw
+// COMPRESS keep one stream's ratio (docs/MATCHFINDER.md).
 #pragma once
 
 #include <cstdint>
@@ -39,8 +41,18 @@ namespace lzss::hw {
 /// otherwise the model itself runs and its stats land in *@p census, which
 /// is written only when the run completes. Throws std::invalid_argument on
 /// an invalid @p config, like the model's constructor.
+///
+/// A nonzero @p prefix primes the engine: the first @p prefix bytes of
+/// @p input are the bytes just before the part to compress, and only the
+/// rest gets tokens. The last dict_size() of them (the prefix is clipped to
+/// what the dictionary memory holds) are preloaded, their positions
+/// inserted into head/next as the model's Compressor::compress(input,
+/// prefix) does, so the part's matches may reach back into them, never
+/// beyond max_distance(). A prefix longer than @p input throws
+/// std::invalid_argument.
 [[nodiscard]] std::vector<core::Token> compress_tokens(const HwConfig& config,
                                                        std::span<const std::uint8_t> input,
-                                                       CycleStats* census = nullptr);
+                                                       CycleStats* census = nullptr,
+                                                       std::size_t prefix = 0);
 
 }  // namespace lzss::hw

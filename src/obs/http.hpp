@@ -54,7 +54,7 @@ class HttpSidecar {
   std::uint16_t port_ = 0;
   std::vector<Endpoint> endpoints_;
   std::thread thread_;
-  bool running_ = false;
+  std::atomic<bool> running_{false};  ///< read by the serve thread, cleared by stop()
   std::atomic<std::uint64_t> served_{0};
 };
 

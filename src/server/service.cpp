@@ -110,6 +110,10 @@ std::vector<std::uint8_t> fallback_container(std::span<const std::uint8_t> input
 
 }  // namespace
 
+unsigned default_workers() noexcept {
+  return std::max(2u, std::thread::hardware_concurrency());
+}
+
 void ServiceConfig::validate() const {
   if (workers == 0) throw std::invalid_argument("ServiceConfig: zero workers");
   if (queue_depth == 0) throw std::invalid_argument("ServiceConfig: zero queue depth");
@@ -164,8 +168,8 @@ void Service::stop() {
     const std::lock_guard<std::mutex> lock(queue_mutex_);
     if (stopping_) return;
     stopping_ = true;
+    for (Worker* w : idle_) w->wake.notify_one();
   }
-  queue_cv_.notify_all();
   watchdog_cv_.notify_all();
   if (watchdog_.joinable()) watchdog_.join();
 
@@ -277,8 +281,13 @@ bool Service::try_enqueue(JobPtr job) {
     const auto depth = static_cast<std::int64_t>(queue_.size());
     queue_depth_g_->set(depth);
     if (depth > queue_high_water_g_->value()) queue_high_water_g_->set(depth);
+    // Under the lock: a worker popped here cannot exit and be destroyed
+    // before it is notified.
+    if (!idle_.empty()) {
+      idle_.back()->wake.notify_one();
+      idle_.pop_back();
+    }
   }
-  queue_cv_.notify_one();
   return true;
 }
 
@@ -292,9 +301,11 @@ void Service::worker_loop(Worker* self) {
     JobPtr job;
     {
       std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [&] {
-        return stopping_ || self->poisoned.load(std::memory_order_relaxed) || !queue_.empty();
-      });
+      while (!stopping_ && !self->poisoned.load(std::memory_order_relaxed) && queue_.empty()) {
+        idle_.push_back(self);
+        self->wake.wait(lock);
+        std::erase(idle_, self);  // still there only after a spurious wakeup
+      }
       if (self->poisoned.load(std::memory_order_relaxed)) break;
       if (queue_.empty()) break;  // stopping_ and drained
       job = std::move(queue_.front());
@@ -756,7 +767,6 @@ ResponseFrame Service::do_verify(const RequestFrame& request) {
 ResponseFrame Service::do_compress(const RequestFrame& request, const hw::HwConfig& cfg) {
   const std::span<const std::uint8_t> input(request.payload);
   ResponseFrame resp;
-  resp.adler = checksum::adler32(input);
 
   const bool raw = (request.flags & kFlagRawContainer) != 0;
 
@@ -776,25 +786,31 @@ ResponseFrame Service::do_compress(const RequestFrame& request, const hw::HwConf
       kind = core::MatchFinderKind::kGreedy;
       break;
     default:
+      resp.adler = checksum::adler32(input);
       resp.status = Status::kUnsupported;
       return resp;
   }
 
   // hw-backend requests take the functional twin's tokens; a census sample
   // runs the cycle model instead, for the same tokens plus its cycle census.
-  // An hw zlib response is one stream of independently matched parts
-  // (container::deflate_in_parts), which fan across the pool through
-  // run_blocks like COMPRESS_BLOCKED's blocks, with one census per part.
+  // An hw zlib response is one stream of parts, each primed with the window
+  // before it (container::deflate_in_parts), which fan across the pool
+  // through run_blocks like COMPRESS_BLOCKED's blocks, with one census per
+  // part. Each part checksums its own slice, so the payload is not hashed
+  // on this thread before the fan-out.
   const bool sampled = !use_sw && census_due();
   std::vector<hw::CycleStats> census(sampled ? 1 : 0);
   try {
     fault::point("server.worker.compress");
-    std::vector<std::uint8_t> stream;
     if (!use_sw && !raw) {
       const container::BlockRunner run =
           std::bind_front(&Service::run_blocks, this, BlockOp::kCompress);
-      stream = container::deflate_in_parts(cfg, input, run, sampled ? &census : nullptr);
+      auto parts = container::deflate_in_parts(cfg, input, run, sampled ? &census : nullptr);
+      resp.adler = parts.adler;
+      resp.payload = deflate::zlib_wrap_in_place(std::move(parts.bytes), parts.adler,
+                                                 container_window_bits(cfg));
     } else {
+      resp.adler = checksum::adler32(input);
       std::vector<core::Token> tokens;
       if (use_sw) {
         core::MatchFinderEncoder encoder(sw_params_for(cfg, kind));
@@ -808,17 +824,15 @@ ResponseFrame Service::do_compress(const RequestFrame& request, const hw::HwConf
       } else {
         tokens = hw::compress_tokens(cfg, input, sampled ? census.data() : nullptr);
       }
-      if (raw) {
-        resp.payload = core::raw_container_pack(tokens, cfg.dict_bits, input.size());
-      } else {
-        stream = deflate::deflate_fixed(tokens);
-      }
+      resp.payload = raw ? core::raw_container_pack(tokens, cfg.dict_bits, input.size())
+                         : deflate::zlib_wrap(deflate::deflate_fixed(tokens), resp.adler,
+                                              container_window_bits(cfg));
     }
-    if (!raw) resp.payload = deflate::zlib_wrap(stream, resp.adler, container_window_bits(cfg));
   } catch (const std::exception&) {
     // Graceful degradation: the match path failed, but a stored container
     // always round-trips — COMPRESS degrades instead of erroring. No census
     // export: a run that threw has no complete cycle accounting.
+    resp.adler = checksum::adler32(input);
     resp.payload = fallback_container(input, resp.adler, raw, cfg);
     fallbacks_c_->add(1);
     return resp;

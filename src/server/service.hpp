@@ -10,9 +10,9 @@
 // never queue, never see BUSY). COMPRESS and DECOMPRESS are data-plane and go
 // through the queue to a worker. The hw backend serves the cycle model's
 // tokens from its untimed functional twin (hw/functional.hpp). An hw zlib
-// COMPRESS is one stream of independently matched parts, one fixed-Huffman
-// block each (the codec's deflate_in_parts); a raw LZS1 COMPRESS is one
-// token stream. The first hw-backend COMPRESS / COMPRESS_BLOCKED and every
+// COMPRESS is one stream of 16 KiB parts, each matched on its own engine
+// primed with the window before it and packed as one fixed-Huffman block
+// (the codec's deflate_in_parts); a raw LZS1 COMPRESS is one token stream. The first hw-backend COMPRESS / COMPRESS_BLOCKED and every
 // 64th after it run the cycle model itself — hw::compress_tokens with a
 // census for that request's configuration (one run per part or block) —
 // and export the census; the response bytes are the same either way.
@@ -86,8 +86,12 @@ class LogStore;
 
 namespace lzss::server {
 
+/// The default worker count: max(2, std::thread::hardware_concurrency()).
+/// Only the pool's width follows the host; no response byte does.
+[[nodiscard]] unsigned default_workers() noexcept;
+
 struct ServiceConfig {
-  unsigned workers = 2;                  ///< data-plane worker threads
+  unsigned workers = default_workers();  ///< data-plane worker threads
   std::size_t queue_depth = 64;          ///< bounded MPMC queue capacity
   /// COMPRESS_BLOCKED split size (clamped up to the dictionary size, see
   /// container::block_compress); lzssd exposes it as --block-kb.
@@ -193,6 +197,7 @@ class Service {
   /// `exited` flips once when the thread leaves its loop.
   struct Worker {
     std::thread thread;
+    std::condition_variable wake;  ///< an idle worker waits here, on queue_mutex_
     JobPtr current;
     std::chrono::steady_clock::time_point busy_since{};
     std::atomic<bool> exited{false};
@@ -245,8 +250,11 @@ class Service {
   ServiceConfig cfg_;
 
   mutable std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
   std::deque<JobPtr> queue_;
+  /// Idle workers, the most recently idle last; guarded by queue_mutex_.
+  /// try_enqueue wakes the last one: its caches are the warmest, and a
+  /// light load stays on few threads however wide the pool is.
+  std::vector<Worker*> idle_;
   bool stopping_ = false;
 
   mutable std::mutex workers_mutex_;

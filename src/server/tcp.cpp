@@ -298,15 +298,17 @@ bool TcpServer::flush_writable(int fd, Conn& conn, Clock::time_point now) {
   // Stalled-writer point: pretend the socket buffer is full (EAGAIN) so the
   // write-stall timeout is the only way out.
   if (fault::fires("server.tcp.stalled_writer")) return true;
-  while (!conn.write_buf.empty()) {
+  while (conn.write_off < conn.write_buf.size()) {
     if (fault::fires("server.tcp.abort")) return false;
     // Partial-write point: squeezing the frame out one byte at a time
     // exercises every client-side reassembly path.
     const std::size_t chunk =
-        fault::fires("server.tcp.short_write") ? 1 : conn.write_buf.size();
-    const ssize_t n = ::send(fd, conn.write_buf.data(), chunk, MSG_NOSIGNAL);
+        fault::fires("server.tcp.short_write") ? 1 : conn.write_buf.size() - conn.write_off;
+    const ssize_t n = ::send(fd, conn.write_buf.data() + conn.write_off, chunk, MSG_NOSIGNAL);
     if (n > 0) {
-      conn.write_buf.erase(conn.write_buf.begin(), conn.write_buf.begin() + n);
+      // An offset, not an erase: erasing the sent prefix after every partial
+      // send would make a slow reader cost quadratic time.
+      conn.write_off += static_cast<std::size_t>(n);
       conn.write_since = now;  // progress restarts the stall window
       conn.last_activity = now;
       continue;
@@ -315,6 +317,8 @@ bool TcpServer::flush_writable(int fd, Conn& conn, Clock::time_point now) {
     if (errno == EINTR) continue;
     return false;  // broken pipe etc.
   }
+  conn.write_buf.clear();
+  conn.write_off = 0;
   conn.write_pending = false;
   return true;
 }
@@ -330,11 +334,18 @@ bool TcpServer::pump_outbox(Conn& conn, Clock::time_point now) {
       }
       conn.write_buf = std::move(bytes);
     } else {
+      // Drop the sent prefix once it is the larger half, so each byte
+      // moves at most once more.
+      if (conn.write_off > conn.write_buf.size() / 2) {
+        conn.write_buf.erase(conn.write_buf.begin(),
+                             conn.write_buf.begin() + static_cast<std::ptrdiff_t>(conn.write_off));
+        conn.write_off = 0;
+      }
       conn.write_buf.insert(conn.write_buf.end(), bytes.begin(), bytes.end());
     }
   }
   return config_.max_write_buf_bytes == 0 ||
-         conn.write_buf.size() <= config_.max_write_buf_bytes;
+         conn.write_buf.size() - conn.write_off <= config_.max_write_buf_bytes;
 }
 
 void TcpServer::note_read_progress(Conn& conn, Clock::time_point now) {

@@ -125,7 +125,10 @@ class TcpServer {
  private:
   struct Conn {
     std::shared_ptr<Session> session;
-    std::vector<std::uint8_t> write_buf;  ///< bytes taken from the session, partially written
+    /// Bytes taken from the session; those before write_off are sent. Reset
+    /// to empty once drained, so empty() means nothing is left to send.
+    std::vector<std::uint8_t> write_buf;
+    std::size_t write_off = 0;
     bool peer_closed = false;
     std::size_t admitted_pending = 0;  ///< gate-admitted payload bytes still accumulating
     std::uint64_t frames_done = 0;     ///< requests_seen + frames_shed at last progress check

@@ -8,7 +8,9 @@ independent referee:
      Huffman, software and hardware paths) must decompress with zlib;
   2. stock zlib output must decompress with our lzsszip;
   3. a COMPRESS served by lzssd on the hw backend, large enough to be
-     matched as several independent parts, must decompress with zlib.
+     matched as several parts primed with the window before them, must
+     decompress with zlib, on the speed and ratio presets, and must be the
+     same bytes on one engine as on the default width.
 
 Usage: check_zlib_interop.py <build_dir>
 """
@@ -32,12 +34,16 @@ def run(*args):
     subprocess.run(args, check=True, stdout=subprocess.DEVNULL)
 
 
-def served_hw_compress(work, src, payload):
-    """Sends src through a live lzssd's hw COMPRESS; zlib must decode it."""
+def served_hw_compress(work, requests, engines=None):
+    """Sends each (src, preset id) of requests through a live lzssd's hw
+    COMPRESS, on --engines engines or the default width; returns the
+    responses."""
     log_path = os.path.join(work, "lzssd.log")
+    args = [lzssd, "--port", "0", "--matchfinder", "hw"]
+    if engines is not None:
+        args += ["--engines", str(engines)]
     with open(log_path, "wb") as log:
-        daemon = subprocess.Popen([lzssd, "--port", "0", "--matchfinder", "hw"],
-                                  stdout=log, stderr=subprocess.STDOUT)
+        daemon = subprocess.Popen(args, stdout=log, stderr=subprocess.STDOUT)
     try:
         port = None
         for _ in range(100):
@@ -49,13 +55,14 @@ def served_hw_compress(work, src, payload):
             assert daemon.poll() is None, "lzssd died at startup"
             time.sleep(0.1)
         assert port is not None, "lzssd never reported its port"
-        out = os.path.join(work, "served.zz")
-        run(lzss_client, "--port", port, "--matchfinder", "hw", "compress", src, "-o", out)
-        with open(out, "rb") as f:
-            served = f.read()
-        # The empty stored block that joins two parts: LEN 0000, NLEN FFFF.
-        assert b"\x00\x00\xff\xff" in served, "the served stream has a single part"
-        assert zlib.decompress(served) == payload, "zlib rejects a served hw COMPRESS"
+        responses = []
+        for src, preset in requests:
+            out = os.path.join(work, "served.zz")
+            run(lzss_client, "--port", port, "--matchfinder", "hw", "--preset", str(preset),
+                "compress", src, "-o", out)
+            with open(out, "rb") as f:
+                responses.append(f.read())
+        return responses
     finally:
         daemon.send_signal(signal.SIGTERM)
         try:
@@ -72,7 +79,7 @@ def main():
                    + bytes(range(256)) * 200)
         with open(src, "wb") as f:
             f.write(payload)
-        # Above 100 KiB: several parts at the service's 32 KiB part size.
+        # Above 100 KiB: several parts at the service's 16 KiB part size.
         assert len(payload) >= 100 * 1024
 
         # 1a. our zlib container (several code paths) -> stock zlib.
@@ -107,8 +114,21 @@ def main():
         with open(back, "rb") as f:
             assert f.read() == payload, "our inflate rejects stock gzip"
 
-        # 3. a served hw COMPRESS -> stock zlib.
-        served_hw_compress(work, src, payload)
+        # 3. served hw COMPRESS -> stock zlib: the speed preset (parts primed
+        # with its 4 KiB window) and a 96 KiB ratio request (preset 3, parts
+        # primed with 32 KiB), on one engine and on the default width.
+        ratio_src = os.path.join(work, "input96")
+        ratio_payload = payload[:96 * 1024]
+        with open(ratio_src, "wb") as f:
+            f.write(ratio_payload)
+        requests = [(src, 0), (ratio_src, 3)]
+        narrow = served_hw_compress(work, requests, engines=1)
+        wide = served_hw_compress(work, requests)
+        assert narrow == wide, "the served bytes depend on the worker count"
+        for served, expected in zip(wide, (payload, ratio_payload)):
+            # The empty stored block that joins two parts: LEN 0000, NLEN FFFF.
+            assert b"\x00\x00\xff\xff" in served, "the served stream has a single part"
+            assert zlib.decompress(served) == expected, "zlib rejects a served hw COMPRESS"
 
     print("zlib interop: all directions verified")
 

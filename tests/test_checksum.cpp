@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -47,6 +49,33 @@ TEST(Adler32, NmaxBoundary) {
   Adler32 b;
   for (const auto byte : data) b.update({&byte, 1});
   EXPECT_EQ(a.value(), b.value());
+}
+
+TEST(Adler32, CombineOfRandomSplitsMatchesTheWholeBuffer) {
+  // Parts of 0 and 1 bytes, parts past NMAX (5552), and all-0xFF data, where
+  // the sums grow fastest, all combine to the one-shot value.
+  rng::Xoshiro256 rng(11);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::uint8_t> data(rng.next_below(40000));
+    const bool saturated = trial % 4 == 0;
+    for (auto& b : data) b = saturated ? 0xFF : rng.next_byte();
+    std::uint32_t combined = adler32({});
+    std::size_t begin = 0;
+    while (begin < data.size()) {
+      static constexpr std::size_t kShapes[] = {0, 1, 2, 5552, 5553, 12000};
+      const std::size_t shape = kShapes[rng.next_below(std::size(kShapes))];
+      const std::size_t len =
+          std::min(data.size() - begin, shape == 12000 ? rng.next_below(3 * 5552) : shape);
+      const std::span<const std::uint8_t> part(data.data() + begin, len);
+      combined = adler32_combine(combined, adler32(part), len);
+      begin += len;
+    }
+    ASSERT_EQ(combined, adler32(data)) << "trial " << trial << " size " << data.size();
+  }
+  // Combining with an empty part changes nothing, on either side.
+  const std::uint32_t abc = adler32(bytes("abc"));
+  EXPECT_EQ(adler32_combine(abc, adler32({}), 0), abc);
+  EXPECT_EQ(adler32_combine(adler32({}), abc, 3), abc);
 }
 
 TEST(Adler32, ResetRestartsState) {

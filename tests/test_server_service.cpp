@@ -125,9 +125,10 @@ std::vector<std::uint8_t> hw_zlib_bytes(std::span<const std::uint8_t> data) {
 }
 
 /// A multi-part hw zlib response built by hand: @p data cut into @p part-byte
-/// pieces, each piece's @p tokens_of tokens as one fixed-Huffman block, and
-/// every non-final block followed by an empty stored block (zlib's sync
-/// flush), all in one bit stream and one zlib wrap of @p window_bits.
+/// pieces, each piece's @p tokens_of(data up to the piece's end, the piece's
+/// offset) tokens as one fixed-Huffman block, and every non-final block
+/// followed by an empty stored block (zlib's sync flush), all in one bit
+/// stream and one zlib wrap of @p window_bits.
 template <typename TokensOf>
 std::vector<std::uint8_t> hw_part_bytes(std::span<const std::uint8_t> data, std::size_t part,
                                         unsigned window_bits, TokensOf tokens_of) {
@@ -136,7 +137,7 @@ std::vector<std::uint8_t> hw_part_bytes(std::span<const std::uint8_t> data, std:
   do {
     const std::size_t len = std::min(part, data.size() - begin);
     const bool last = begin + len == data.size();
-    deflate::write_fixed_block(w, tokens_of(data.subspan(begin, len)), last);
+    deflate::write_fixed_block(w, tokens_of(data.first(begin + len), begin), last);
     if (!last) deflate::write_stored_block(w, {}, /*final_block=*/false);
     begin += len;
   } while (begin < data.size());
@@ -144,16 +145,18 @@ std::vector<std::uint8_t> hw_part_bytes(std::span<const std::uint8_t> data, std:
 }
 
 TEST(ServerService, HwCompressIsOneFixedBlockPerPart) {
-  // The speed preset's 4 KiB dictionary gives parts of 8 × 4 KiB = 32 KiB.
-  constexpr std::size_t kPart = 32 * 1024;
+  // Parts are 16 KiB on every preset, each primed with the window before it.
+  constexpr std::size_t kPart = container::kPartBytes;
+  static_assert(kPart == 16 * 1024);
   const hw::HwConfig hw = ServiceConfig{}.hw;
   const auto corpus = wl::make_corpus("wiki", 320 * 1024);
   for (const std::size_t size :
        {kPart - 1, kPart, kPart + 1, 2 * kPart, 2 * kPart + 1, corpus.size()}) {
     const std::span<const std::uint8_t> data(corpus.data(), size);
-    const auto expected = hw_part_bytes(data, kPart, 12, [&](std::span<const std::uint8_t> part) {
-      return hw::compress_tokens(hw, part);
-    });
+    const auto expected =
+        hw_part_bytes(data, kPart, 12, [&](std::span<const std::uint8_t> window, std::size_t prefix) {
+          return hw::compress_tokens(hw, window, nullptr, prefix);
+        });
     // One part is today's single block, byte for byte.
     if (size <= kPart) {
       EXPECT_EQ(expected, hw_zlib_bytes(data)) << size;
@@ -1295,16 +1298,22 @@ TEST(ServerService, SampledMultiPartCompressRunsTheModelPerPart) {
   cfg.registry = &registry;
   Service service(cfg);  // fresh: its first hw request is the census sample
   LoopbackClient client(service);
-  // Three parts of the speed preset's 32 KiB, the last one short.
-  const auto data = wl::make_corpus("x2e", 80 * 1024);
+  // Six parts of 16 KiB, the last one short; each run preloads the 4 KiB
+  // dictionary before its part.
+  const auto data = wl::make_corpus("x2e", 84 * 1024);
   const hw::HwConfig hw = ServiceConfig{}.hw;
   std::uint64_t cycles = 0;
-  const auto expected = hw_part_bytes(data, 32 * 1024, 12, [&](std::span<const std::uint8_t> part) {
-    hw::Compressor model(hw);
-    auto result = model.compress(part);
-    cycles += result.stats.total_cycles;
-    return std::move(result.tokens);
-  });
+  std::uint64_t preloaded = 0;
+  const auto expected = hw_part_bytes(
+      data, container::kPartBytes, 12, [&](std::span<const std::uint8_t> window, std::size_t prefix) {
+        const std::size_t preload = std::min<std::size_t>(prefix, hw.dict_size());
+        hw::Compressor model(hw);
+        auto result = model.compress(window.subspan(prefix - preload), preload);
+        cycles += result.stats.total_cycles;
+        preloaded += result.stats.preloaded;
+        return std::move(result.tokens);
+      });
+  EXPECT_EQ(preloaded, 5 * hw.dict_size());
 
   const auto resp = client.call(compress_request(1, data));
   ASSERT_EQ(resp.status, Status::kOk);
@@ -1315,9 +1324,10 @@ TEST(ServerService, SampledMultiPartCompressRunsTheModelPerPart) {
   EXPECT_EQ(waiters(registry), 0);
 }
 
-TEST(ServerService, RatioPresetCompressOf96KiBIsOnePart) {
-  // Preset 3's dictionary is 32 KiB after the zlib clamp, so its parts are
-  // 8 × 32 KiB = 256 KiB: 96 KiB is one block, as before parts existed.
+TEST(ServerService, RatioPresetCompressOf96KiBFansOut) {
+  // Preset 3's dictionary is 32 KiB after the zlib clamp. Primed parts need
+  // no larger part size: 96 KiB is six 16 KiB parts on the fan-out, within
+  // 0.5% of the one-stream size.
   ServiceConfig cfg = small_config();
   obs::Registry registry;
   cfg.registry = &registry;
@@ -1326,14 +1336,57 @@ TEST(ServerService, RatioPresetCompressOf96KiBIsOnePart) {
   const auto data = wl::make_corpus("wiki", 96 * 1024);
   const hw::HwConfig hw = blocked_hw(3);
   ASSERT_EQ(hw.dict_bits, 15u);
-  const auto expected = deflate::zlib_wrap(deflate::deflate_fixed(hw::compress_tokens(hw, data)),
-                                           checksum::adler32(data), 15);
+  const auto expected =
+      hw_part_bytes(data, container::kPartBytes, 15,
+                    [&](std::span<const std::uint8_t> window, std::size_t prefix) {
+                      return hw::compress_tokens(hw, window, nullptr, prefix);
+                    });
+  const auto one_stream = deflate::zlib_wrap(
+      deflate::deflate_fixed(hw::compress_tokens(hw, data)), checksum::adler32(data), 15);
+  EXPECT_LE(static_cast<double>(expected.size()), 1.005 * static_cast<double>(one_stream.size()));
   for (std::uint64_t id : {1u, 2u}) {  // the census sample, then the twin
     const auto resp = client.call(compress_request(id, data, flags_with_preset(0, 3)));
     ASSERT_EQ(resp.status, Status::kOk) << id;
     EXPECT_EQ(resp.payload, expected) << id;
+    EXPECT_EQ(deflate::zlib_decompress(resp.payload), data) << id;
   }
-  EXPECT_EQ(registry.counter("container_blocks_total", {{"op", "compress"}}).value(), 0u);
+  EXPECT_EQ(registry.counter("container_blocks_total", {{"op", "compress"}}).value(), 2u * 6);
+}
+
+TEST(ServerService, DefaultWorkersFollowTheHost) {
+  EXPECT_EQ(ServiceConfig{}.workers, std::max(2u, std::thread::hardware_concurrency()));
+  EXPECT_EQ(ServiceConfig{}.workers, default_workers());
+}
+
+TEST(ServerService, HwCompressBytesDoNotDependOnTheWorkerCount) {
+  // The part size is a constant, so the pool's width moves only where the
+  // parts run: 1, 2, 4 and 7 workers, and the codec's local runner, give
+  // the same bytes, for the census sample and the twin alike.
+  const auto wiki = wl::make_corpus("wiki", 1024 * 1024, 9);
+  for (const std::uint8_t preset : {std::uint8_t{1}, std::uint8_t{3}}) {
+    const hw::HwConfig hw = blocked_hw(preset);
+    for (const std::size_t size : {std::size_t{64} * 1024, wiki.size()}) {
+      const std::vector<std::uint8_t> data(wiki.begin(), wiki.begin() + static_cast<std::ptrdiff_t>(size));
+      auto parts = container::deflate_in_parts(hw, data, {}, nullptr);
+      const auto expected = deflate::zlib_wrap_in_place(std::move(parts.bytes), parts.adler,
+                                                        hw.dict_bits);
+      ASSERT_EQ(deflate::zlib_decompress(expected), data);
+      for (const unsigned workers : {1u, 2u, 4u, 7u}) {
+        ServiceConfig cfg = small_config();
+        cfg.workers = workers;
+        Service service(cfg);  // fresh: its first hw request is the census sample
+        LoopbackClient client(service);
+        for (std::uint64_t id : {1u, 2u}) {
+          const auto resp = client.call(compress_request(id, data, flags_with_preset(0, preset)));
+          ASSERT_EQ(resp.status, Status::kOk);
+          EXPECT_EQ(resp.payload, expected)
+              << "preset " << int{preset} << " size " << size << " workers " << workers
+              << " request " << id;
+          EXPECT_EQ(resp.adler, checksum::adler32(data));
+        }
+      }
+    }
+  }
 }
 
 TEST(ServerService, CensusSampleAndTwinResponsesAreByteIdentical) {

@@ -2,7 +2,8 @@
 //
 //   lzssd [options]
 //     --port <p>          TCP port (default 5555; 0 picks an ephemeral port)
-//     --engines <n>       data-plane worker threads (default 2)
+//     --engines <n>       data-plane worker threads (default max(2, CPUs)); a
+//                         response's bytes do not depend on it
 //     --queue-depth <d>   bounded request queue; full => BUSY (default 64)
 //     --preset <name>     service default config from the estimator ladder
 //                         (speed | balanced | ratio | min-bram | baseline-2007)
@@ -124,7 +125,9 @@ int usage() {
                "             [--arm-fault point=action[:ms]]\n"
                "             [--metrics-dump] [--trace-jsonl path]\n"
                "             [--http-port p] [--trace-sample n] [--slow-trace-ms t]\n"
-               "             [--events-jsonl path]\n");
+               "             [--events-jsonl path]\n"
+               "  --engines n: data-plane worker threads (default max(2, CPUs) = %u)\n",
+               lzss::server::default_workers());
   return 2;
 }
 
