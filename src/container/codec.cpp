@@ -30,37 +30,6 @@ std::vector<std::uint8_t> stored_record(std::span<const std::uint8_t> raw, std::
   return record;
 }
 
-/// The record builder both token sources share: CRC-32 of the raw bytes,
-/// the stored fallback and the header. @p deflate returns the block's
-/// Deflate stream.
-template <typename Deflate>
-BlockEncodeResult make_record(std::span<const std::uint8_t> raw, Deflate deflate) {
-  BlockEncodeResult out;
-  const std::uint32_t crc = checksum::crc32(raw);
-  std::vector<std::uint8_t> deflated;
-  try {
-    deflated = deflate();
-  } catch (const std::exception&) {
-    // Degradation, not error: a stored record always round-trips, so one
-    // failing block never fails the whole container.
-    out.stored = true;
-    out.record = stored_record(raw, crc);
-    return out;
-  }
-  if (deflated.size() >= raw.size() && !raw.empty()) {
-    // Incompressible: the stored form is never larger than raw + header.
-    out.stored = true;
-    out.record = stored_record(raw, crc);
-    return out;
-  }
-  out.record.reserve(kBlockHeaderSize + deflated.size());
-  append_block_header(out.record, Method::kDeflate, crc,
-                      static_cast<std::uint32_t>(raw.size()),
-                      static_cast<std::uint32_t>(deflated.size()));
-  out.record.insert(out.record.end(), deflated.begin(), deflated.end());
-  return out;
-}
-
 /// The one input splitter: part @p i of @p input cut into @p part_bytes
 /// pieces, the last one short.
 std::span<const std::uint8_t> part_of(std::span<const std::uint8_t> input,
@@ -99,18 +68,45 @@ void for_each_block(std::size_t blocks, const BlockRunner& run, RawLen raw_len, 
 
 }  // namespace
 
-BlockEncodeResult encode_block(const hw::HwConfig& cfg, std::span<const std::uint8_t> raw,
-                               hw::CycleStats* census) {
-  return make_record(raw,
-                     [&] { return deflate::deflate_fixed(hw::compress_tokens(cfg, raw, census)); });
+std::vector<core::Token> source_tokens(const TokenSource& source,
+                                       std::span<const std::uint8_t> input, std::size_t prefix,
+                                       hw::CycleStats* census, core::FinderStats* finder) {
+  if (const auto* hw_source = std::get_if<hw::HwConfig>(&source))
+    return hw::compress_tokens(*hw_source, input, census, prefix);
+  core::MatchFinderEncoder encoder(std::get<core::MatchParams>(source));
+  auto tokens = encoder.encode(input, prefix);
+  if (finder != nullptr) *finder = encoder.finder_stats();
+  return tokens;
 }
 
-BlockEncodeResult encode_block(const core::MatchParams& params,
-                               std::span<const std::uint8_t> raw) {
-  return make_record(raw, [&] {
-    core::MatchFinderEncoder encoder(params);
-    return deflate::deflate_dynamic(encoder.encode(raw));
-  });
+BlockEncodeResult encode_block(const TokenSource& source, std::span<const std::uint8_t> raw,
+                               hw::CycleStats* census) {
+  BlockEncodeResult out;
+  const std::uint32_t crc = checksum::crc32(raw);
+  std::vector<std::uint8_t> deflated;
+  try {
+    const auto tokens = source_tokens(source, raw, 0, census);
+    deflated = std::holds_alternative<hw::HwConfig>(source) ? deflate::deflate_fixed(tokens)
+                                                            : deflate::deflate_dynamic(tokens);
+  } catch (const std::exception&) {
+    // Degradation, not error: a stored record always round-trips, so one
+    // failing block never fails the whole container.
+    out.stored = true;
+    out.record = stored_record(raw, crc);
+    return out;
+  }
+  if (deflated.size() >= raw.size() && !raw.empty()) {
+    // Incompressible: the stored form is never larger than raw + header.
+    out.stored = true;
+    out.record = stored_record(raw, crc);
+    return out;
+  }
+  out.record.reserve(kBlockHeaderSize + deflated.size());
+  append_block_header(out.record, Method::kDeflate, crc,
+                      static_cast<std::uint32_t>(raw.size()),
+                      static_cast<std::uint32_t>(deflated.size()));
+  out.record.insert(out.record.end(), deflated.begin(), deflated.end());
+  return out;
 }
 
 void decode_block(const BlockView& block, std::span<std::uint8_t> out) {
@@ -155,18 +151,16 @@ std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> input,
   // One census slot per block, sized before any block runs: each block
   // writes only its own slot, whichever thread runs it.
   if (census != nullptr) census->assign(hw_source != nullptr ? blocks : 0, hw::CycleStats{});
-  const auto encode_raw = [&](std::size_t i) {
-    if (hw_source == nullptr)
-      return encode_block(std::get<core::MatchParams>(config.tokens), raw_block(i));
-    return encode_block(*hw_source, raw_block(i), census ? &(*census)[i] : nullptr);
-  };
   std::vector<std::vector<std::uint8_t>> records(blocks);
   std::atomic<std::size_t> stored_blocks{0};
   // Records land by index, so the order is deterministic whichever thread
   // ran the block.
   for_each_block(blocks, run, [&](std::size_t i) { return raw_block(i).size(); },
                  [&](std::size_t i) {
-                   auto result = encode_raw(i);
+                   auto result = encode_block(config.tokens, raw_block(i),
+                                              census != nullptr && hw_source != nullptr
+                                                  ? &(*census)[i]
+                                                  : nullptr);
                    if (result.stored) stored_blocks.fetch_add(1, std::memory_order_relaxed);
                    records[i] = std::move(result.record);
                  });
@@ -186,13 +180,15 @@ std::vector<std::uint8_t> block_compress(std::span<const std::uint8_t> input,
   return out;
 }
 
-PartsStream deflate_in_parts(const hw::HwConfig& cfg, std::span<const std::uint8_t> input,
+PartsStream deflate_in_parts(const TokenSource& source, std::span<const std::uint8_t> input,
                              const BlockRunner& run, std::vector<hw::CycleStats>* census) {
   // An empty input is still one part: its block carries the end of stream.
   const std::size_t parts = std::max<std::size_t>(1, block_count_for(input.size(), kPartBytes));
-  if (census != nullptr) census->assign(parts, hw::CycleStats{});
+  const bool hw_source = std::holds_alternative<hw::HwConfig>(source);
+  if (census != nullptr) census->assign(hw_source ? parts : 0, hw::CycleStats{});
   std::vector<std::vector<std::uint8_t>> streams(parts);
   std::vector<std::uint32_t> adlers(parts);
+  std::vector<core::FinderStats> finders(parts);
   const auto pack_part = [&](std::size_t i) {
     const std::size_t begin = i * kPartBytes;
     const std::span<const std::uint8_t> part = part_of(input, kPartBytes, i);
@@ -202,13 +198,14 @@ PartsStream deflate_in_parts(const hw::HwConfig& cfg, std::span<const std::uint8
     // The first part's buffer becomes the response: room for the zlib header.
     if (i == 0)
       for (std::size_t b = 0; b < deflate::kZlibHeaderBytes; ++b) w.put_aligned_byte(0);
-    // The engine is primed with the bytes before the part (compress_tokens
-    // keeps the last dictionary of them), so its matches reach back across
-    // the cut as one stream's would.
-    deflate::write_fixed_block(w,
-                               hw::compress_tokens(cfg, input.first(begin + part.size()),
-                                                   census ? &(*census)[i] : nullptr, begin),
-                               last);
+    // The engine is primed with the bytes before the part (the source keeps
+    // the last window of them), so its matches reach back across the cut as
+    // one stream's would.
+    deflate::write_fixed_block(
+        w,
+        source_tokens(source, input.first(begin + part.size()), begin,
+                      census != nullptr && hw_source ? &(*census)[i] : nullptr, &finders[i]),
+        last);
     if (!last) deflate::write_stored_block(w, {}, /*final_block=*/false);
     streams[i] = w.take();
   };
@@ -222,12 +219,13 @@ PartsStream deflate_in_parts(const hw::HwConfig& cfg, std::span<const std::uint8
 
   std::size_t total = deflate::kZlibTrailerBytes;
   for (const auto& s : streams) total += s.size();
-  PartsStream out{std::move(streams[0]), adlers[0]};
+  PartsStream out{std::move(streams[0]), adlers[0], finders[0]};
   out.bytes.reserve(total);
   for (std::size_t i = 1; i < parts; ++i) {
     out.bytes.insert(out.bytes.end(), streams[i].begin(), streams[i].end());
     out.adler =
         checksum::adler32_combine(out.adler, adlers[i], part_of(input, kPartBytes, i).size());
+    out.finder += finders[i];
   }
   return out;
 }

@@ -14,11 +14,15 @@
 // range overlaps, which makes the container the seekable file archive too
 // (lzsszip -f archive).
 //
-// Two token sources feed one record builder:
+// Two token sources, behind one function (source_tokens), feed the record
+// builder and the parts:
 //  * hw::HwConfig — the cycle model's tokens (its functional twin, or the
-//    model itself for a census), fixed Huffman: what COMPRESS_BLOCKED serves.
-//  * core::MatchParams — MatchFinderEncoder tokens, dynamic Huffman: the
-//    file archive's ratio.
+//    model itself for a census), fixed Huffman in LZBC: what
+//    COMPRESS_BLOCKED serves.
+//  * core::MatchParams — MatchFinderEncoder tokens, dynamic Huffman in
+//    LZBC: the file archive's ratio.
+// deflate_in_parts packs either source's parts as fixed-Huffman blocks,
+// which is COMPRESS's format.
 //
 // Per-block guarantees:
 //  * encode_block never fails: when the match path throws, or Deflate would
@@ -40,13 +44,28 @@
 #include "container/format.hpp"
 #include "hw/config.hpp"
 #include "hw/cycle_stats.hpp"
+#include "lzss/match_finder.hpp"
 #include "lzss/params.hpp"
+#include "lzss/token.hpp"
 
 namespace lzss::container {
 
-/// Where a block's tokens come from; the alternative also picks the Huffman
-/// kind (hw: fixed, software: dynamic).
+/// Where a block's or a part's tokens come from; in an LZBC record the
+/// alternative also picks the Huffman kind (hw: fixed, software: dynamic).
 using TokenSource = std::variant<hw::HwConfig, core::MatchParams>;
+
+/// The tokens of @p input after its first @p prefix bytes, primed with that
+/// prefix: hw::compress_tokens for the hw source (the cycle model with a
+/// non-null @p census, which it fills; the functional twin otherwise),
+/// MatchFinderEncoder::encode for the software one, whose finder census
+/// lands in a non-null *@p finder. Each source keeps only the window of the
+/// prefix its matches can reach. A prefix longer than @p input throws
+/// std::invalid_argument.
+[[nodiscard]] std::vector<core::Token> source_tokens(const TokenSource& source,
+                                                     std::span<const std::uint8_t> input,
+                                                     std::size_t prefix = 0,
+                                                     hw::CycleStats* census = nullptr,
+                                                     core::FinderStats* finder = nullptr);
 
 struct BlockCodecConfig {
   std::size_t block_bytes = 256 * 1024;  ///< split size before the dict clamp
@@ -66,18 +85,14 @@ struct BlockEncodeResult {
 };
 
 /// Compresses one raw block into a full LZBC block record from
-/// hw::compress_tokens(@p cfg, @p raw, @p census): the functional twin with
-/// a null @p census, the cycle model otherwise. Both give the same record.
-/// *@p census is written only when the model run completes; a block whose
-/// model run threw falls back to stored and leaves it as it was.
-[[nodiscard]] BlockEncodeResult encode_block(const hw::HwConfig& cfg,
+/// source_tokens(@p source, @p raw, 0, @p census), packed with the source's
+/// Huffman kind. For the hw source a non-null @p census runs the cycle model,
+/// which gives the same record as the twin; *@p census is written only when
+/// the model run completes, and a block whose model run threw falls back to
+/// stored and leaves it as it was.
+[[nodiscard]] BlockEncodeResult encode_block(const TokenSource& source,
                                              std::span<const std::uint8_t> raw,
                                              hw::CycleStats* census = nullptr);
-
-/// Compresses one raw block into a full LZBC block record from
-/// MatchFinderEncoder tokens under @p params, packed with dynamic Huffman.
-[[nodiscard]] BlockEncodeResult encode_block(const core::MatchParams& params,
-                                             std::span<const std::uint8_t> raw);
 
 /// Decodes one parsed block into @p out, which must be exactly raw_len
 /// bytes (the caller carves it out of the preallocated output at
@@ -125,14 +140,16 @@ struct PartsStream {
   /// what deflate::zlib_wrap_in_place completes without a copy.
   std::vector<std::uint8_t> bytes;
   std::uint32_t adler = 1;  ///< Adler-32 of the input, combined from the parts'
+  core::FinderStats finder{};  ///< a software source's census summed over the parts (hw: zero)
 };
 
 /// One raw Deflate stream for @p input, built from parts of kPartBytes
-/// matched independently: hw::compress_tokens on each part through @p run
-/// (run_local when empty), each part packed as one fixed-Huffman block.
-/// Every part after the first is primed with the dictionary before it (the
-/// prefix of compress_tokens), so its matches reach back across the cut and
-/// the parts cost about what one stream does (docs/MATCHFINDER.md). Every
+/// matched independently: source_tokens on each part through @p run
+/// (run_local when empty), each part packed as one fixed-Huffman block,
+/// whichever the source. Every part after the first is primed with the
+/// window before it (the prefix of source_tokens), so its matches reach back
+/// across the cut and the parts cost about what one stream does
+/// (docs/MATCHFINDER.md). Every
 /// non-final part ends with an empty stored block (zlib's Z_SYNC_FLUSH, as
 /// pigz uses it), which byte-aligns it, so the parts join byte-wise; the
 /// last block is final. Each part also computes the Adler-32 of its own
@@ -140,11 +157,12 @@ struct PartsStream {
 /// part (empty included) is one block, deflate_fixed of its tokens, run on
 /// the calling thread.
 ///
-/// A non-null @p census runs every part on the cycle model and resizes
-/// *@p census to one entry per part, in part order. The bytes are the same
-/// with or without a census. A part that throws makes the call throw, the
+/// A non-null @p census with the hw source runs every part on the cycle
+/// model and resizes *@p census to one entry per part, in part order; with
+/// the software source *@p census is cleared. The bytes are the same with or
+/// without a census. A part that throws makes the call throw, the
 /// lowest-index failure first.
-[[nodiscard]] PartsStream deflate_in_parts(const hw::HwConfig& cfg,
+[[nodiscard]] PartsStream deflate_in_parts(const TokenSource& source,
                                            std::span<const std::uint8_t> input,
                                            const BlockRunner& run,
                                            std::vector<hw::CycleStats>* census);

@@ -60,6 +60,14 @@ struct FinderStats {
   std::uint64_t insertions = 0;     ///< positions indexed (one hash each)
   std::uint64_t probes = 0;         ///< candidate positions examined
   std::uint64_t compare_bytes = 0;  ///< bytes run through the comparer
+
+  FinderStats& operator+=(const FinderStats& other) noexcept {
+    seeds += other.seeds;
+    insertions += other.insertions;
+    probes += other.probes;
+    compare_bytes += other.compare_bytes;
+    return *this;
+  }
 };
 
 /// Which data structure a traced memory reference touched.

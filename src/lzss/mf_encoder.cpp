@@ -1,6 +1,7 @@
 #include "lzss/mf_encoder.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace lzss::core {
 namespace {
@@ -13,16 +14,26 @@ constexpr std::uint32_t kTooFar = 4096;
 MatchFinderEncoder::MatchFinderEncoder(MatchParams params)
     : params_(params), finder_(make_match_finder(params.finder, params)) {}
 
-std::vector<Token> MatchFinderEncoder::encode(std::span<const std::uint8_t> input) {
+std::vector<Token> MatchFinderEncoder::encode(std::span<const std::uint8_t> input,
+                                              std::size_t prefix) {
+  if (prefix > input.size())
+    throw std::invalid_argument("MatchFinderEncoder::encode: prefix longer than the input");
+  // No match reaches further back than max_distance(), so the window starts
+  // there: the prefix is clipped as deflateSetDictionary clips a dictionary.
+  const std::size_t clip = prefix - std::min<std::size_t>(prefix, params_.max_distance());
+  input = input.subspan(clip);
+  prefix -= clip;
+
   const FinderStats before = finder_->stats();
   stats_ = EncodeStats{};
   finder_->seed(input);
+  for (std::uint64_t k = 0; k < prefix && k + kMinMatch <= input.size(); ++k) finder_->insert(k);
   std::vector<Token> out;
-  out.reserve(input.size() / 3 + 16);
+  out.reserve((input.size() - prefix) / 3 + 16);
   if (params_.strategy == Strategy::kFast) {
-    parse_fast(input, out);
+    parse_fast(input, prefix, out);
   } else {
-    parse_slow(input, out);
+    parse_slow(input, prefix, out);
   }
   const FinderStats& after = finder_->stats();
   stats_.insertions = after.insertions - before.insertions;
@@ -32,8 +43,8 @@ std::vector<Token> MatchFinderEncoder::encode(std::span<const std::uint8_t> inpu
   return out;
 }
 
-void MatchFinderEncoder::parse_fast(std::span<const std::uint8_t> in, std::vector<Token>& out) {
-  std::uint64_t pos = 0;
+void MatchFinderEncoder::parse_fast(std::span<const std::uint8_t> in, std::uint64_t pos,
+                                    std::vector<Token>& out) {
   while (pos < in.size()) {
     MatchCandidate m{};
     if (pos + kMinMatch <= in.size()) {
@@ -54,8 +65,8 @@ void MatchFinderEncoder::parse_fast(std::span<const std::uint8_t> in, std::vecto
   }
 }
 
-void MatchFinderEncoder::parse_slow(std::span<const std::uint8_t> in, std::vector<Token>& out) {
-  std::uint64_t pos = 0;
+void MatchFinderEncoder::parse_slow(std::span<const std::uint8_t> in, std::uint64_t pos,
+                                    std::vector<Token>& out) {
   bool match_available = false;  // a literal at pos-1 is pending
   MatchCandidate prev_match{};   // match found at pos-1
 

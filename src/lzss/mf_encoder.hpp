@@ -40,7 +40,17 @@ class MatchFinderEncoder {
   explicit MatchFinderEncoder(MatchParams params);
 
   /// Compresses @p input into a token stream. Resets stats() first.
-  [[nodiscard]] std::vector<Token> encode(std::span<const std::uint8_t> input);
+  ///
+  /// A nonzero @p prefix primes the finder the way zlib's
+  /// deflateSetDictionary does: the first @p prefix bytes of @p input are
+  /// the bytes just before the data to compress, and only the rest gets
+  /// tokens. The finder is seeded with the input from the last
+  /// max_distance() bytes of the prefix on, and each of those positions that
+  /// has 3 bytes to hash is inserted, so matches may reach back into the
+  /// prefix, never beyond max_distance(). The census counts those
+  /// insertions. A prefix longer than @p input throws std::invalid_argument.
+  [[nodiscard]] std::vector<Token> encode(std::span<const std::uint8_t> input,
+                                          std::size_t prefix = 0);
 
   [[nodiscard]] MatchFinderKind kind() const noexcept { return params_.finder; }
   /// Census of the last encode().
@@ -56,8 +66,8 @@ class MatchFinderEncoder {
   }
 
  private:
-  void parse_fast(std::span<const std::uint8_t> in, std::vector<Token>& out);
-  void parse_slow(std::span<const std::uint8_t> in, std::vector<Token>& out);
+  void parse_fast(std::span<const std::uint8_t> in, std::uint64_t pos, std::vector<Token>& out);
+  void parse_slow(std::span<const std::uint8_t> in, std::uint64_t pos, std::vector<Token>& out);
 
   MatchParams params_;
   std::unique_ptr<MatchFinder> finder_;

@@ -22,9 +22,7 @@
 #include "deflate/inflate.hpp"
 #include "estimator/presets.hpp"
 #include "fault/fault.hpp"
-#include "hw/functional.hpp"
 #include "hw/metrics.hpp"
-#include "lzss/mf_encoder.hpp"
 #include "lzss/raw_container.hpp"
 #include "obs/event_log.hpp"
 #include "obs/metrics.hpp"
@@ -69,21 +67,6 @@ Status decode_failure_status() noexcept {
   }
 }
 
-/// The software encoder mirrors the hw model's knobs: same window, hash
-/// spec, chain bound and insert policy, so backend choice changes search
-/// strategy, never the dialect of the token stream.
-core::MatchParams sw_params_for(const hw::HwConfig& cfg,
-                                core::MatchFinderKind kind) noexcept {
-  core::MatchParams p;
-  p.window_bits = cfg.dict_bits;
-  p.hash = cfg.hash;
-  p.max_chain = cfg.max_chain;
-  p.nice_length = cfg.nice_length;
-  p.max_lazy = cfg.max_insert;
-  p.finder = kind;
-  return p;
-}
-
 /// The graceful-degradation payload: a container that carries @p input
 /// without compression but still round-trips through the normal DECOMPRESS
 /// path. zlib flavour = stored (BTYPE=00) blocks; raw flavour = an
@@ -114,6 +97,21 @@ unsigned default_workers() noexcept {
   return std::max(2u, std::thread::hardware_concurrency());
 }
 
+std::optional<container::TokenSource> match_source(MatchBackend backend,
+                                                   const hw::HwConfig& cfg) {
+  if (backend == MatchBackend::kHw) return cfg;
+  if (backend != MatchBackend::kHashChain && backend != MatchBackend::kGreedy) return std::nullopt;
+  core::MatchParams p;
+  p.window_bits = cfg.dict_bits;
+  p.hash = cfg.hash;
+  p.max_chain = cfg.max_chain;
+  p.nice_length = cfg.nice_length;
+  p.max_lazy = cfg.max_insert;
+  p.finder = backend == MatchBackend::kGreedy ? core::MatchFinderKind::kGreedy
+                                              : core::MatchFinderKind::kHashChain;
+  return p;
+}
+
 void ServiceConfig::validate() const {
   if (workers == 0) throw std::invalid_argument("ServiceConfig: zero workers");
   if (queue_depth == 0) throw std::invalid_argument("ServiceConfig: zero queue depth");
@@ -122,14 +120,8 @@ void ServiceConfig::validate() const {
     throw std::invalid_argument("ServiceConfig: block_bytes exceeds the protocol cap");
   if (max_payload > kMaxPayload)
     throw std::invalid_argument("ServiceConfig: max_payload exceeds the protocol cap");
-  switch (match_backend) {
-    case MatchBackend::kHw:
-    case MatchBackend::kHashChain:
-    case MatchBackend::kGreedy:
-      break;
-    default:
-      throw std::invalid_argument("ServiceConfig: unknown match_backend");
-  }
+  if (!match_source(match_backend, hw))
+    throw std::invalid_argument("ServiceConfig: unknown match_backend");
   hw.validate();
 }
 
@@ -773,60 +765,42 @@ ResponseFrame Service::do_compress(const RequestFrame& request, const hw::HwConf
   // Resolve the match source: flags bits 3..5 pin a backend per request;
   // selector 0 takes the service's configured one (docs/MATCHFINDER.md).
   const std::uint8_t selector = matchfinder_of_flags(request.flags);
-  bool use_sw = true;
-  core::MatchFinderKind kind = core::MatchFinderKind::kHashChain;
-  switch (selector == kMatchFinderPolicy ? cfg_.match_backend
-                                         : static_cast<MatchBackend>(selector)) {
-    case MatchBackend::kHw:
-      use_sw = false;
-      break;
-    case MatchBackend::kHashChain:
-      break;
-    case MatchBackend::kGreedy:
-      kind = core::MatchFinderKind::kGreedy;
-      break;
-    default:
-      resp.adler = checksum::adler32(input);
-      resp.status = Status::kUnsupported;
-      return resp;
+  const auto source = match_source(
+      selector == kMatchFinderPolicy ? cfg_.match_backend : static_cast<MatchBackend>(selector),
+      cfg);
+  if (!source) {
+    resp.adler = checksum::adler32(input);
+    resp.status = Status::kUnsupported;
+    return resp;
   }
+  const auto* sw = std::get_if<core::MatchParams>(&*source);
 
-  // hw-backend requests take the functional twin's tokens; a census sample
-  // runs the cycle model instead, for the same tokens plus its cycle census.
-  // An hw zlib response is one stream of parts, each primed with the window
-  // before it (container::deflate_in_parts), which fan across the pool
-  // through run_blocks like COMPRESS_BLOCKED's blocks, with one census per
-  // part. Each part checksums its own slice, so the payload is not hashed
-  // on this thread before the fan-out.
-  const bool sampled = !use_sw && census_due();
+  // The hw backend takes the functional twin's tokens; a census sample runs
+  // the cycle model instead, for the same tokens plus its cycle census. A
+  // zlib response of any backend is one stream of parts, each primed with
+  // the window before it (container::deflate_in_parts), which fan across
+  // the pool through run_blocks like COMPRESS_BLOCKED's blocks, with one
+  // census per hw part. Each part checksums its own slice, so the payload is
+  // not hashed on this thread before the fan-out. Raw LZS1 holds one token
+  // stream, so it is matched in one piece.
+  const bool sampled = sw == nullptr && census_due();
   std::vector<hw::CycleStats> census(sampled ? 1 : 0);
+  core::FinderStats finder;
   try {
     fault::point("server.worker.compress");
-    if (!use_sw && !raw) {
+    if (raw) {
+      resp.adler = checksum::adler32(input);
+      resp.payload = core::raw_container_pack(
+          container::source_tokens(*source, input, 0, sampled ? census.data() : nullptr, &finder),
+          cfg.dict_bits, input.size());
+    } else {
       const container::BlockRunner run =
           std::bind_front(&Service::run_blocks, this, BlockOp::kCompress);
-      auto parts = container::deflate_in_parts(cfg, input, run, sampled ? &census : nullptr);
+      auto parts = container::deflate_in_parts(*source, input, run, sampled ? &census : nullptr);
+      finder = parts.finder;
       resp.adler = parts.adler;
       resp.payload = deflate::zlib_wrap_in_place(std::move(parts.bytes), parts.adler,
                                                  container_window_bits(cfg));
-    } else {
-      resp.adler = checksum::adler32(input);
-      std::vector<core::Token> tokens;
-      if (use_sw) {
-        core::MatchFinderEncoder encoder(sw_params_for(cfg, kind));
-        tokens = encoder.encode(input);
-        const core::FinderStats& fs = encoder.finder_stats();
-        const FinderInstruments& fm = mf_[static_cast<std::size_t>(kind)];
-        fm.requests->add(1);
-        fm.bytes_in->add(input.size());
-        fm.probes->add(fs.probes);
-        fm.compare_bytes->add(fs.compare_bytes);
-      } else {
-        tokens = hw::compress_tokens(cfg, input, sampled ? census.data() : nullptr);
-      }
-      resp.payload = raw ? core::raw_container_pack(tokens, cfg.dict_bits, input.size())
-                         : deflate::zlib_wrap(deflate::deflate_fixed(tokens), resp.adler,
-                                              container_window_bits(cfg));
     }
   } catch (const std::exception&) {
     // Graceful degradation: the match path failed, but a stored container
@@ -839,9 +813,16 @@ ResponseFrame Service::do_compress(const RequestFrame& request, const hw::HwConf
   }
   // A sampled model run completed: fold its per-FSM-state cycle census (the
   // paper's fig. 5 categories) into the registry, once per part. The twin
-  // and the software backends have no cycles; the latter count in the
-  // matchfinder_* counters.
+  // has no cycles; a software backend counts in the matchfinder_* counters,
+  // its probes summed over the parts.
   for (const hw::CycleStats& part : census) hw::export_cycle_stats(*registry_, part);
+  if (sw != nullptr) {
+    const FinderInstruments& fm = mf_[static_cast<std::size_t>(sw->finder)];
+    fm.requests->add(1);
+    fm.bytes_in->add(input.size());
+    fm.probes->add(finder.probes);
+    fm.compare_bytes->add(finder.compare_bytes);
+  }
 
   // Ratio guard: a payload larger than its input degrades to the stored form
   // when that is actually smaller (GPULZ-style fallback).

@@ -9,13 +9,15 @@
 // Dispatch policy: PING and STATS are control-plane and answered inline (they
 // never queue, never see BUSY). COMPRESS and DECOMPRESS are data-plane and go
 // through the queue to a worker. The hw backend serves the cycle model's
-// tokens from its untimed functional twin (hw/functional.hpp). An hw zlib
-// COMPRESS is one stream of 16 KiB parts, each matched on its own engine
-// primed with the window before it and packed as one fixed-Huffman block
-// (the codec's deflate_in_parts); a raw LZS1 COMPRESS is one token stream. The first hw-backend COMPRESS / COMPRESS_BLOCKED and every
-// 64th after it run the cycle model itself — hw::compress_tokens with a
-// census for that request's configuration (one run per part or block) —
-// and export the census; the response bytes are the same either way.
+// tokens from its untimed functional twin (hw/functional.hpp). A zlib
+// COMPRESS is one stream of 16 KiB parts whatever the backend, each matched
+// on its own engine or finder primed with the window before it and packed
+// as one fixed-Huffman block (the codec's deflate_in_parts); a raw LZS1
+// COMPRESS is one token stream. The first hw-backend COMPRESS /
+// COMPRESS_BLOCKED and every 64th after it run the cycle model itself —
+// hw::compress_tokens with a census for that request's configuration (one
+// run per part or block) — and export the census; the response bytes are
+// the same either way.
 // COMPRESS_BLOCKED builds an LZBC block container with the codec's
 // block_compress (container/codec.hpp), and DECOMPRESS sniffs the LZBC magic
 // and inverts blocked containers with block_decompress. The service hands
@@ -63,6 +65,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -89,6 +92,14 @@ namespace lzss::server {
 /// The default worker count: max(2, std::thread::hardware_concurrency()).
 /// Only the pool's width follows the host; no response byte does.
 [[nodiscard]] unsigned default_workers() noexcept;
+
+/// The token source a COMPRESS under @p cfg runs on @p backend: @p cfg itself
+/// for the hw backend; for a software finder, MatchParams that mirror the hw
+/// model's window, hash spec, chain bound and insert policy, so the backend
+/// changes the search strategy, never the dialect of the token stream.
+/// nullopt for a value that names no backend.
+[[nodiscard]] std::optional<container::TokenSource> match_source(MatchBackend backend,
+                                                                 const hw::HwConfig& cfg);
 
 struct ServiceConfig {
   unsigned workers = default_workers();  ///< data-plane worker threads

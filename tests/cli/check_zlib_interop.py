@@ -7,10 +7,11 @@ independent referee:
   1. our lzsszip output (zlib and gzip containers, fixed and dynamic
      Huffman, software and hardware paths) must decompress with zlib;
   2. stock zlib output must decompress with our lzsszip;
-  3. a COMPRESS served by lzssd on the hw backend, large enough to be
-     matched as several parts primed with the window before them, must
-     decompress with zlib, on the speed and ratio presets, and must be the
-     same bytes on one engine as on the default width.
+  3. a COMPRESS served by lzssd on each backend (hw, hashchain, greedy),
+     large enough to be matched as several parts primed with the window
+     before them, must decompress with zlib, on the speed and ratio
+     presets, and must be the same bytes on one engine as on the default
+     width.
 
 Usage: check_zlib_interop.py <build_dir>
 """
@@ -34,12 +35,12 @@ def run(*args):
     subprocess.run(args, check=True, stdout=subprocess.DEVNULL)
 
 
-def served_hw_compress(work, requests, engines=None):
-    """Sends each (src, preset id) of requests through a live lzssd's hw
-    COMPRESS, on --engines engines or the default width; returns the
-    responses."""
+def served_compress(work, requests, backend, engines=None):
+    """Sends each (src, preset id) of requests through a live lzssd's
+    COMPRESS on the backend match source (hw, hashchain or greedy), on
+    --engines engines or the default width; returns the responses."""
     log_path = os.path.join(work, "lzssd.log")
-    args = [lzssd, "--port", "0", "--matchfinder", "hw"]
+    args = [lzssd, "--port", "0", "--matchfinder", backend]
     if engines is not None:
         args += ["--engines", str(engines)]
     with open(log_path, "wb") as log:
@@ -58,7 +59,7 @@ def served_hw_compress(work, requests, engines=None):
         responses = []
         for src, preset in requests:
             out = os.path.join(work, "served.zz")
-            run(lzss_client, "--port", port, "--matchfinder", "hw", "--preset", str(preset),
+            run(lzss_client, "--port", port, "--matchfinder", backend, "--preset", str(preset),
                 "compress", src, "-o", out)
             with open(out, "rb") as f:
                 responses.append(f.read())
@@ -114,21 +115,25 @@ def main():
         with open(back, "rb") as f:
             assert f.read() == payload, "our inflate rejects stock gzip"
 
-        # 3. served hw COMPRESS -> stock zlib: the speed preset (parts primed
-        # with its 4 KiB window) and a 96 KiB ratio request (preset 3, parts
-        # primed with 32 KiB), on one engine and on the default width.
+        # 3. served COMPRESS -> stock zlib, on every backend: the speed
+        # preset (parts primed with its 4 KiB window) and a 96 KiB ratio
+        # request (preset 3, parts primed with 32 KiB), on one engine and on
+        # the default width.
         ratio_src = os.path.join(work, "input96")
         ratio_payload = payload[:96 * 1024]
         with open(ratio_src, "wb") as f:
             f.write(ratio_payload)
         requests = [(src, 0), (ratio_src, 3)]
-        narrow = served_hw_compress(work, requests, engines=1)
-        wide = served_hw_compress(work, requests)
-        assert narrow == wide, "the served bytes depend on the worker count"
-        for served, expected in zip(wide, (payload, ratio_payload)):
-            # The empty stored block that joins two parts: LEN 0000, NLEN FFFF.
-            assert b"\x00\x00\xff\xff" in served, "the served stream has a single part"
-            assert zlib.decompress(served) == expected, "zlib rejects a served hw COMPRESS"
+        for backend in ("hw", "hashchain", "greedy"):
+            narrow = served_compress(work, requests, backend, engines=1)
+            wide = served_compress(work, requests, backend)
+            assert narrow == wide, f"the served {backend} bytes depend on the worker count"
+            for served, expected in zip(wide, (payload, ratio_payload)):
+                # The empty stored block that joins two parts: LEN 0000, NLEN FFFF.
+                assert b"\x00\x00\xff\xff" in served, \
+                    f"the served {backend} stream has a single part"
+                assert zlib.decompress(served) == expected, \
+                    f"zlib rejects a served {backend} COMPRESS"
 
     print("zlib interop: all directions verified")
 

@@ -97,11 +97,17 @@ python3 -m json.tool "$WORK/stats.json" > /dev/null \
   || fail "STATS payload is not strict JSON"
 
 # --- (e) SIGUSR1 dumps telemetry from the live daemon -----------------------
+# lzssd prints the Prometheus text first, then writes the trace file and
+# logs "trace: ... written to <path>" only after fclose. Until that line, the
+# file may hold only the blocks stdio has flushed so far, and the dump on
+# stdout may be partial too, so nothing is checked before it.
 kill -USR1 "$DAEMON_PID"
-for _ in $(seq 1 50); do
-  [ -s "$WORK/trace_dump.jsonl" ] && break
+for _ in $(seq 1 100); do
+  grep -q "^trace: .* written to $WORK/trace_dump.jsonl" "$WORK/lzssd.log" && break
   sleep 0.1
 done
+grep -q "^trace: .* written to $WORK/trace_dump.jsonl" "$WORK/lzssd.log" \
+  || fail "SIGUSR1 never reported its trace JSONL written"
 [ -s "$WORK/trace_dump.jsonl" ] || fail "SIGUSR1 produced no trace JSONL"
 grep -q "$TRACE_ID" "$WORK/trace_dump.jsonl" \
   || fail "SIGUSR1 trace dump is missing the traced request"

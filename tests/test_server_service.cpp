@@ -28,6 +28,7 @@
 #include "fault/fault.hpp"
 #include "hw/compressor.hpp"
 #include "hw/functional.hpp"
+#include "lzss/mf_encoder.hpp"
 #include "lzss/raw_container.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -124,7 +125,7 @@ std::vector<std::uint8_t> hw_zlib_bytes(std::span<const std::uint8_t> data) {
                             checksum::adler32(data), 12);
 }
 
-/// A multi-part hw zlib response built by hand: @p data cut into @p part-byte
+/// A multi-part zlib response built by hand: @p data cut into @p part-byte
 /// pieces, each piece's @p tokens_of(data up to the piece's end, the piece's
 /// offset) tokens as one fixed-Huffman block, and every non-final block
 /// followed by an empty stored block (zlib's sync flush), all in one bit
@@ -144,40 +145,84 @@ std::vector<std::uint8_t> hw_part_bytes(std::span<const std::uint8_t> data, std:
   return deflate::zlib_wrap(w.take(), checksum::adler32(data), window_bits);
 }
 
-TEST(ServerService, HwCompressIsOneFixedBlockPerPart) {
-  // Parts are 16 KiB on every preset, each primed with the window before it.
+constexpr MatchBackend kAllBackends[] = {MatchBackend::kHw, MatchBackend::kHashChain,
+                                         MatchBackend::kGreedy};
+
+/// The flags that pin @p backend on a COMPRESS.
+std::uint16_t pinned(MatchBackend backend, std::uint16_t flags = 0) {
+  return flags_with_matchfinder(flags, static_cast<std::uint8_t>(backend));
+}
+
+TEST(ServerService, CompressIsOneFixedBlockPerPart) {
+  // Parts are 16 KiB on every preset and every backend, each primed with the
+  // window before it.
   constexpr std::size_t kPart = container::kPartBytes;
   static_assert(kPart == 16 * 1024);
   const hw::HwConfig hw = ServiceConfig{}.hw;
   const auto corpus = wl::make_corpus("wiki", 320 * 1024);
-  for (const std::size_t size :
-       {kPart - 1, kPart, kPart + 1, 2 * kPart, 2 * kPart + 1, corpus.size()}) {
-    const std::span<const std::uint8_t> data(corpus.data(), size);
-    const auto expected =
-        hw_part_bytes(data, kPart, 12, [&](std::span<const std::uint8_t> window, std::size_t prefix) {
-          return hw::compress_tokens(hw, window, nullptr, prefix);
-        });
-    // One part is today's single block, byte for byte.
-    if (size <= kPart) {
-      EXPECT_EQ(expected, hw_zlib_bytes(data)) << size;
-    }
+  for (const MatchBackend backend : kAllBackends) {
+    const container::TokenSource source = *match_source(backend, hw);
+    const bool sw = backend != MatchBackend::kHw;
+    const std::string name = match_backend_name(backend);
+    for (const std::size_t size :
+         {kPart - 1, kPart, kPart + 1, 2 * kPart, 2 * kPart + 1, corpus.size()}) {
+      const std::string where = name + " " + std::to_string(size);
+      const std::span<const std::uint8_t> data(corpus.data(), size);
+      core::FinderStats finder;
+      const auto expected = hw_part_bytes(
+          data, kPart, 12, [&](std::span<const std::uint8_t> window, std::size_t prefix) {
+            core::FinderStats part;
+            auto tokens = container::source_tokens(source, window, prefix, nullptr, &part);
+            finder += part;
+            return tokens;
+          });
+      const auto one_stream_tokens =
+          sw ? core::MatchFinderEncoder(std::get<core::MatchParams>(source)).encode(data)
+             : hw::compress_tokens(hw, data);
+      const auto one_stream = deflate::zlib_wrap(deflate::deflate_fixed(one_stream_tokens),
+                                                 checksum::adler32(data), 12);
+      // Primed parts cost about what one stream does (unprimed parts of this
+      // wiki cost 1-2.4% more); one part is that stream, byte for byte.
+      EXPECT_LE(static_cast<double>(expected.size()),
+                1.005 * static_cast<double>(one_stream.size()))
+          << where;
+      if (size <= kPart) {
+        EXPECT_EQ(expected, one_stream) << where;
+      }
 
-    Service service(small_config());  // fresh: its first hw request is the census sample
-    LoopbackClient client(service);
-    const std::vector<std::uint8_t> payload(data.begin(), data.end());
-    const auto sampled = client.call(compress_request(1, payload));
-    const auto twin = client.call(compress_request(2, payload));
-    ASSERT_EQ(sampled.status, Status::kOk) << size;
-    ASSERT_EQ(twin.status, Status::kOk) << size;
-    EXPECT_EQ(sampled.payload, expected) << size;
-    EXPECT_EQ(twin.payload, expected) << size;
-    EXPECT_EQ(deflate::zlib_decompress(twin.payload), payload) << size;
-    // A multi-part request's parts count as compress blocks; one part never
-    // reaches the fan-out.
-    const std::size_t parts = container::block_count_for(size, kPart);
-    EXPECT_EQ(counter_value(service, "container_blocks_total", {{"op", "compress"}}),
-              parts == 1 ? 0u : 2 * parts)
-        << size;
+      Service service(small_config());  // fresh: its first hw request is the census sample
+      LoopbackClient client(service);
+      const std::vector<std::uint8_t> payload(data.begin(), data.end());
+      const auto first = client.call(compress_request(1, payload, pinned(backend)));
+      const auto second = client.call(compress_request(2, payload, pinned(backend)));
+      ASSERT_EQ(first.status, Status::kOk) << where;
+      ASSERT_EQ(second.status, Status::kOk) << where;
+      EXPECT_EQ(first.payload, expected) << where;
+      EXPECT_EQ(second.payload, expected) << where;
+      EXPECT_EQ(deflate::zlib_decompress(second.payload), payload) << where;
+      // A multi-part request's parts count as compress blocks; one part never
+      // reaches the fan-out.
+      const std::size_t parts = container::block_count_for(size, kPart);
+      EXPECT_EQ(counter_value(service, "container_blocks_total", {{"op", "compress"}}),
+                parts == 1 ? 0u : 2 * parts)
+          << where;
+      // A software finder counts each request once and its whole payload;
+      // its probes and compared bytes sum over the parts.
+      const obs::Labels label{{"backend", sw ? name : "hashchain"}};
+      EXPECT_EQ(counter_value(service, "matchfinder_requests_total", label), sw ? 2u : 0u)
+          << where;
+      EXPECT_EQ(counter_value(service, "matchfinder_bytes_in_total", label), sw ? 2 * size : 0u)
+          << where;
+      EXPECT_EQ(counter_value(service, "matchfinder_probes_total", label),
+                sw ? 2 * finder.probes : 0u)
+          << where;
+      EXPECT_EQ(counter_value(service, "matchfinder_compare_bytes_total", label),
+                sw ? 2 * finder.compare_bytes : 0u)
+          << where;
+      if (sw) {
+        EXPECT_GT(finder.probes, 0u) << where;
+      }
+    }
   }
 }
 
@@ -1358,31 +1403,36 @@ TEST(ServerService, DefaultWorkersFollowTheHost) {
   EXPECT_EQ(ServiceConfig{}.workers, default_workers());
 }
 
-TEST(ServerService, HwCompressBytesDoNotDependOnTheWorkerCount) {
+TEST(ServerService, CompressBytesDoNotDependOnTheWorkerCount) {
   // The part size is a constant, so the pool's width moves only where the
   // parts run: 1, 2, 4 and 7 workers, and the codec's local runner, give
-  // the same bytes, for the census sample and the twin alike.
+  // the same bytes on every backend, for the census sample and the twin
+  // alike.
   const auto wiki = wl::make_corpus("wiki", 1024 * 1024, 9);
-  for (const std::uint8_t preset : {std::uint8_t{1}, std::uint8_t{3}}) {
-    const hw::HwConfig hw = blocked_hw(preset);
-    for (const std::size_t size : {std::size_t{64} * 1024, wiki.size()}) {
-      const std::vector<std::uint8_t> data(wiki.begin(), wiki.begin() + static_cast<std::ptrdiff_t>(size));
-      auto parts = container::deflate_in_parts(hw, data, {}, nullptr);
-      const auto expected = deflate::zlib_wrap_in_place(std::move(parts.bytes), parts.adler,
-                                                        hw.dict_bits);
-      ASSERT_EQ(deflate::zlib_decompress(expected), data);
-      for (const unsigned workers : {1u, 2u, 4u, 7u}) {
-        ServiceConfig cfg = small_config();
-        cfg.workers = workers;
-        Service service(cfg);  // fresh: its first hw request is the census sample
-        LoopbackClient client(service);
-        for (std::uint64_t id : {1u, 2u}) {
-          const auto resp = client.call(compress_request(id, data, flags_with_preset(0, preset)));
-          ASSERT_EQ(resp.status, Status::kOk);
-          EXPECT_EQ(resp.payload, expected)
-              << "preset " << int{preset} << " size " << size << " workers " << workers
-              << " request " << id;
-          EXPECT_EQ(resp.adler, checksum::adler32(data));
+  for (const MatchBackend backend : kAllBackends) {
+    for (const std::uint8_t preset : {std::uint8_t{1}, std::uint8_t{3}}) {
+      const hw::HwConfig hw = blocked_hw(preset);
+      for (const std::size_t size : {std::size_t{64} * 1024, wiki.size()}) {
+        const std::vector<std::uint8_t> data(wiki.begin(),
+                                             wiki.begin() + static_cast<std::ptrdiff_t>(size));
+        auto parts = container::deflate_in_parts(*match_source(backend, hw), data, {}, nullptr);
+        const auto expected = deflate::zlib_wrap_in_place(std::move(parts.bytes), parts.adler,
+                                                          hw.dict_bits);
+        ASSERT_EQ(deflate::zlib_decompress(expected), data);
+        for (const unsigned workers : {1u, 2u, 4u, 7u}) {
+          ServiceConfig cfg = small_config();
+          cfg.workers = workers;
+          Service service(cfg);  // fresh: its first hw request is the census sample
+          LoopbackClient client(service);
+          for (std::uint64_t id : {1u, 2u}) {
+            const auto resp = client.call(
+                compress_request(id, data, pinned(backend, flags_with_preset(0, preset))));
+            ASSERT_EQ(resp.status, Status::kOk);
+            EXPECT_EQ(resp.payload, expected)
+                << match_backend_name(backend) << " preset " << int{preset} << " size " << size
+                << " workers " << workers << " request " << id;
+            EXPECT_EQ(resp.adler, checksum::adler32(data));
+          }
         }
       }
     }

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/prng.hpp"
 #include "hw/compressor.hpp"
@@ -191,6 +194,98 @@ TEST(SoftwareEncoder, TooFarMinimalMatchesRejectedInSlowMode) {
     }
   }
   EXPECT_TRUE(tokens_reproduce(tokens, data));
+}
+
+// --- Priming: a part encoded after the bytes before it -------------------
+
+/// Prefix lengths around the window: none, 1 and 2 (too short to hash
+/// alone), one short of max_distance(), all of it, and past it (clipped).
+std::vector<std::size_t> prefix_lengths(const MatchParams& p) {
+  const std::size_t n = p.max_distance();
+  return {0, 1, 2, n - 1, n, n + 1, 2 * n + 5};
+}
+
+/// Both finders under the fast (level 1) and the lazy (level 6) parse.
+std::vector<MatchParams> finder_parses() {
+  std::vector<MatchParams> out;
+  for (const MatchFinderKind kind : {MatchFinderKind::kHashChain, MatchFinderKind::kGreedy}) {
+    for (const int level : {1, 6}) {
+      MatchParams p = MatchParams::speed_optimized().with_level(level);
+      p.finder = kind;
+      out.push_back(p);
+    }
+  }
+  return out;
+}
+
+std::string label(const MatchParams& p) {
+  return std::string(finder_name(p.finder)) +
+         (p.strategy == Strategy::kFast ? " fast" : " lazy");
+}
+
+TEST(SoftwareEncoder, PrimedPartsDecodeAfterTheirPrefix) {
+  // Each part decodes, with its prefix as history, back to its own bytes,
+  // and no match reaches past max_distance(). Parts of 0-3 bytes leave the
+  // last prefix positions without 3 bytes to hash.
+  const auto corpus = wl::make_corpus("wiki", 3 * 4096 + 8 * 1024, 11);
+  for (const MatchParams& p : finder_parses()) {
+    for (const std::size_t prefix : prefix_lengths(p)) {
+      for (const std::size_t part : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                                     std::size_t{3}, std::size_t{8 * 1024}}) {
+        const std::string where = label(p) + " prefix " + std::to_string(prefix) + " part " +
+                                  std::to_string(part);
+        const std::span<const std::uint8_t> data(corpus.data(), prefix + part);
+        MatchFinderEncoder enc(p);
+        const auto tokens = enc.encode(data, prefix);
+        // The prefix goes ahead as literal history; the window bound holds.
+        std::vector<Token> with_history;
+        for (std::size_t i = 0; i < prefix; ++i) with_history.push_back(Token::literal(data[i]));
+        with_history.insert(with_history.end(), tokens.begin(), tokens.end());
+        EXPECT_EQ(decode_tokens(with_history, p.window_size()),
+                  std::vector<std::uint8_t>(data.begin(), data.end()))
+            << where;
+        for (const auto& t : tokens)
+          if (!t.is_literal()) {
+            ASSERT_LE(t.distance(), p.max_distance()) << where;
+          }
+        EXPECT_EQ(enc.stats().literals + enc.stats().match_bytes, part) << where;
+        EXPECT_EQ(enc.stats().tokens(), tokens.size()) << where;
+        // Prefix 0 is the unprimed encode, token for token.
+        if (prefix == 0) {
+          EXPECT_EQ(tokens, MatchFinderEncoder(p).encode(data)) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(SoftwareEncoder, PrimedMatchesReachMaxDistanceIntoThePrefixAndNoFurther) {
+  // A part that repeats the prefix bytes at distance d: at max_distance()
+  // its first token is that match; one byte further it is a literal.
+  for (const MatchParams& p : finder_parses()) {
+    const std::size_t prefix = p.window_size();
+    for (const std::uint32_t dist : {p.max_distance(), p.max_distance() + 1}) {
+      rng::Xoshiro256 rng(dist);
+      std::vector<std::uint8_t> data(prefix + 1024);
+      for (auto& b : data) b = rng.next_byte();
+      std::memcpy(data.data() + prefix, data.data() + prefix - dist, 64);
+      MatchFinderEncoder enc(p);
+      const auto tokens = enc.encode(data, prefix);
+      ASSERT_FALSE(tokens.empty()) << label(p);
+      if (dist <= p.max_distance()) {
+        EXPECT_EQ(tokens[0].distance(), dist) << label(p);
+        EXPECT_GE(tokens[0].length(), std::min<std::uint32_t>(64, p.nice_length)) << label(p);
+      } else {
+        EXPECT_TRUE(tokens[0].is_literal()) << label(p);
+      }
+    }
+  }
+}
+
+TEST(SoftwareEncoder, PrefixLongerThanTheInputThrows) {
+  const std::vector<std::uint8_t> data(16, 1);
+  MatchFinderEncoder enc(MatchParams::speed_optimized());
+  EXPECT_THROW((void)enc.encode(data, 17), std::invalid_argument);
 }
 
 // --- Property sweep: every corpus x every level round-trips ---------------
